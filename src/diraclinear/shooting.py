@@ -4,7 +4,8 @@ Outward RK4 integration from a series launch at small radius; bound-state
 eigenvalues for scalar fraction s >= 1/2 by bisection on the behavior of
 the outward tail (node-count targeted, so brackets holding several levels
 still converge to the requested one); and a truncated-domain Dirichlet
-estimator for the quasi-bound levels that exist below s = 1/2.
+estimator for the quasi-bound levels that exist below s = 1/2, converged
+by Brent's method on the Dirichlet residual.
 
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff; find_bound_state therefore rebuilds
@@ -17,10 +18,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from ._kernels import rk4_path
 from .errors import BracketError, ScanError
-from .model import PotentialMix, RadialGrid, RadialSolution, count_nodes, turning_points
+from .model import (
+    PotentialMix,
+    QuantumNumbers,
+    RadialGrid,
+    RadialSolution,
+    count_nodes,
+    turning_points,
+)
 
 
 def _launch_values(m, mix, k, E, r_min):
@@ -38,13 +47,6 @@ def _launch_values(m, mix, k, E, r_min):
     return u0, v0
 
 
-def _validate_k(k):
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError("k must be a nonzero integer")
-    if k == 0:
-        raise ValueError("k must be a nonzero integer")
-
-
 def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
                      grid: RadialGrid) -> RadialSolution:
     """Single outward RK4 shot at energy E on the given uniform grid.
@@ -54,7 +56,7 @@ def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
     diverged, entries past the overflow point are NaN, and divergence_sign
     records the sign of u there for use by eigenvalue bisections.
     """
-    _validate_k(k)
+    QuantumNumbers(k)
     if not np.isfinite(E):
         raise ValueError("E must be finite")
     u0, v0 = _launch_values(m, mix, k, E, grid.r_min)
@@ -160,7 +162,7 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     if mix.s < 0.5:
         raise ValueError(
             "s < 0.5 gives only quasi-bound states; use estimate_quasibound_energy")
-    _validate_k(k)
+    QuantumNumbers(k)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
@@ -217,14 +219,27 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     classically forbidden region -- the midpoint between r1 and the lifted
     continuum edge, capped at a dozen decay lengths past r1 so the scheme
     stays meaningful as s -> 1/2 where the geometric midpoint runs away --
-    and the lowest E > m with u(r_mid) = 0 is found by scan plus bisection.
+    and a root of u(r_mid) = 0 above m is found in three stages:
+
+    1. a 96-point scan of (m, m + 10*sqrt(lambda)), each energy shot to its
+       own Dirichlet point, brackets the lowest sign change;
+    2. r_mid is fixed at the Dirichlet point of the bracket's midpoint; if
+       u(r_mid) has one sign at both ends, the bracket is widened one scan
+       step at a time toward the end with the smaller |u| until it does
+       change sign;
+    3. Brent's method converges on u(r_mid) to 1e-11*m.
+
+    Raises ScanError when the scan finds no sign change, when the widening
+    leaves the scan window without one, or when a shot in the bracket
+    overflows before r_mid (it then has no finite residual).
+
     This is an estimate; re-solving with midpoint_scale 0.9 and 1.1 gives
     its truncation-sensitivity spread.  n and r_min are taken from
     grid_hint; the outer radius is the Dirichlet point itself.
     """
     if mix.s >= 0.5:
         raise ValueError("s >= 0.5 is strictly bound; use find_bound_state")
-    _validate_k(k)
+    QuantumNumbers(k)
     if not (0.5 <= midpoint_scale <= 1.5):
         raise ValueError("midpoint_scale outside [0.5, 1.5] leaves the barrier")
 
@@ -260,16 +275,40 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
             f"no Dirichlet sign change in the scan window "
             f"({m}, {m + width}); no quasi-bound level found")
 
+    # converge at one fixed radius; the scan's radius moved with the
+    # energy, so its sign change need not hold at r_mid
     lo, hi = bracket
     r_mid = dirichlet_radius(0.5 * (lo + hi))
-    f_lo = endpoint_u(lo, r_mid)
-    while hi - lo > 1e-11 * m:
-        mid = 0.5 * (lo + hi)
-        f_mid = endpoint_u(mid, r_mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
+    f_lo, f_hi = endpoint_u(lo, r_mid), endpoint_u(hi, r_mid)
+    step = width / steps
+    while f_lo * f_hi > 0:
+        down = abs(f_lo) <= abs(f_hi)
+        e = lo - step if down else hi + step
+        if not m < e <= m + width:
+            raise ScanError(
+                f"no Dirichlet sign change at r_mid = {r_mid} within the scan "
+                f"window ({m}, {m + width}) around ({bracket[0]}, {bracket[1]})")
+        f = endpoint_u(e, r_mid)
+        # on a sign change keep only the step across which it happens
+        if down:
+            if f * f_lo <= 0:
+                hi, f_hi = lo, f_lo
+            lo, f_lo = e, f
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+            if f * f_hi <= 0:
+                lo, f_lo = hi, f_hi
+            hi, f_hi = e, f
+
+    # the ends are already shot; an overflowed shot is only a sign, which
+    # Brent's interpolation cannot use
+    ends = {lo: f_lo, hi: f_hi}
+
+    def residual(e):
+        f = ends[e] if e in ends else endpoint_u(e, r_mid)
+        if not math.isfinite(f):
+            raise ScanError(
+                f"the shot at E = {e} overflows before the Dirichlet point "
+                f"r_mid = {r_mid}; no finite residual to converge on")
+        return f
+
+    return brentq(residual, lo, hi, xtol=1e-11 * m)

@@ -13,6 +13,7 @@ from diraclinear import (
     estimate_quasibound_energy,
     find_bound_state,
     integrate_radial,
+    shooting,
     suggest_bracket,
 )
 from diraclinear._kernels import rk4_path
@@ -276,6 +277,111 @@ def test_quasibound_truncation_sensitivity_is_small():
     lo = estimate_quasibound_energy(M, VECTOR, -1, GRID, midpoint_scale=0.9)
     hi = estimate_quasibound_energy(M, VECTOR, -1, GRID, midpoint_scale=1.1)
     assert abs(hi - lo) < 5e-3
+
+
+QB_GRID = RadialGrid(r_min=25e-6, r_max=25.0, n=500)
+
+
+def _record_shots(monkeypatch):
+    """Route shooting.integrate_radial through a recorder of (E, grid)."""
+    shots = []
+    real = shooting.integrate_radial
+
+    def recording(m, mix, k, E, grid):
+        shots.append((E, grid))
+        return real(m, mix, k, E, grid)
+
+    monkeypatch.setattr(shooting, "integrate_radial", recording)
+    return shots
+
+
+@pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
+def test_quasibound_estimate_is_root_at_its_dirichlet_radius(monkeypatch, grid):
+    # the scan's sign change here does not hold at the fixed radius; the
+    # estimate must still be a root there, not the scan's upper point
+    m, mix = 0.5786714052533269, PotentialMix(0.6465073497432428, 0.0)
+    shots = _record_shots(monkeypatch)
+    e = estimate_quasibound_energy(m, mix, -1, grid)
+    fixed = shots[-1][1]
+    e_lo = estimate_quasibound_energy(m, mix, -1, grid, midpoint_scale=0.9)
+    e_hi = estimate_quasibound_energy(m, mix, -1, grid, midpoint_scale=1.1)
+    assert min(e_lo, e_hi) - 1e-6 <= e <= max(e_lo, e_hi) + 1e-6
+    assert e == pytest.approx(2.1678757, abs=1e-6)
+
+    def u_end(energy):
+        return integrate_radial(m, mix, -1, energy, fixed).u[-1]
+
+    lo, hi = e - 0.02, e + 0.02
+    f_lo = u_end(lo)
+    assert f_lo * u_end(hi) < 0
+    while hi - lo > 1e-11:
+        mid = 0.5 * (lo + hi)
+        f_mid = u_end(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    assert abs(e - 0.5 * (lo + hi)) <= 1e-9
+
+
+def test_quasibound_central_estimate_inside_truncation_spread():
+    rng = np.random.default_rng(1)
+    draws = zip(rng.uniform(0.5, 1.0, 150), rng.uniform(0.5, 1.0, 150),
+                rng.uniform(0.0, 0.45, 150))
+    outside = []
+    for m, lam, s in draws:
+        mix = PotentialMix(lam, s)
+        e, e_lo, e_hi = (estimate_quasibound_energy(m, mix, -1, QB_GRID, midpoint_scale=c)
+                         for c in (1.0, 0.9, 1.1))
+        if not min(e_lo, e_hi) - 1e-6 <= e <= max(e_lo, e_hi) + 1e-6:
+            outside.append((m, lam, s, e, e_lo, e_hi))
+    assert outside == []
+
+
+def test_quasibound_refinement_shot_budget(monkeypatch):
+    # plain bisection of a one-step scan bracket down to 1e-11*m needs
+    # about 35 shots; Brent's method on u(r_mid) needs far fewer
+    shots = _record_shots(monkeypatch)
+    estimate_quasibound_energy(M, VECTOR, -1, GRID)
+    # the scan's radius moves with the energy; every refinement shot ends
+    # at the one fixed Dirichlet radius of the last shot
+    r_mid = shots[-1][1].r_max
+    scan = max(i for i, (_, grid) in enumerate(shots) if grid.r_max != r_mid) + 1
+    assert len(shots) - scan <= 15
+
+
+def test_quasibound_without_fixed_radius_sign_change_raises(monkeypatch):
+    # the scan sees a sign change, but u(r_mid) keeps one sign all the way
+    # down to m: no root exists, so no energy may be returned
+    real = shooting.integrate_radial
+    calls = []
+
+    def one_sign_after_scan(m, mix, k, E, grid):
+        sol = real(m, mix, k, E, grid)
+        sol.u[-1] = -1.0 if len(calls) < 5 else 1.0
+        calls.append(E)
+        return sol
+
+    monkeypatch.setattr(shooting, "integrate_radial", one_sign_after_scan)
+    with pytest.raises(ScanError, match="no Dirichlet sign change at r_mid"):
+        estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
+
+
+def test_quasibound_overflow_near_root_raises(monkeypatch):
+    # an overflowed shot carries only a sign, which Brent cannot interpolate
+    e_true = estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
+    real = shooting.integrate_radial
+
+    def overflowing_near_root(m, mix, k, E, grid):
+        sol = real(m, mix, k, E, grid)
+        if abs(E - e_true) < 1e-3:
+            sol.u[-1] = np.nan
+            sol.diverged, sol.divergence_sign = True, 1
+        return sol
+
+    monkeypatch.setattr(shooting, "integrate_radial", overflowing_near_root)
+    with pytest.raises(ScanError, match="overflows"):
+        estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
 
 
 def test_quasibound_rejects_bound_mix():
