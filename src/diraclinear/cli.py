@@ -152,8 +152,9 @@ def _quasibound_with_spread(cfg: RunConfig):
 
 
 def _solve_bound(cfg: RunConfig):
-    bracket = suggest_bracket(cfg.m, cfg.mix(), cfg.k, cfg.grid())
-    return find_bound_state(cfg.m, cfg.mix(), cfg.k, bracket, cfg.grid())
+    nodes = cfg.zero_index - 1
+    bracket = suggest_bracket(cfg.m, cfg.mix(), cfg.k, cfg.grid(), nodes=nodes)
+    return find_bound_state(cfg.m, cfg.mix(), cfg.k, bracket, cfg.grid(), nodes=nodes)
 
 
 def _profile_rows(cfg: RunConfig, sol):
@@ -166,17 +167,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     binding = classify_binding(cfg.mix())
     pairs = [("binding", binding)]
     sol = None
-    if cfg.s == 0.5:
-        e_analytic = equal_mix_energy(cfg.m, cfg.lam, cfg.zero_index)
+    if binding is BindingClass.STRICTLY_BOUND:
         sol = _solve_bound(cfg)
-        pairs += [("analytic_energy_gev", e_analytic),
-                  ("shooting_energy_gev", sol.E),
-                  ("difference_gev", abs(sol.E - e_analytic))]
         e_used = sol.E
-    elif cfg.s > 0.5:
-        sol = _solve_bound(cfg)
-        pairs += [("shooting_energy_gev", sol.E)]
-        e_used = sol.E
+        if cfg.s == 0.5:
+            e_analytic = equal_mix_energy(cfg.m, cfg.lam, cfg.zero_index)
+            pairs += [("analytic_energy_gev", e_analytic),
+                      ("shooting_energy_gev", sol.E),
+                      ("difference_gev", abs(sol.E - e_analytic))]
+        else:
+            pairs += [("shooting_energy_gev", sol.E)]
     else:
         e_used, spread = _quasibound_with_spread(cfg)
         pairs += [("quasibound_energy_gev", e_used),
@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--s", type=float, help="scalar fraction in [0, 1] (default 0.5)")
     common.add_argument("--k", type=int, help="Dirac quantum number (default -1)")
     common.add_argument("--zero-index", dest="zero_index", type=int,
-                        help="Airy zero index for equal-mix states (default 1)")
+                        help="bound level for s >= 0.5, 1 = ground state; the "
+                             "Airy zero index at s = 0.5 (default 1)")
     common.add_argument("--rmax", dest="r_max", type=float,
                         help="outer grid radius in GeV^-1 (default 25)")
     common.add_argument("--n", type=int, help="number of grid steps (default 20000)")
@@ -319,10 +320,10 @@ def make_config(args) -> RunConfig:
             values.update(read_config(args.config))
         except OSError as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
-    for attr in ("m", "lam", "s", "k", "zero_index", "r_max", "n", "out", "energy"):
-        flag = getattr(args, attr, None)
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[attr] = flag
+            values[f.name] = flag
     try:
         return RunConfig(**values).validate()
     except ValueError as exc:

@@ -54,12 +54,17 @@ def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
     Returns the raw (unnormalized) solution.  A growing tail that leaves
     the representable range is not an error: the solution is marked
     diverged, entries past the overflow point are NaN, and divergence_sign
-    records the sign of u there for use by eigenvalue bisections.
+    records the sign of u there for use by eigenvalue bisections.  Raises
+    ValueError when r_min^|k| underflows, so that both launch values are 0.
     """
     QuantumNumbers(k)
     if not np.isfinite(E):
         raise ValueError("E must be finite")
     u0, v0 = _launch_values(m, mix, k, E, grid.r_min)
+    if u0 == 0.0 and v0 == 0.0:
+        raise ValueError(
+            f"r_min^|k| = {grid.r_min}^{abs(k)} underflows to zero, so both "
+            f"launch values vanish and the shot would be identically zero")
     u, v, stop, sign = rk4_path(m, mix.lam, mix.s, int(k), E,
                                 grid.r_min, grid.h, grid.n, u0, v0)
     return RadialSolution(

@@ -4,13 +4,13 @@ Airy Ai (with its negative zeros and first derivative) quantizes the
 equal-mix spectrum; Bessel J0/I0/K0 give the local wavefunction profiles
 at the continuum edge and the classical turning point.
 
-Evaluation strategy: Maclaurin series for small arguments, standard
-large-argument asymptotic expansions beyond a fixed switchover.  Series
-sums are accumulated in extended precision (80-bit longdouble) so the
-returned float64 values are accurate to a few ulp in absolute terms even
-where the series alternates; K0 bridges the window where neither the
-logarithmic series nor the asymptotic expansion reaches 1e-10 relative
-accuracy with a Chebyshev fit of exp(x)*sqrt(x)*K0(x).
+The Bessel functions and the Ai zeros are validating wrappers over
+scipy.special.  Ai and Ai' are evaluated here: Maclaurin series summed in
+extended precision (80-bit longdouble) for small arguments, and standard
+large-argument asymptotic expansions beyond a fixed switchover.  They stay
+in-house because scipy.special.airy rounds unevenly enough to fail the
+contract |Ai'' - x Ai| <= 1e-7 with Ai'' from central differences at
+h = 1e-4.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -20,26 +20,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special as sp
 
 _LD = np.longdouble
 
 # Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3)
 _AI0 = _LD("0.355028053887817239260063186004183176398")
 _AIP0 = _LD("-0.258819403792806798405183560189203963479")
-_EULER = _LD("0.577215664901532860606512090082402431042")
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Switchover points between series and asymptotic branches.  The textbook
-# asymptotic expansions have an optimal-truncation floor ~ exp(-2*zeta)
-# (Airy) or ~ exp(-2*x) (Bessel); these seams keep that floor below the
-# accuracy contract on both sides (I0 needs x = 20 before the floor drops
-# under 1e-9 absolute, since I0 itself grows like exp(x)).
+# Switchover between the Airy series and asymptotic branches.  The textbook
+# asymptotic expansion has an optimal-truncation floor ~ exp(-2*zeta); this
+# seam keeps that floor below the accuracy contract on both sides.
 AIRY_SWITCH = 7.0
-J0_SWITCH = 14.0
-I0_SWITCH = 20.0
-K0_SERIES_MAX = 8.0
-K0_ASYM_MIN = 14.0
 
 _N_SERIES = 48
 
@@ -64,24 +58,6 @@ def _series_tables():
 
 _AI_F, _AI_G, _AI_FP, _AI_GP = _series_tables()
 
-# Bessel series over powers of q = x^2/4: J0 = sum (-q)^k/(k!)^2,
-# I0 = sum q^k/(k!)^2, and the K0 log-series companion with harmonic
-# numbers H_k.
-_BES_C = np.empty(_N_SERIES, dtype=_LD)
-_BES_C[0] = _LD(1)
-for _k in range(1, _N_SERIES):
-    _BES_C[_k] = _BES_C[_k - 1] / _LD(_k * _k)
-_HARMONIC = np.concatenate(
-    ([_LD(0)], np.cumsum(_LD(1) / np.arange(1, _N_SERIES, dtype=_LD)))
-)
-
-# Hankel-expansion coefficients a_k: a_0 = 1, a_{k+1} = -a_k (2k+1)^2/(8(k+1)).
-_N_ASY = 29
-_HANKEL_A = np.empty(_N_ASY)
-_HANKEL_A[0] = 1.0
-for _k in range(_N_ASY - 1):
-    _HANKEL_A[_k + 1] = -_HANKEL_A[_k] * (2 * _k + 1) ** 2 / (8.0 * (_k + 1))
-
 # Airy asymptotic coefficients c_k (and d_k for Ai') in inverse powers of
 # zeta = (2/3)|x|^(3/2).
 _N_AIRY_ASY = 26
@@ -91,32 +67,6 @@ _AIRY_C[0] = _AIRY_D[0] = 1.0
 for _k in range(1, _N_AIRY_ASY):
     _AIRY_C[_k] = _AIRY_C[_k - 1] * (6 * _k - 5) * (6 * _k - 1) / (72.0 * _k)
     _AIRY_D[_k] = -_AIRY_C[_k] * (6 * _k + 1) / (6 * _k - 1)
-
-# Chebyshev fit of exp(x)*sqrt(x)*K0(x) on [8, 14]; max relative error
-# 3.3e-16 against 40-digit reference values.
-_K0_CHEB_LO, _K0_CHEB_HI = 8.0, 14.0
-_K0_CHEB = np.array([
-    2.4785067255740443,
-    0.0037264489642932965,
-    -0.0004946531225591242,
-    6.576669474892787e-05,
-    -8.757206239647015e-06,
-    1.167718389533217e-06,
-    -1.5591429560762262e-07,
-    2.0843687452451365e-08,
-    -2.789795529516031e-09,
-    3.7380955336503653e-10,
-    -5.0139723734552794e-11,
-    6.731973582963017e-12,
-    -9.047093718862241e-13,
-    1.216917097692271e-13,
-    -1.6382442628257462e-14,
-    2.2072118493308597e-15,
-    -2.9760505059466526e-16,
-    4.015613119153203e-17,
-    -5.42205791316659e-18,
-    7.325943386124399e-19,
-])
 
 
 def _as_array(x, name):
@@ -224,153 +174,38 @@ def airy_ai_prime(x):
     return _airy_eval(x, derivative=True)
 
 
-def _ai_and_prime(x: float):
-    """(Ai, Ai') at a scalar point, sharing the power table between the two
-    series; shaves the constant factor off the zero-finder's Newton loop."""
-    if abs(x) <= AIRY_SWITCH:
-        xl = _LD(x)
-        y = xl * xl * xl
-        n = _AI_F.shape[0]
-        pows = np.empty(n, dtype=_LD)
-        pows[0] = _LD(1)
-        np.cumprod(np.full(n - 1, y), out=pows[1:])
-        f = np.sum(pows * _AI_F)
-        g = xl * np.sum(pows * _AI_G)
-        fp = xl * xl * np.sum(pows[:-1] * _AI_FP)
-        gp = np.sum(pows * _AI_GP)
-        return float(_AI0 * f + _AIP0 * g), float(_AI0 * fp + _AIP0 * gp)
-    arr = np.array([x])
-    if x > 0:
-        return float(_airy_asym_pos(arr)[0]), float(_airy_asym_pos(arr, True)[0])
-    return float(_airy_asym_neg(arr)[0]), float(_airy_asym_neg(arr, True)[0])
-
-
 def airy_ai_zero(index):
     """The index-th negative zero of Ai (1-based, strictly decreasing).
 
-    A coarse downward scan of step 0.1 brackets the sign change; the
-    bracket is then narrowed by Newton steps (guarded by bisection when an
-    iterate leaves the bracket; convergence is cubic because Ai'' = x*Ai
-    vanishes at a zero of Ai).  Accurate to ~1e-13.
+    Taken from scipy.special.ai_zeros; accurate to 1e-11 absolute (worst of
+    the first 200: 8.1e-12 at index 5; all others within 1.6e-13).
     """
     if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
         raise ValueError("zero index must be a positive integer")
     if index < 1:
         raise ValueError("zero index must be >= 1")
-    # asymptotic location guides how far the scan has to go
-    t = 3.0 * math.pi * (4 * index - 1) / 8.0
-    lo = min(-3.0, -(t ** (2.0 / 3.0)) - 1.0)
-    while True:
-        grid = np.arange(0.0, lo - 0.05, -0.1)
-        vals = airy_ai(grid)
-        flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if len(flips) >= index:
-            j = flips[index - 1]
-            hi, lo_b = float(grid[j]), float(grid[j + 1])  # f(hi)*f(lo_b) < 0
-            f_hi = float(vals[j])
-            break
-        lo *= 1.3
-
-    z = 0.5 * (hi + lo_b)
-    for _ in range(60):
-        f, fp = _ai_and_prime(z)
-        if f == 0.0:
-            return z
-        if f * f_hi < 0:  # root is in (z, hi)
-            lo_b = z
-        else:
-            hi, f_hi = z, f
-        step = f / fp
-        z_new = z - step
-        if z_new == z or abs(step) <= 1e-14 * abs(z):
-            return z_new
-        if not (lo_b < z_new < hi):
-            z_new = 0.5 * (hi + lo_b)
-            if z_new == z or not (lo_b < z_new < hi):
-                return z
-        z = z_new
-    return z
+    return float(sp.ai_zeros(index)[0][-1])
 
 
 # ---------------------------------------------------------------------------
 # Bessel J0, I0, K0
 
-def _j0_series(x):
-    q = np.square(x.astype(_LD)) / _LD(4)
-    return _powsum(-q, _BES_C).astype(float)
-
-
-def _i0_series(x):
-    q = np.square(x.astype(_LD)) / _LD(4)
-    return _powsum(q, _BES_C).astype(float)
-
-
-def _k0_series(x):
-    xl = x.astype(_LD)
-    q = np.square(xl) / _LD(4)
-    i0 = _powsum(q, _BES_C)
-    extra = _powsum(q, _BES_C * _HARMONIC)
-    return ((-(np.log(xl / _LD(2)) + _EULER)) * i0 + extra).astype(float)
-
-
-def _j0_asym(x):
-    inv2 = x * x
-    ks = np.arange((_N_ASY + 1) // 2)
-    even = _HANKEL_A[0::2] * (-1.0) ** ks
-    odd = _HANKEL_A[1::2] * (-1.0) ** ks[: _N_ASY // 2]
-    p = _inv_powsum(inv2, even)
-    q = _inv_powsum(inv2, odd) / x
-    omega = x - 0.25 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(omega) * p - np.sin(omega) * q)
-
-
-def _i0_asym(x):
-    s = _inv_powsum(x, np.abs(_HANKEL_A))
-    return np.exp(x) / np.sqrt(2.0 * math.pi * x) * s
-
-
-def _k0_asym(x):
-    signed = np.abs(_HANKEL_A) * (-1.0) ** np.arange(_N_ASY)
-    s = _inv_powsum(x, signed)
-    return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * s
-
-
-def _k0_cheb(x):
-    t = (2.0 * x - (_K0_CHEB_LO + _K0_CHEB_HI)) / (_K0_CHEB_HI - _K0_CHEB_LO)
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for c in _K0_CHEB[:0:-1]:
-        b1, b2 = 2.0 * t * b1 - b2 + c, b1
-    return (t * b1 - b2 + 0.5 * _K0_CHEB[0]) * np.exp(-x) / np.sqrt(x)
-
-
 def bessel_j0(x):
     """Bessel function of the first kind J0(x); even in x.
 
-    Relative accuracy better than 1e-10 on 0 < x <= 20 and absolute
-    accuracy ~1e-13 near the zeros of J0.
+    Taken from scipy.special.j0: relative accuracy better than 1e-12 on
+    0 < x <= 20 away from the zeros of J0, and ~1e-16 absolute near them.
+    Raises ValueError on non-finite input.
     """
     arr, scalar = _as_array(x, "bessel_j0")
-    flat = np.abs(np.atleast_1d(arr).ravel())
-    out = np.empty_like(flat)
-    ser = flat <= J0_SWITCH
-    out[ser] = _j0_series(flat[ser])
-    if (~ser).any():
-        out[~ser] = _j0_asym(flat[~ser])
-    out = out.reshape(np.shape(arr))
+    out = sp.j0(np.abs(arr))
     return float(out) if scalar else out
 
 
 def bessel_i0(x):
     """Modified Bessel function I0(x); even in x, >= 1 and increasing on x >= 0."""
     arr, scalar = _as_array(x, "bessel_i0")
-    flat = np.abs(np.atleast_1d(arr).ravel())
-    out = np.empty_like(flat)
-    ser = flat <= I0_SWITCH
-    out[ser] = _i0_series(flat[ser])
-    if (~ser).any():
-        out[~ser] = _i0_asym(flat[~ser])
-    out = out.reshape(np.shape(arr))
+    out = sp.i0(np.abs(arr))
     return float(out) if scalar else out
 
 
@@ -383,15 +218,5 @@ def bessel_k0(x):
     arr, scalar = _as_array(x, "bessel_k0")
     if np.any(arr <= 0.0):
         raise ValueError("bessel_k0 requires x > 0 (divergent at x = 0)")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
-    ser = flat <= K0_SERIES_MAX
-    mid = (~ser) & (flat < K0_ASYM_MIN)
-    top = flat >= K0_ASYM_MIN
-    out[ser] = _k0_series(flat[ser])
-    if mid.any():
-        out[mid] = _k0_cheb(flat[mid])
-    if top.any():
-        out[top] = _k0_asym(flat[top])
-    out = out.reshape(np.shape(arr))
+    out = sp.k0(arr)
     return float(out) if scalar else out

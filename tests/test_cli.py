@@ -1,11 +1,12 @@
 """Command-line interface: reports, CSV contracts, config round trips."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from diraclinear.cli import RunConfig, dump_config, main, read_config
+from diraclinear.cli import _CONFIG_KEYS, RunConfig, dump_config, main, read_config
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,11 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert dump_config(reparsed) == dump_config(expected)
 
 
+def test_config_keys_cover_run_config_fields():
+    attrs = sorted(attr for attr, _ in _CONFIG_KEYS.values())
+    assert attrs == sorted(f.name for f in fields(RunConfig))
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("# comment line\nm=1.0\nlambda=0.2\ns=0.0\nn=2000\nrmax=20.0\n")
@@ -92,6 +98,13 @@ def test_solve_equal_mix_reports_both_paths(capsys):
     assert abs(float(rep["shooting_energy_gev"]) - 1.5828) < 2e-3
     assert float(rep["difference_gev"]) < 1e-3
     assert "r2" not in rep
+
+
+def test_solve_zero_index_targets_that_level(capsys):
+    # the shooting solve must find the same level as the analytic zero index
+    code, out, _ = run_cli(capsys, "solve", "--zero-index", "2", "--n", "4000")
+    assert code == 0
+    assert float(parse_report(out)["difference_gev"]) < 1e-3
 
 
 def test_solve_quasibound_reports_classification_and_radii(capsys):

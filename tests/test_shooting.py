@@ -64,6 +64,16 @@ def test_integrate_validates_inputs():
         integrate_radial(M, EQUAL, -1, float("nan"), GRID)
 
 
+def test_launch_underflow_raises():
+    # r_min^|k| underflows to 0 for |k| >~ 70: every shot would be all zeros
+    grid = RadialGrid(r_min=25e-6, r_max=25.0, n=500)
+    for k in (-75, 75):
+        with pytest.raises(ValueError, match="underflows"):
+            integrate_radial(M, VECTOR, k, 1.5, grid)
+    with pytest.raises(ValueError, match="underflows"):
+        estimate_quasibound_energy(M, VECTOR, -75, grid)
+
+
 def test_integrate_reports_divergence_as_data():
     # stiff slope: the growing tail overflows well before r_max
     mix = PotentialMix(4.0, 1.0)

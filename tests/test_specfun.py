@@ -164,25 +164,6 @@ def test_k0_positive_and_decreasing():
     assert np.all(np.diff(vals) < 0)
 
 
-def test_series_asymptotic_seam_agreement():
-    # the two branches must agree at the documented switchover
-    j_s = sf._j0_series(np.array([sf.J0_SWITCH]))[0]
-    j_a = sf._j0_asym(np.array([sf.J0_SWITCH]))[0]
-    assert abs(j_s - j_a) <= 1e-9
-    assert abs(j_s - j_a) <= 1e-9 * abs(j_s)
-    i_s = sf._i0_series(np.array([sf.I0_SWITCH]))[0]
-    i_a = sf._i0_asym(np.array([sf.I0_SWITCH]))[0]
-    assert abs(i_s - i_a) <= 1e-9
-    assert abs(i_s - i_a) <= 1e-9 * abs(i_s)
-    # K0 hands over series -> Chebyshev -> asymptotic
-    k_s = sf._k0_series(np.array([sf.K0_SERIES_MAX]))[0]
-    k_c = sf._k0_cheb(np.array([sf.K0_SERIES_MAX]))[0]
-    assert abs(k_s - k_c) <= 1e-9 * abs(k_s)
-    k_c2 = sf._k0_cheb(np.array([sf.K0_ASYM_MIN]))[0]
-    k_a = sf._k0_asym(np.array([sf.K0_ASYM_MIN]))[0]
-    assert abs(k_c2 - k_a) <= 1e-9 * abs(k_a)
-
-
 def test_even_symmetry_and_vectorization():
     xs = np.array([-3.7, -0.5, 0.0, 0.5, 3.7, 16.0])
     assert np.allclose(sf.bessel_j0(xs), sf.bessel_j0(-xs), rtol=0, atol=0)
