@@ -127,13 +127,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, comment_fields, header, rows):
+def _write_csv(path, comment_fields, header, lines):
+    """Write the comment line, the header and the data `lines`, each of
+    which already ends in a newline."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("# " + " ".join(f"{k}={_fmt(v)}" for k, v in comment_fields) + "\n")
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(c) for c in row) + "\n")
+            fh.writelines(lines)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -157,10 +158,12 @@ def _solve_bound(cfg: RunConfig):
     return find_bound_state(cfg.m, cfg.mix(), cfg.k, bracket, cfg.grid(), nodes=nodes)
 
 
-def _profile_rows(cfg: RunConfig, sol):
-    mix = cfg.mix()
-    v_pot, s_pot = potentials(mix, sol.r)
-    return zip(sol.r, sol.u, sol.v, v_pot, s_pot)
+def _profile_lines(cfg: RunConfig, sol):
+    # all-float columns: repr of the Python floats is what _fmt writes,
+    # without its per-cell type dispatch
+    v_pot, s_pot = potentials(cfg.mix(), sol.r)
+    cols = [c.tolist() for c in (sol.r, sol.u, sol.v, v_pot, s_pot)]
+    return (",".join(map(repr, row)) + "\n" for row in zip(*cols))
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -190,7 +193,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         if sol is None:
             sol = integrate_radial(cfg.m, cfg.mix(), cfg.k, e_used, cfg.grid())
         _write_csv(cfg.out, _comment_fields(cfg, sol.E),
-                   ["r", "u", "v", "V", "S"], _profile_rows(cfg, sol))
+                   ["r", "u", "v", "V", "S"], _profile_lines(cfg, sol))
     return 0
 
 
@@ -208,7 +211,7 @@ def cmd_profile(cfg: RunConfig) -> int:
         e = estimate_quasibound_energy(cfg.m, cfg.mix(), cfg.k, cfg.grid())
         sol = integrate_radial(cfg.m, cfg.mix(), cfg.k, e, cfg.grid())
     _write_csv(cfg.out, _comment_fields(cfg, sol.E),
-               ["r", "u", "v", "V", "S"], _profile_rows(cfg, sol))
+               ["r", "u", "v", "V", "S"], _profile_lines(cfg, sol))
     print(f"wrote {cfg.out} ({cfg.n + 1} rows), E = {sol.E!r} GeV")
     return 0
 
@@ -252,10 +255,7 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, steps: int) -> i
         mix = row_cfg.mix()
         binding = classify_binding(mix)
         if binding is BindingClass.STRICTLY_BOUND:
-            e = find_bound_state(
-                row_cfg.m, mix, row_cfg.k,
-                suggest_bracket(row_cfg.m, mix, row_cfg.k, row_cfg.grid()),
-                row_cfg.grid()).E
+            e = _solve_bound(row_cfg).E
             gamma = tau = r2 = r3 = None
             r1 = turning_points(row_cfg.m, e, mix).r1
         else:
@@ -265,7 +265,7 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, steps: int) -> i
         rows.append([param, float(value), e, gamma, tau, r1, r2, r3, binding])
     _write_csv(cfg.out, _comment_fields(cfg, None)[:4] + [("param", param)],
                ["param", "value", "E", "gamma", "tau_ratio", "r1", "r2", "r3", "binding"],
-               rows)
+               (",".join(_fmt(c) for c in row) + "\n" for row in rows))
     print(f"wrote {cfg.out} ({steps} rows)")
     return 0
 

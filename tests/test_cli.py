@@ -6,6 +6,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from diraclinear import (
+    PotentialMix,
+    RadialGrid,
+    equal_mix_energy,
+    estimate_quasibound_energy,
+    find_bound_state,
+    gamma_mixed,
+    suggest_bracket,
+    turning_points,
+)
 from diraclinear.cli import _CONFIG_KEYS, RunConfig, dump_config, main, read_config
 
 
@@ -238,6 +248,74 @@ def test_sweep_crossing_half_flips_binding(tmp_path, capsys):
         else:
             assert binding == "QuasiBound"
             assert row[3] != ""
+
+
+def test_sweep_zero_index_targets_that_level(tmp_path, capsys):
+    out_path = tmp_path / "level2.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--param", "s", "--range", "0.5", "0.6",
+                         "--steps", "2", "--zero-index", "2", "--n", "4000",
+                         "--out", str(out_path))
+    assert code == 0
+    _, rows = read_strict_csv(out_path)
+    # the second equal-mix level is 1.97236; the ground state is 1.58280
+    assert abs(cell_float(rows[0][2]) - equal_mix_energy(1.0, 0.2, 2)) < 1e-3
+
+
+def _reference_csv(comment_fields, header, rows):
+    """The bytes of a CSV written one cell at a time: repr of each float,
+    str of each int and string, and an empty cell for None."""
+    def cell(c):
+        if c is None:
+            return ""
+        if isinstance(c, (str, int)):
+            return str(c)
+        return repr(float(c))
+
+    lines = ["# " + " ".join(f"{k}={cell(v)}" for k, v in comment_fields),
+             ",".join(header)]
+    lines += [",".join(cell(c) for c in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_profile_csv_bytes_golden(tmp_path, capsys):
+    out_path = tmp_path / "golden.csv"
+    code, _, _ = run_cli(capsys, "profile", "--n", "1500", "--rmax", "20",
+                         "--s", "0.75", "--k", "1", "--out", str(out_path))
+    assert code == 0
+    mix, grid = PotentialMix(0.2, 0.75), RadialGrid(r_min=1e-6 * 20.0, r_max=20.0, n=1500)
+    sol = find_bound_state(1.0, mix, 1, suggest_bracket(1.0, mix, 1, grid, nodes=0),
+                           grid, nodes=0)
+    rows = zip(sol.r, sol.u, sol.v, 0.25 * 0.2 * sol.r, 0.75 * 0.2 * sol.r)
+    expected = _reference_csv([("m", 1.0), ("lambda", 0.2), ("s", 0.75), ("k", 1),
+                               ("E", sol.E)], ["r", "u", "v", "V", "S"], rows)
+    assert out_path.read_bytes() == expected
+
+
+def test_sweep_csv_bytes_golden(tmp_path, capsys):
+    out_path = tmp_path / "golden.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--param", "s", "--range", "0.3", "0.7",
+                         "--steps", "3", "--zero-index", "2", "--n", "1000",
+                         "--rmax", "20", "--out", str(out_path))
+    assert code == 0
+    grid = RadialGrid(r_min=1e-6 * 20.0, r_max=20.0, n=1000)
+    rows = []
+    for s in np.linspace(0.3, 0.7, 3):
+        mix = PotentialMix(0.2, float(s))
+        if s < 0.5:
+            e = estimate_quasibound_energy(1.0, mix, -1, grid)
+            rep = gamma_mixed(1.0, mix, e)
+            rows.append(["s", s, e, rep.gamma, rep.tau_ratio, rep.r1, rep.r2, rep.r3,
+                         "QuasiBound"])
+        else:
+            bracket = suggest_bracket(1.0, mix, -1, grid, nodes=1)
+            e = find_bound_state(1.0, mix, -1, bracket, grid, nodes=1).E
+            rows.append(["s", s, e, None, None, turning_points(1.0, e, mix).r1,
+                         None, None, "StrictlyBound"])
+    expected = _reference_csv([("m", 1.0), ("lambda", 0.2), ("s", 0.5), ("k", -1),
+                               ("param", "s")],
+                              ["param", "value", "E", "gamma", "tau_ratio",
+                               "r1", "r2", "r3", "binding"], rows)
+    assert out_path.read_bytes() == expected
 
 
 def test_sweep_requires_out(capsys):

@@ -88,6 +88,13 @@ def test_airy_zero_residuals():
         assert abs(sf.airy_ai(sf.airy_ai_zero(i))) <= 1e-8
 
 
+def test_airy_zero_five_matches_table():
+    # the tabulated a_5, to 15 significant digits; scipy.special.ai_zeros
+    # alone is 8.1e-12 off here
+    assert abs(sf.airy_ai_zero(5) - (-7.94413358712085)) < 1e-14
+    assert sf.airy_ai_zero(np.int64(5)) == sf.airy_ai_zero(5)
+
+
 def test_airy_zero_bad_index():
     for bad in (0, -3):
         with pytest.raises(ValueError):
