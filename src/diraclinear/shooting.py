@@ -7,6 +7,13 @@ still converge to the requested one); and a truncated-domain Dirichlet
 estimator for the quasi-bound levels that exist below s = 1/2, converged
 by Brent's method on the Dirichlet residual.
 
+The two energy scans, suggest_bracket's node scan and the estimator's
+Dirichlet scan, shoot their energies in batches through the kernel's
+rk4_paths (one call per batch, at most batch_rows(n) shots) and walk the
+results in order, stopping where a one-shot-at-a-time scan would.  Every
+other shot is one rk4_path call.  The estimator reads only u at the
+Dirichlet point, so its shots build no RadialSolution.
+
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff; find_bound_state therefore rebuilds
 the tail by a stabilized inward integration before returning, and reports
@@ -20,7 +27,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from ._kernels import rk4_path
+from ._kernels import batch_rows, rk4_path, rk4_paths
 from .errors import BracketError, ScanError
 from .model import (
     PotentialMix,
@@ -32,9 +39,14 @@ from .model import (
 )
 
 
-def _launch_values(m, mix, k, E, r_min):
-    """Series behavior at the regular singular point: the leading component
-    goes like r^|k| and the other follows from the leading-order relation."""
+def _launch(m, mix, k, E, r_min):
+    """Launch values (u0, v0) at r_min for a shot at energy E, from the
+    series behavior at the regular singular point: the leading component
+    goes like r^|k| and the other follows from the leading-order relation.
+    Raises ValueError on a non-finite E, and when r_min^|k| underflows so
+    that both values vanish and the shot would be identically zero."""
+    if not np.isfinite(E):
+        raise ValueError("E must be finite")
     kk = abs(k)
     p0 = E + m - (1.0 - 2.0 * mix.s) * mix.lam * r_min
     q0 = E - m - mix.lam * r_min
@@ -44,6 +56,10 @@ def _launch_values(m, mix, k, E, r_min):
     else:
         v0 = r_min ** kk
         u0 = p0 * r_min ** (kk + 1) / (2 * kk + 1)
+    if u0 == 0.0 and v0 == 0.0:
+        raise ValueError(
+            f"r_min^|k| = {r_min}^{abs(k)} underflows to zero, so both "
+            f"launch values vanish and the shot would be identically zero")
     return u0, v0
 
 
@@ -58,13 +74,7 @@ def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
     ValueError when r_min^|k| underflows, so that both launch values are 0.
     """
     QuantumNumbers(k)
-    if not np.isfinite(E):
-        raise ValueError("E must be finite")
-    u0, v0 = _launch_values(m, mix, k, E, grid.r_min)
-    if u0 == 0.0 and v0 == 0.0:
-        raise ValueError(
-            f"r_min^|k| = {grid.r_min}^{abs(k)} underflows to zero, so both "
-            f"launch values vanish and the shot would be identically zero")
+    u0, v0 = _launch(m, mix, k, E, grid.r_min)
     u, v, stop, sign = rk4_path(m, mix.lam, mix.s, int(k), E,
                                 grid.r_min, grid.h, grid.n, u0, v0)
     return RadialSolution(
@@ -196,20 +206,72 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     return _normalized(_reconstruct_tail(sol, m, mix, k))
 
 
+# energies per batched shot in the scans, near the count a scan usually
+# needs before it stops; at most batch_rows(n), so one at n = 20000
+_NODE_CHUNK = 16
+_DIRICHLET_CHUNK = 24
+
+
+def _walk(energies, shoot, chunk):
+    """(E, shoot(chunk of energies)[i]) pairs in scan order, `chunk`
+    energies per shoot call, so a scan that stops early shoots less than
+    one chunk past its stop."""
+    for i in range(0, len(energies), chunk):
+        part = energies[i:i + chunk]
+        yield from zip(part, shoot(part))
+
+
+def _node_counts(m, mix, k, energies, grid):
+    """Node count of the outward shot at each energy on one grid: one
+    rk4_paths call, so the shots share the grid's cached coefficients."""
+    u0, v0 = zip(*(_launch(m, mix, k, e, grid.r_min) for e in energies))
+    rows = len(energies)
+    u, _, _, _ = rk4_paths(m, mix.lam, mix.s, int(k), energies, [grid.r_min] * rows,
+                           [grid.h] * rows, grid.n, u0, v0)
+    return [count_nodes(row) for row in u]
+
+
+def _dirichlet_u(m, mix, k, energies, grids):
+    """u at the outer end of each grid for the outward shot at the paired
+    energy, or +-inf, the sign of u where the shot overflowed, if it
+    overflows first (nan if that sign is 0).  This is every shot of the
+    quasi-bound estimator.  One shot calls rk4_path with integrate_radial's
+    arguments; several, all with the same n, are one rk4_paths call.  No
+    RadialSolution or node count is built."""
+    u0, v0 = zip(*(_launch(m, mix, k, e, g.r_min) for e, g in zip(energies, grids)))
+    n = grids[0].n
+    if len(grids) == 1:
+        (g,) = grids
+        u, _, stop, sign = rk4_path(m, mix.lam, mix.s, int(k), energies[0],
+                                    g.r_min, g.h, n, u0[0], v0[0])
+        u, stop, sign = [u], [stop], [sign]
+    else:
+        u, _, stop, sign = rk4_paths(m, mix.lam, mix.s, int(k), energies,
+                                     [g.r_min for g in grids], [g.h for g in grids], n, u0, v0)
+    return [float(row[-1]) if end == n else math.inf * float(sgn)
+            for row, end, sgn in zip(u, stop, sign)]
+
+
 def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
                     nodes: int = 0, steps: int = 64):
     """Scan (m, m + 10*sqrt(lambda)) for a bracket around the eigenvalue
     whose interior node count is `nodes`.  Raises ScanError when the window
-    contains no such transition."""
+    contains no such transition.
+
+    The scan energies are shot in batches of up to _NODE_CHUNK, all on the
+    one grid, so they share its cached coefficients (see _kernels); the
+    walk still stops at the first transition."""
+    QuantumNumbers(k)
     width = 10.0 * math.sqrt(mix.lam)
     energies = m + width * np.arange(1, steps + 1) / steps
-    prev_e = m + width / (4.0 * steps)
-    prev_n = _tail_nodes(m, mix, k, prev_e, grid)
-    for e in energies:
-        cur = _tail_nodes(m, mix, k, float(e), grid)
+    scan = _walk([m + width / (4.0 * steps)] + energies.tolist(),
+                 lambda es: _node_counts(m, mix, k, es, grid),
+                 min(_NODE_CHUNK, batch_rows(grid.n)))
+    prev_e, prev_n = next(scan)
+    for e, cur in scan:
         if prev_n <= nodes < cur:
-            return prev_e, float(e)
-        prev_e, prev_n = float(e), cur
+            return prev_e, e
+        prev_e, prev_n = e, cur
     raise ScanError(
         f"no {nodes}-node eigenvalue transition in (m, m + 10*sqrt(lambda)) "
         f"= ({m}, {m + width})")
@@ -227,13 +289,17 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     and a root of u(r_mid) = 0 above m is found in three stages:
 
     1. a 96-point scan of (m, m + 10*sqrt(lambda)), each energy shot to its
-       own Dirichlet point, brackets the lowest sign change;
+       own Dirichlet point, brackets the lowest sign change; the energies
+       are shot _DIRICHLET_CHUNK at a time, each batch one rk4_paths call
+       on as many grids, and the walk stops at the first sign change;
     2. r_mid is fixed at the Dirichlet point of the bracket's midpoint; if
        u(r_mid) has one sign at both ends, the bracket is widened one scan
        step at a time toward the end with the smaller |u| until it does
        change sign;
-    3. Brent's method converges on u(r_mid) to 1e-11*m.
+    3. Brent's method converges on u(r_mid) to 1e-11*m, one rk4_path shot
+       per evaluation.
 
+    Every shot goes through _dirichlet_u, which returns only u(r_mid).
     Raises ScanError when the scan finds no sign change, when the widening
     leaves the scan window without one, or when a shot in the bracket
     overflows before r_mid (it then has no finite residual).
@@ -253,22 +319,24 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
         cap = tp.r1 + 10.0 / (mix.lam * (m + e)) ** (1.0 / 3.0)
         return midpoint_scale * min(0.5 * (tp.r1 + tp.r3), cap)
 
-    def endpoint_u(e, r_mid):
+    def grid_at(r_mid):
         r_min = min(grid_hint.r_min, 1e-6 * r_mid)
-        grid = RadialGrid(r_min=r_min, r_max=r_mid, n=grid_hint.n)
-        sol = integrate_radial(m, mix, k, e, grid)
-        if sol.diverged:
-            return math.inf * sol.divergence_sign
-        return float(sol.u[-1])
+        return RadialGrid(r_min=r_min, r_max=r_mid, n=grid_hint.n)
+
+    def scan_u(energies):
+        return _dirichlet_u(m, mix, k, energies,
+                            [grid_at(dirichlet_radius(e)) for e in energies])
+
+    def endpoint_u(e, r_mid):
+        return _dirichlet_u(m, mix, k, [e], [grid_at(r_mid)])[0]
 
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
-    prev_e = m + width / (2.0 * steps)
-    prev_f = endpoint_u(prev_e, dirichlet_radius(prev_e))
+    energies = [m + width / (2.0 * steps)] + [m + width * i / steps for i in range(1, steps + 1)]
+    scan = _walk(energies, scan_u, min(_DIRICHLET_CHUNK, batch_rows(grid_hint.n)))
+    prev_e, prev_f = next(scan)
     bracket = None
-    for i in range(1, steps + 1):
-        e = m + width * i / steps
-        f = endpoint_u(e, dirichlet_radius(e))
+    for e, f in scan:
         if prev_f == 0.0:
             return prev_e
         if prev_f * f < 0:

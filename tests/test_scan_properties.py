@@ -1,0 +1,141 @@
+"""Scan equivalence: the batched scans give what per-shot scans give.
+
+suggest_bracket and estimate_quasibound_energy shoot their scan energies in
+rk4_paths batches.  These properties pin both, bit for bit, to references
+written here that shoot one integrate_radial per energy, as the scans did
+before they were batched.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+from diraclinear import (
+    PotentialMix,
+    RadialGrid,
+    ScanError,
+    estimate_quasibound_energy,
+    integrate_radial,
+    suggest_bracket,
+)
+from diraclinear.model import turning_points
+
+PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
+SCALES = st.floats(0.5, 2.0)
+CHANNELS = st.sampled_from((-1, 1, -2))
+STEPS = st.sampled_from((100, 500, 1000))
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the ScanError it raised as (type name, message)."""
+    try:
+        return fn(*args, **kwargs)
+    except ScanError as exc:
+        return ("ScanError", str(exc))
+
+
+def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
+    """estimate_quasibound_energy with one integrate_radial per shot: every
+    one of the 97 scan energies shot to its own Dirichlet point, the walk
+    to the first sign change, then the fixed-radius widening and Brent."""
+    def dirichlet_radius(e):
+        tp = turning_points(m, e, mix)
+        cap = tp.r1 + 10.0 / (mix.lam * (m + e)) ** (1.0 / 3.0)
+        return midpoint_scale * min(0.5 * (tp.r1 + tp.r3), cap)
+
+    def endpoint_u(e, r_mid):
+        r_min = min(grid_hint.r_min, 1e-6 * r_mid)
+        sol = integrate_radial(m, mix, k, e, RadialGrid(r_min=r_min, r_max=r_mid, n=grid_hint.n))
+        if sol.diverged:
+            return math.inf * sol.divergence_sign
+        return float(sol.u[-1])
+
+    width = 10.0 * math.sqrt(mix.lam)
+    steps = 96
+    energies = [m + width / (2.0 * steps)] + [m + width * i / steps for i in range(1, steps + 1)]
+    values = [endpoint_u(e, dirichlet_radius(e)) for e in energies]
+    bracket = None
+    for i in range(1, len(energies)):
+        if values[i - 1] == 0.0:
+            return energies[i - 1]
+        if values[i - 1] * values[i] < 0:
+            bracket = (energies[i - 1], energies[i])
+            break
+    if bracket is None:
+        raise ScanError(
+            f"no Dirichlet sign change in the scan window "
+            f"({m}, {m + width}); no quasi-bound level found")
+
+    lo, hi = bracket
+    r_mid = dirichlet_radius(0.5 * (lo + hi))
+    f_lo, f_hi = endpoint_u(lo, r_mid), endpoint_u(hi, r_mid)
+    step = width / steps
+    while f_lo * f_hi > 0:
+        down = abs(f_lo) <= abs(f_hi)
+        e = lo - step if down else hi + step
+        if not m < e <= m + width:
+            raise ScanError(
+                f"no Dirichlet sign change at r_mid = {r_mid} within the scan "
+                f"window ({m}, {m + width}) around ({bracket[0]}, {bracket[1]})")
+        f = endpoint_u(e, r_mid)
+        if down:
+            if f * f_lo <= 0:
+                hi, f_hi = lo, f_lo
+            lo, f_lo = e, f
+        else:
+            if f * f_hi <= 0:
+                lo, f_lo = hi, f_hi
+            hi, f_hi = e, f
+
+    ends = {lo: f_lo, hi: f_hi}
+
+    def residual(e):
+        f = ends[e] if e in ends else endpoint_u(e, r_mid)
+        if not math.isfinite(f):
+            raise ScanError(
+                f"the shot at E = {e} overflows before the Dirichlet point "
+                f"r_mid = {r_mid}; no finite residual to converge on")
+        return f
+
+    return brentq(residual, lo, hi, xtol=1e-11 * m)
+
+
+def _per_shot_bracket(m, mix, k, grid, nodes, steps=64):
+    """suggest_bracket with one integrate_radial per scan energy."""
+    width = 10.0 * math.sqrt(mix.lam)
+    energies = [m + width / (4.0 * steps)] + (m + width * np.arange(1, steps + 1) / steps).tolist()
+    counts = [integrate_radial(m, mix, k, e, grid).node_count for e in energies]
+    for i in range(1, len(energies)):
+        if counts[i - 1] <= nodes < counts[i]:
+            return energies[i - 1], energies[i]
+    raise ScanError(
+        f"no {nodes}-node eigenvalue transition in (m, m + 10*sqrt(lambda)) "
+        f"= ({m}, {m + width})")
+
+
+@PROPERTY
+@given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
+       midpoint_scale=st.sampled_from((0.9, 1.0, 1.1)))
+def test_quasibound_estimate_equals_per_shot_scan(m, lam, s, k, n, midpoint_scale):
+    mix = PotentialMix(lam, s)
+    hint = RadialGrid(25e-6, 25.0, n)
+    batched = _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale)
+    reference = _outcome(_per_shot_estimate, m, mix, k, hint, midpoint_scale)
+    assert type(batched) is type(reference)
+    assert batched == reference  # float equality: the same bits
+
+
+@PROPERTY
+@given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=CHANNELS, n=STEPS,
+       nodes=st.sampled_from((0, 1, 2, 12)))
+def test_suggest_bracket_equals_per_shot_node_scan(m, lam, s, k, n, nodes):
+    mix = PotentialMix(lam, s)
+    rmax = 10.0 / math.sqrt(lam)
+    grid = RadialGrid(1e-6 * rmax, rmax, n)
+    batched = _outcome(suggest_bracket, m, mix, k, grid, nodes)
+    reference = _outcome(_per_shot_bracket, m, mix, k, grid, nodes)
+    assert batched == reference
+

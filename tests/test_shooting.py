@@ -296,15 +296,16 @@ QB_GRID = RadialGrid(r_min=25e-6, r_max=25.0, n=500)
 
 
 def _record_shots(monkeypatch):
-    """Route shooting.integrate_radial through a recorder of (E, grid)."""
+    """Route the estimator's shots, shooting._dirichlet_u, through a
+    recorder of (E, grid), one entry per shot in a batch."""
     shots = []
-    real = shooting.integrate_radial
+    real = shooting._dirichlet_u
 
-    def recording(m, mix, k, E, grid):
-        shots.append((E, grid))
-        return real(m, mix, k, E, grid)
+    def recording(m, mix, k, energies, grids):
+        shots.extend(zip(energies, grids))
+        return real(m, mix, k, energies, grids)
 
-    monkeypatch.setattr(shooting, "integrate_radial", recording)
+    monkeypatch.setattr(shooting, "_dirichlet_u", recording)
     return shots
 
 
@@ -366,16 +367,18 @@ def test_quasibound_refinement_shot_budget(monkeypatch):
 def test_quasibound_without_fixed_radius_sign_change_raises(monkeypatch):
     # the scan sees a sign change, but u(r_mid) keeps one sign all the way
     # down to m: no root exists, so no energy may be returned
-    real = shooting.integrate_radial
+    real = shooting._dirichlet_u
     calls = []
 
-    def one_sign_after_scan(m, mix, k, E, grid):
-        sol = real(m, mix, k, E, grid)
-        sol.u[-1] = -1.0 if len(calls) < 5 else 1.0
-        calls.append(E)
-        return sol
+    def one_sign_after_scan(m, mix, k, energies, grids):
+        real(m, mix, k, energies, grids)
+        out = []
+        for E in energies:
+            out.append(-1.0 if len(calls) < 5 else 1.0)
+            calls.append(E)
+        return out
 
-    monkeypatch.setattr(shooting, "integrate_radial", one_sign_after_scan)
+    monkeypatch.setattr(shooting, "_dirichlet_u", one_sign_after_scan)
     with pytest.raises(ScanError, match="no Dirichlet sign change at r_mid"):
         estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
 
@@ -383,16 +386,14 @@ def test_quasibound_without_fixed_radius_sign_change_raises(monkeypatch):
 def test_quasibound_overflow_near_root_raises(monkeypatch):
     # an overflowed shot carries only a sign, which Brent cannot interpolate
     e_true = estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
-    real = shooting.integrate_radial
+    real = shooting._dirichlet_u
 
-    def overflowing_near_root(m, mix, k, E, grid):
-        sol = real(m, mix, k, E, grid)
-        if abs(E - e_true) < 1e-3:
-            sol.u[-1] = np.nan
-            sol.diverged, sol.divergence_sign = True, 1
-        return sol
+    def overflowing_near_root(m, mix, k, energies, grids):
+        # an overflowed shot ends as +-inf, the sign of u where it overflowed
+        return [np.inf if abs(E - e_true) < 1e-3 else f
+                for E, f in zip(energies, real(m, mix, k, energies, grids))]
 
-    monkeypatch.setattr(shooting, "integrate_radial", overflowing_near_root)
+    monkeypatch.setattr(shooting, "_dirichlet_u", overflowing_near_root)
     with pytest.raises(ScanError, match="overflows"):
         estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
 
