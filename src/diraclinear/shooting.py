@@ -15,9 +15,10 @@ other shot is one rk4_path call.  The estimator reads only u at the
 Dirichlet point, so its shots build no RadialSolution.
 
 The raw outward shot of a bound state always ends in an exponentially
-growing admixture seeded by roundoff; find_bound_state therefore rebuilds
-the tail by a stabilized inward integration before returning, and reports
-the reconstructed, normalized eigenstate.
+growing admixture seeded by roundoff.  find_bound_state therefore keeps
+it only up to the first grid point at or past the turning point r1, and
+splices on there one inward rk4_path shot launched on the decaying
+direction, scaled by a least-squares fit of (u, v) at that point.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._kernels import batch_rows, rk4_path, rk4_paths
-from .errors import BracketError, ScanError
+from .errors import BracketError, ConsistencyError, ScanError
 from .model import (
     PotentialMix,
     QuantumNumbers,
@@ -83,76 +84,59 @@ def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
     )
 
 
-def _tail_nodes(m, mix, k, E, grid):
-    sol = integrate_radial(m, mix, k, E, grid)
-    return sol.node_count
+def _splice_tail(sol: RadialSolution, m, mix, k):
+    """The bound-state shot with everything past its splice point, the
+    first grid point at or past the turning point r1 = (E - m)/lambda,
+    replaced by an inward shot on the decaying direction.
 
+    Past r1 the outward shot's roundoff-seeded growing admixture swamps
+    the decaying tail; inward, that tail is the growing direction, hence
+    stable.  The inward shot starts where the integral of
+    kappa = sqrt(-P*Q) from the splice point reaches 500, or at r_max if
+    that comes first, launched along (u, v) ~ (P, -kappa); beyond its start
+    the true tail is below 1e-217 of the splice value and is set to zero.
+    A least-squares fit of (u, v) at the splice point scales it onto the
+    outward shot.
 
-def _reconstruct_tail(sol: RadialSolution, m, mix, k):
-    """Replace the contaminated outer part of a bound-state shot.
-
-    Beyond the point where the outward solution stops decaying, integrate
-    inward (where the physical tail is the growing direction, hence
-    stable) and splice, matching amplitude at a radius where the outward
-    solution is still clean.  The inward start is capped so the backward
-    amplification stays representable; beyond the cap the true tail is
-    below 1e-217 of the splice value and is set to zero.
+    When r1 lies beyond r_max the grid has no forbidden region, and the
+    shot is returned as it is.  Raises ConsistencyError when the outward
+    shot overflows before the splice point or the inward one before
+    reaching it.
     """
-    r, u, v = sol.r, sol.u.copy(), sol.v.copy()
+    r, u, v, E = sol.r, sol.u.copy(), sol.v.copy(), sol.E
     n = len(r) - 1
-    stop = n
-    if sol.diverged:
-        stop = int(np.max(np.nonzero(np.isfinite(u))[0]))
-    w = np.abs(u[:stop + 1]) + np.abs(v[:stop + 1])
-    # the physical lobe lives in the classically allowed region r < r1; the
-    # raw shot may be orders of magnitude larger in its contaminated tail
-    r1 = (sol.E - m) / mix.lam
-    allowed = np.nonzero(r[:stop + 1] <= r1)[0]
-    ipk = int(allowed[np.argmax(w[allowed])]) if len(allowed) else int(np.argmax(w))
-    if ipk >= stop - 2:
+    r1 = (E - m) / mix.lam
+    i1 = int(np.searchsorted(r, r1))
+    if i1 > n:
         return sol
-    imin = ipk + int(np.argmin(w[ipk:]))
-    regrew = sol.diverged or (w[imin] > 0 and np.max(w[imin:]) > 10.0 * w[imin])
-    if not regrew or imin <= ipk:
-        return sol
+    if not (np.isfinite(u[i1]) and np.isfinite(v[i1])):
+        raise ConsistencyError(
+            f"the outward shot at E = {E} overflows before the turning point "
+            f"r1 = {r1}, so there is no state to splice a tail onto")
 
-    # splice where the outward shot is still two decades above its minimum,
-    # i.e. growing-mode contamination is at the 1e-4 level
-    clean = np.nonzero(w[ipk:imin + 1] >= 100.0 * w[imin])[0]
-    isplice = ipk + (int(clean[-1]) if len(clean) else 0)
-    if isplice <= ipk:
-        isplice = ipk + 1
+    rr = r[i1:]
+    p = E + m - (1.0 - 2.0 * mix.s) * mix.lam * rr
+    kap = np.sqrt(np.maximum(-p * (E - m - mix.lam * rr), 0.0))
+    efolds = np.cumsum(0.5 * (kap[1:] + kap[:-1]) * np.diff(rr))
+    steps = min(int(np.searchsorted(efolds, 500.0)) + 1, n - i1)
+    size = 1e-30 / math.hypot(p[steps], kap[steps])
+    ub, vb, stop, _ = rk4_path(m, mix.lam, mix.s, int(k), E, rr[steps], -sol.grid.h,
+                               steps, size * p[steps], -size * kap[steps])
+    if stop < steps:
+        raise ConsistencyError(
+            f"the inward tail shot at E = {E} overflows before the turning "
+            f"point r1 = {r1}")
 
-    # cap the inward start: local growth exponent sqrt(-P*Q) integrated
-    # from the splice must stay well inside the representable range
-    lam, s = mix.lam, mix.s
-    rr = r[isplice:]
-    p = sol.E + m - (1.0 - 2.0 * s) * lam * rr
-    q = sol.E - m - lam * rr
-    kap = np.sqrt(np.maximum(-p * q, 0.0))
-    efolds = np.concatenate(([0.0], np.cumsum(
-        0.5 * (kap[1:] + kap[:-1]) * np.diff(rr))))
-    iend = isplice + int(np.searchsorted(efolds, 500.0))
-    iend = min(max(iend, isplice + 8), n)
-
-    h = r[1] - r[0]
-    nsteps = iend - isplice
-    ub, vb, stop_b, _ = rk4_path(m, lam, s, int(k), sol.E,
-                                 r[iend], -h, nsteps, 1e-30, -1e-30)
-    if stop_b < nsteps:  # backward pass failed; keep the raw solution
-        return sol
-    u_in = ub[::-1]
-    v_in = vb[::-1]
-    if u_in[0] == 0.0:
-        return sol
-    factor = u[isplice] / u_in[0]
-    u[isplice:iend + 1] = u_in * factor
-    v[isplice:iend + 1] = v_in * factor
-    if iend < n:
-        u[iend + 1:] = 0.0
-        v[iend + 1:] = 0.0
-    return RadialSolution(r=r, u=u, v=v, E=sol.E, node_count=count_nodes(u),
-                          grid=sol.grid)
+    # least squares over (u, v) at the splice point, scaled by |(u, v)|
+    # first: the inward values reach ~1e190 and their squares overflow
+    a = math.hypot(ub[-1], vb[-1])
+    c = (u[i1] * (ub[-1] / a) + v[i1] * (vb[-1] / a)) / a
+    iend = i1 + steps
+    u[i1:iend + 1] = c * ub[::-1]
+    v[i1:iend + 1] = c * vb[::-1]
+    u[iend + 1:] = 0.0
+    v[iend + 1:] = 0.0
+    return RadialSolution(r=r, u=u, v=v, E=E, node_count=count_nodes(u), grid=sol.grid)
 
 
 def _normalized(sol: RadialSolution) -> RadialSolution:
@@ -170,9 +154,14 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     The bracket must contain the target eigenvalue; when it holds several,
     `nodes` (interior node count, ground state = 0) picks one, defaulting
     to the lowest eigenvalue above the left endpoint.  Bisection runs to
-    |dE| <= 1e-8; the returned solution has its spurious growing tail
-    replaced by a stabilized inward integration, is normalized to
-    trapezoid(u^2 + v^2) = 1, and is oriented with a positive main lobe.
+    |dE| <= 1e-8.  The returned solution keeps the outward shot up to the
+    turning point r1 = (E - m)/lambda and past it an inward shot spliced on
+    in place of the spurious growing tail (see _splice_tail); it is
+    normalized to trapezoid(u^2 + v^2) = 1 and oriented with a positive
+    main lobe.  When r1 lies beyond r_max the grid has no forbidden region,
+    and the outward shot is returned as it is, normalized.  Raises
+    ConsistencyError when the outward shot overflows before r1 or the
+    inward one before reaching it.
     """
     if mix.s < 0.5:
         raise ValueError(
@@ -182,8 +171,8 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
 
-    n_lo = _tail_nodes(m, mix, k, lo, grid)
-    n_hi = _tail_nodes(m, mix, k, hi, grid)
+    n_lo = integrate_radial(m, mix, k, lo, grid).node_count
+    n_hi = integrate_radial(m, mix, k, hi, grid).node_count
     if n_lo == n_hi:
         raise BracketError(
             f"no eigenvalue in bracket ({lo}, {hi}): tail shape is identical "
@@ -197,13 +186,13 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
 
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
-        if _tail_nodes(m, mix, k, mid, grid) > nodes:
+        if integrate_radial(m, mix, k, mid, grid).node_count > nodes:
             hi = mid
         else:
             lo = mid
     e = 0.5 * (lo + hi)
     sol = integrate_radial(m, mix, k, e, grid)
-    return _normalized(_reconstruct_tail(sol, m, mix, k))
+    return _normalized(_splice_tail(sol, m, mix, k))
 
 
 # energies per batched shot in the scans, near the count a scan usually

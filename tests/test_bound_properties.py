@@ -1,0 +1,32 @@
+"""Bound eigenstate properties over seeded draws of the whole s >= 1/2
+domain: the requested node count, unit norm, and a tail that decays past
+the turning point r1 without changing sign."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diraclinear import PotentialMix, RadialGrid, find_bound_state, suggest_bracket
+
+PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
+SCALES = st.floats(0.5, 2.0)
+
+
+@PROPERTY
+@given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=st.sampled_from((-1, 1, -2)),
+       nodes=st.sampled_from((0, 1)), reach=st.floats(4.0, 30.0),
+       n=st.sampled_from((100, 300, 1000)))
+def test_bound_eigenstate_has_its_nodes_and_a_clean_tail(m, lam, s, k, nodes, reach, n):
+    mix = PotentialMix(lam, s)
+    rmax = reach / math.sqrt(lam)
+    grid = RadialGrid(1e-6 * rmax, rmax, n)
+    sol = find_bound_state(m, mix, k, suggest_bracket(m, mix, k, grid, nodes=nodes), grid,
+                           nodes=nodes)
+    assert sol.node_count == nodes
+    assert abs(np.trapezoid(sol.u ** 2 + sol.v ** 2, sol.r) - 1.0) <= 1e-10
+    r1 = (sol.E - m) / lam
+    tail = np.sign(sol.u[sol.r > r1 + 1.0 / math.sqrt(lam)])
+    tail = tail[tail != 0]
+    assert np.count_nonzero(tail[1:] * tail[:-1] < 0) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from diraclinear import (
     BracketError,
+    ConsistencyError,
     PotentialMix,
     RadialGrid,
     ScanError,
@@ -17,6 +18,7 @@ from diraclinear import (
     suggest_bracket,
 )
 from diraclinear._kernels import rk4_path
+from diraclinear.cli import main
 
 M = 1.0
 LAM = 0.2
@@ -151,11 +153,13 @@ def test_find_bound_state_equal_mix():
 
 
 def test_find_bound_state_matches_analytic_wavefunction():
-    sol = find_bound_state(M, EQUAL, -1, (1.1, 2.5), GRID)
-    ana = equal_mix_wavefunction(M, LAM, E1, sol.r)
-    peak = np.max(np.abs(ana.u))
-    assert np.max(np.abs(sol.u - ana.u)) / peak < 1e-4
-    assert np.max(np.abs(sol.v - ana.v)) / peak < 1e-4
+    # the ground and first excited levels, tails spliced at r1
+    for nodes, bracket in ((0, (1.1, 2.5)), (1, (1.1, 2.2))):
+        sol = find_bound_state(M, EQUAL, -1, bracket, GRID, nodes=nodes)
+        ana = equal_mix_wavefunction(M, LAM, equal_mix_energy(M, LAM, nodes + 1), sol.r)
+        peak = np.max(np.abs(ana.u))
+        assert np.max(np.abs(sol.u - ana.u)) / peak < 1e-7
+        assert np.max(np.abs(sol.v - ana.v)) / peak < 1e-7
 
 
 def test_find_bound_state_pure_scalar():
@@ -242,13 +246,55 @@ def test_fourth_order_convergence():
 
 
 def test_bound_tail_never_oscillates():
-    for s in (0.5, 0.75, 1.0):
+    # the last case is the grid of `profile --zero-index 2 --rmax 12
+    # --n 4000`, where the raw shot's regrown tail adds a node
+    cases = [(s, 0, GRID) for s in (0.5, 0.75, 1.0)]
+    cases.append((0.5, 1, RadialGrid(r_min=12e-6, r_max=12.0, n=4000)))
+    for s, nodes, grid in cases:
         mix = PotentialMix(LAM, s)
-        sol = find_bound_state(M, mix, -1, suggest_bracket(M, mix, -1, GRID), GRID)
+        bracket = suggest_bracket(M, mix, -1, grid, nodes=nodes)
+        sol = find_bound_state(M, mix, -1, bracket, grid, nodes=nodes)
+        assert sol.node_count == nodes
         r1 = (sol.E - M) / LAM
         tail = np.sign(sol.u[sol.r > r1 + 1.0 / np.sqrt(LAM)])
         tail = tail[tail != 0]
         assert np.count_nonzero(tail[1:] * tail[:-1] < 0) == 0
+
+
+def test_tail_shot_overflow_is_consistency_error(monkeypatch):
+    # an inward tail shot that overflows at once must not leave a raw shot
+    real = shooting.rk4_path
+
+    def overflowing_inward(m, lam, s, k, E, r0, h, n, u0, v0):
+        if h > 0:
+            return real(m, lam, s, k, E, r0, h, n, u0, v0)
+        u, v = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
+        u[0], v[0] = u0, v0
+        return u, v, 0, 1.0
+
+    monkeypatch.setattr(shooting, "rk4_path", overflowing_inward)
+    grid = RadialGrid(r_min=20e-6, r_max=20.0, n=2000)
+    with pytest.raises(ConsistencyError, match="inward"):
+        find_bound_state(M, EQUAL, -1, (1.1, 2.5), grid)
+    assert main(["solve", "--n", "2000", "--rmax", "20"]) == 1
+
+
+def test_outward_overflow_before_r1_is_consistency_error():
+    grid = RadialGrid(r_min=20e-6, r_max=20.0, n=2000)
+    raw = integrate_radial(M, EQUAL, -1, E1, grid)
+    r1 = (E1 - M) / LAM
+    raw.u[raw.r >= r1 - 1.0] = np.nan
+    with pytest.raises(ConsistencyError, match="outward"):
+        shooting._splice_tail(raw, M, EQUAL, -1)
+
+
+def test_grid_ending_before_r1_keeps_the_shot():
+    # no forbidden region on the grid: nothing to splice
+    grid = RadialGrid(r_min=2e-6, r_max=2.0, n=2000)
+    sol = find_bound_state(M, EQUAL, -1, (1.1, 3.0), grid)
+    assert (sol.E - M) / LAM > grid.r_max
+    raw = integrate_radial(M, EQUAL, -1, sol.E, grid)
+    np.testing.assert_allclose(sol.u * raw.u[-1] / sol.u[-1], raw.u, rtol=1e-14, atol=0)
 
 
 def test_mixed_potential_oscillates_past_lifted_continuum():
