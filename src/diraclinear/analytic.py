@@ -165,11 +165,10 @@ def vector_profile_continuum_edge(E: float, m: float, A: float, x):
     branches join continuously with value A at x = 0."""
     arr = np.asarray(x, dtype=float)
     scaled = arr / (E + m)
-    out = np.where(
-        arr < 0,
-        bessel_j0(2.0 * np.sqrt(np.abs(np.minimum(scaled, 0.0)))),
-        bessel_i0(2.0 * np.sqrt(np.maximum(scaled, 0.0))),
-    )
+    free = arr < 0
+    out = np.empty_like(scaled)
+    out[free] = bessel_j0(2.0 * np.sqrt(np.abs(np.minimum(scaled[free], 0.0))))
+    out[~free] = bessel_i0(2.0 * np.sqrt(np.maximum(scaled[~free], 0.0)))
     out = A * out
     return float(out) if arr.ndim == 0 else out
 

@@ -49,6 +49,66 @@ def test_airy_ode_residual():
     assert np.max(np.abs(second - x * sf.airy_ai(x))) <= 1e-7
 
 
+def _extended_series_tables(extra=64):
+    """_series_tables' recurrence run `extra` terms past the kept tables."""
+    ld = np.longdouble
+    f, g = list(sf._AI_F), list(sf._AI_G)
+    for k in range(len(f), len(f) + extra):
+        f.append(f[-1] / ld(3 * k * (3 * k - 1)))
+        g.append(g[-1] / ld(3 * k * (3 * k + 1)))
+    fp = [f[k] * ld(3) * ld(k) for k in range(1, len(f))]
+    gp = [g[k] * ld(3 * k + 1) for k in range(len(g))]
+    return {"F": (sf._AI_F, f), "G": (sf._AI_G, g),
+            "FP": (sf._AI_FP, fp), "GP": (sf._AI_GP, gp)}
+
+
+def test_series_truncation_covers_switch():
+    # at the seam |x| = AIRY_SWITCH, y = x^3, the Maclaurin terms the tables
+    # drop must sum to below 1e-20 of the largest term they keep
+    y = np.longdouble(sf.AIRY_SWITCH) ** 3
+    for name, (kept, full) in _extended_series_tables().items():
+        full = np.array(full, dtype=np.longdouble)
+        assert np.array_equal(full[: kept.size], kept), name
+        terms = np.abs(full) * y ** np.arange(full.size, dtype=np.longdouble)
+        dropped = np.sum(terms[kept.size:])
+        assert dropped < 1e-20 * np.max(terms[: kept.size]), name
+
+
+def _pairwise_powsum(y, coef):
+    """The earlier summation: an (N, len(coef)) longdouble power table,
+    multiplied by the coefficients and summed pairwise along each row."""
+    n = coef.shape[0]
+    if y.shape[0] == 0:
+        return np.empty(0, dtype=np.longdouble)
+    pows = np.empty((y.shape[0], n), dtype=np.longdouble)
+    pows[:, 0] = np.longdouble(1)
+    np.cumprod(np.broadcast_to(y[:, None], (y.shape[0], n - 1)), axis=1,
+               out=pows[:, 1:])
+    return np.sum(pows * coef, axis=1)
+
+
+def _pairwise_inv_powsum(z, coef):
+    return _pairwise_powsum((1.0 / z).astype(np.longdouble),
+                            coef.astype(np.longdouble)).astype(float)
+
+
+def test_airy_matches_pairwise_reference(monkeypatch):
+    # Horner's rule on 32-term series and float64 asymptotic sums against
+    # the earlier 48-term power tables summed pairwise in longdouble
+    x = np.linspace(-12.0, 12.0, 20001)
+    ai, aip = sf.airy_ai(x), sf.airy_ai_prime(x)
+    with monkeypatch.context() as patch:
+        patch.setattr(sf, "_N_SERIES", 48)
+        for name, table in zip(("_AI_F", "_AI_G", "_AI_FP", "_AI_GP"),
+                               sf._series_tables()):
+            patch.setattr(sf, name, table)
+        patch.setattr(sf, "_powsum", _pairwise_powsum)
+        patch.setattr(sf, "_inv_powsum", _pairwise_inv_powsum)
+        ai_ref, aip_ref = sf.airy_ai(x), sf.airy_ai_prime(x)
+    assert np.max(np.abs(ai - ai_ref)) <= 2e-14
+    assert np.max(np.abs(aip - aip_ref)) <= 4e-14
+
+
 def test_airy_rejects_nonfinite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
