@@ -13,13 +13,17 @@ one RK4 step is a fixed 2x2 transfer matrix
 
 with the stage matrices K built from the coefficient matrix at r_i,
 r_i + h/2 and r_i + h.  All T_i are built at once with elementwise 2x2
-numpy algebra; the path is then a blocked scan (Blelloch 1990, "Prefix
-sums and their applications"): prefix products inside blocks of about
-sqrt(n)/2 steps, vectorized across the blocks, and a short scalar loop
-that carries the state from block to block.  The state stays in real
-units: one block grows by only about exp(sqrt(n)/2 h kappa), and its
-product overflows only past exp(709), by which point a state started
-above 1e-58 has passed the 1e250 cap anyway, so no log scaling is needed.
+numpy algebra.  The recurrence y_{i+1} - T_i y_i = 0 with y_0 given is a
+unit lower-triangular banded system in the interleaved unknowns
+(u_0, v_0, u_1, v_1, ...), with three sub-diagonals, and one LAPACK
+dtbtrs call (Anderson et al., "LAPACK Users' Guide") solves it by
+compiled forward substitution.  The step matrices are written, in step
+order, straight into that solve's band storage: a C-ordered buffer
+ab[i, c, d] whose reshaped transpose is LAPACK's (4, 2n+2) lower band, so
+column 2i+c of the system holds -T_i[:, c] at sub-diagonals 2-c and 3-c,
+under the unit diagonal d = 0.  The state stays in real units, capped at
+1e250: a path is read up to its first entry past the cap, and no log
+scaling is needed.
 
 Only E changes between the shots of an eigenvalue search.  The
 coefficient matrix is A(r; E) = A0(r) + E J with J = [[0, 1], [-1, 0]],
@@ -34,17 +38,18 @@ entry, for the grid (m, lam, s, k, r0, h, n) of the most recent call:
   per step (160 bytes per step, 3.2 MB at n = 20000), _CHUNK steps at a
   time, and keeps them;
 - every later call evaluates T(E) from C by Horner's rule, four
-  multiply-add passes written straight into the layout the scan reads.
+  multiply-add passes written straight into the band buffer.
 
 Cached and direct step matrices agree to a few 1e-16 of their size, so a
 shot's last bits can depend on whether the grid was shot just before.
 
 rk4_paths shoots K energies with the same n in one call, for the energy
 scans, whose shots are short enough that numpy's per-call overhead, not
-arithmetic, sets their cost.  The K grids' blocks sit side by side on the
-block axis, so the prefix loop runs once for all of them and the carry
-is vectorized across the K shots; each row keeps rk4_path's contract,
-overflow, stop, sign and NaN tail included.  For the cache:
+arithmetic, sets their cost.  Each row is its own banded solve (rows
+joined into one system would carry one row's overflow into the next as
+inf * 0 = NaN), and one overflow scan reads all K rows; each row keeps
+rk4_path's contract, overflow, stop, sign and NaN tail included.  For
+the cache:
 
 - K shots on one grid evaluate T(E_q) from that grid's coefficients, one
   Horner pass per energy, building and storing C first if the cache does
@@ -52,23 +57,22 @@ overflow, stop, sign and NaN tail included.  For the cache:
 - shots on different grids build their matrices directly, each row bit
   for bit the shot rk4_path's first call on that grid gives, and leave
   the cache empty;
-- one shot is an rk4_path call, one-grid cache and scalar carry included.
+- one shot is an rk4_path call, one-grid cache included.
 
-One pass holds at most _BATCH_STEPS steps over all its shots, which keeps
-its working set near 1.6 MB; batch_rows(n) says how many shots that is,
-and rk4_paths splits a longer batch into passes.  Past n = 4096 a pass is
-one shot, so the 20000-step grids the CLI defaults to are shot exactly as
-rk4_path shoots them.
+One pass holds at most _BATCH_STEPS steps over all its shots;
+batch_rows(n) says how many shots that is, and rk4_paths splits a longer
+batch into passes.  Past n = 4096 a pass is one shot, so the 20000-step
+grids the CLI defaults to are shot exactly as rk4_path shoots them.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
-# The kernel is plain numpy.  The benchmark's environment record reads this
-# flag, which stays False now that there is no JIT-compiled backend.
+# The kernel is plain numpy and LAPACK.  The benchmark's environment record
+# reads this flag, which stays False now that there is no JIT-compiled
+# backend.
 NUMBA_AVAILABLE = False
 
 _OVERFLOW_CAP = 1e250
@@ -76,7 +80,7 @@ _OVERFLOW_CAP = 1e250
 # coefficients; keeps the temporaries small enough to stay in cache
 _CHUNK = 2048
 # steps per rk4_paths pass, all shots together: caps a batch's working set
-# (about 100 bytes per step) at about 1.6 MB
+# (64 bytes per step of band storage, 16 of path) at about 1.3 MB
 _BATCH_STEPS = 16384
 
 # (key, C) for the grid of the most recent call, key = (m, lam, s, k, r0, h,
@@ -100,22 +104,9 @@ def _plus_identity(scale, a):
     return (1.0 + scale * a00, scale * a01, scale * a10, 1.0 + scale * a11)
 
 
-def _scale(c, a):
-    return tuple(c * x for x in a)
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _jmul(a):
-    """J @ a for J = [[0, 1], [-1, 0]], the matrix that E multiplies."""
-    a00, a01, a10, a11 = a
-    return (a10, a11, -a00, -a01)
-
-
 def _rk4_matrix(m, lam, s, k, E, h, r):
-    """Entries of the step matrix T at energy E for steps starting at r."""
+    """Entries (00, 01, 10, 11) of the step matrix T at energy E for steps
+    starting at r."""
     cs = (1.0 - 2.0 * s) * lam
     h2 = 0.5 * h
 
@@ -133,39 +124,51 @@ def _rk4_matrix(m, lam, s, k, E, h, r):
         w1 + 2.0 * w2 + 2.0 * w3 + w4 for w1, w2, w3, w4 in zip(k1, k2, k3, k4)))
 
 
-def _rk4_coefficients(m, lam, s, k, h, r):
-    """Entries of C_0..C_4, T(E) = sum_p E^p C_p, for steps starting at r.
+def _rk4_coefficients(m, lam, s, k, h, r, out):
+    """Writes -C_0..-C_4, T(E) = sum_p E^p C_p, for the steps starting at r
+    into out[p, entry, step], entries column by column (00, 10, 01, 11).
 
-    The coefficient matrix is A0(x) + E J, so the stages K1..K4 are
-    polynomials in E of degrees 1..4, kept as lists of coefficients.
-    Entries that do not depend on r come out as Python floats.
+    A(x) = [[-a, P + E], [q - E, a]], with a = k/x, P = m - cs*x and
+    q = lam*x + m, is traceless, so A^2 = d I with the scalar
+    d = a^2 + (P + E)(q - E).  With A1, Am, A4 at r, r + h/2, r + h and
+    dm = d0 + d1 E - E^2 at r + h/2, K3 = Am + h/2 dm I + h^2/4 dm A1, and
+    the step matrix collapses to
+
+        T = I + h/6 (A1 + 4 Am + A4 + h M + h dm W),
+        M = Am A1 + A4 Am,   W = I + h/2 (A1 + A4) + h^2/4 A4 A1,
+
+    where M = M0 + M1 E - 2 E^2 I and W = W0 + W1 E - h^2/4 E^2 I.
     """
     cs = (1.0 - 2.0 * s) * lam
-    h2 = 0.5 * h
-
-    def a0(x):
-        a = k / x
-        return (-a, m - cs * x, lam * x + m, a)
-
-    def amul(a, q):
-        # (a + E J) @ q(E)
-        out = [_mul(a, c) for c in q] + [_jmul(q[-1])]
-        for p in range(1, len(q)):
-            out[p] = _add(out[p], _jmul(q[p - 1]))
-        return out
-
-    def plus_identity(scale, q):
-        return [_plus_identity(scale, q[0])] + [_scale(scale, c) for c in q[1:]]
-
-    k1 = [a0(r), (0.0, 1.0, -1.0, 0.0)]
-    am = a0(r + h2)
-    k2 = amul(am, plus_identity(h2, k1))
-    k3 = amul(am, plus_identity(h2, k2))
-    k4 = amul(a0(r + h), plus_identity(h, k3))
-    zero = (0.0,) * 4
-    by_degree = zip(*(q + [zero] * (5 - len(q)) for q in (k1, k2, k3, k4)))
-    return plus_identity(h / 6.0, [tuple(
-        w1 + 2.0 * w2 + 2.0 * w3 + w4 for w1, w2, w3, w4 in zip(*ks)) for ks in by_degree])
+    x = r + h * np.array([[0.0], [0.5], [1.0]])  # rows r, r + h/2, r + h
+    (a1, am, a4), (P1, Pm, P4), (q1, qm, q4) = k / x, m - cs * x, lam * x + m
+    b, da = a1 + a4, a1 - a4
+    m0 = np.stack([am * b + Pm * q1 + P4 * qm, am * (q1 - q4) - qm * da,
+                   am * (P4 - P1) + Pm * da, am * b + qm * P1 + q4 * Pm])
+    m1 = np.stack([(q1 - Pm) + (qm - P4), da, da, (qm - P1) + (q4 - Pm)])
+    # A4 A1 = G0 + G1 E - E^2 I
+    g0 = np.stack([a4 * a1 + P4 * q1, a4 * q1 - q4 * a1, P4 * a1 - a4 * P1, a4 * a1 + q4 * P1])
+    w0 = (0.5 * h) * np.stack([-b, q1 + q4, P1 + P4, b]) + (0.25 * h * h) * g0
+    w0[::3] += 1.0
+    w1 = (0.25 * h * h) * np.stack([q1 - P4, da, da, q4 - P1])
+    w1[1] -= h
+    w1[2] += h
+    c = -h / 6.0
+    ch = c * h
+    u0, u1 = ch * (am * am + Pm * qm), ch * (qm - Pm)
+    a4m = b + 4.0 * am
+    np.add(c * np.stack([-a4m, q1 + 4.0 * qm + q4, P1 + 4.0 * Pm + P4, a4m]), ch * m0 + u0 * w0,
+           out=out[0])
+    out[0, ::3] -= 1.0
+    np.add(ch * m1 + u0 * w1, u1 * w0, out=out[1])
+    out[1, 1] -= 6.0 * c
+    out[1, 2] += 6.0 * c
+    np.subtract(u1 * w1, ch * w0, out=out[2])
+    out[2, ::3] -= 2.0 * ch + (0.25 * h * h) * u0
+    np.multiply(w1, -ch, out=out[3])
+    out[3, ::3] -= (0.25 * h * h) * u1
+    out[4] = 0.0
+    out[4, ::3] = 0.25 * ch * h * h
 
 
 def _column(x):
@@ -173,132 +176,120 @@ def _column(x):
     return np.reshape(np.asarray(x, dtype=float), (-1, 1))
 
 
-def _blocked(entries, count, r0, h, n):
-    """The `count` matrices entries(r) gives for the steps starting at r,
-    for all n steps of each of the K grids r0 + h*i, in the blocked layout
-    out[p, j, :, :, q*blocks + b] (step b*size + j of grid q); past step n,
-    matrix 0 is the identity and the rest are zero.  r0 and h are scalars
-    for one grid, else columns of shape (K, 1), and r has the matching
-    shape (steps,) or (K, steps).  Built about _CHUNK steps at a time so
-    that the temporaries stay small."""
-    # about sqrt(n)/2 steps per block balances the vectorized loop over a
-    # block's steps against the scalar loop over blocks
-    size = max(1, math.isqrt(n) // 2)
-    blocks = -(-n // size)
-    rows = np.size(r0)
-    out = np.empty((count, size, 4, rows, blocks))
-    pad = size * blocks - n
-    if pad:
-        out[:, size - pad:, :, :, -1] = 0.0
-        out[0, size - pad:, ::3, :, -1] = 1.0
-    per_chunk = max(1, _CHUNK // (size * rows))
-    for b0 in range(0, blocks, per_chunk):
-        r = r0 + h * np.arange(b0 * size, min(n, (b0 + per_chunk) * size), dtype=float)
-        whole, part = divmod(r.shape[-1], size)
-        for p, matrix in enumerate(entries(r)):
-            for i, x in enumerate(matrix):
-                if isinstance(x, float):  # an entry that does not depend on r
-                    x = np.full(r.shape, x)
-                # x[..., b*size + j] is step j of block b0 + b
-                out[p, :, i, :, b0:b0 + whole] = (
-                    x[..., :whole * size].reshape(rows, whole, size).transpose(2, 0, 1))
-                if part:
-                    out[p, :part, i, :, b0 + whole] = x[..., whole * size:].reshape(rows, part).T
-    return out.reshape(count, size, 2, 2, rows * blocks)
+def _band(n, rows=()):
+    """Band storage for the n-step systems of `rows` shots, ab[..., i, c, d]
+    (see the module docstring), with the unit diagonal and zeros wherever
+    no step matrix goes."""
+    ab = np.zeros(rows + (n + 1, 2, 4))
+    ab[..., 0] = 1.0
+    return ab
+
+
+def _steps(ab):
+    """The view t[c, r, ..., i] = -T_i[r, c] of band buffers ab[..., i, :, :],
+    i < n: -T_i[:, 0] sits at ab[i, 0, 2:4] and -T_i[:, 1] at ab[i, 1, 1:3]."""
+    lead = ab.shape[:-3]
+    t = ab[..., :-1, :, :].reshape(lead + (-1, 8))[..., 2:].reshape(lead + (-1, 2, 3))
+    return np.moveaxis(t[..., :2], (-2, -1), (0, 1))
+
+
+def _fill(out, fill, r0, h, n):
+    """fill(r, out[..., i0:i1]) for the radii r of steps i0..i1 - 1 of the
+    grids r0 + h*i, about _CHUNK steps at a time so that the temporaries
+    stay small.  r0 and h are scalars for one grid, else columns of shape
+    (K, 1), and r has the matching shape (steps,) or (K, steps)."""
+    per_chunk = max(1, _CHUNK // np.size(r0))
+    for i0 in range(0, n, per_chunk):
+        i1 = min(n, i0 + per_chunk)
+        fill(r0 + h * np.arange(i0, i1, dtype=float), out[..., i0:i1])
 
 
 def _step_matrices(m, lam, s, k, E, r0, h, n):
-    """The n RK4 transfer matrices at energy E, built directly, as one
-    array t[j, row, col, q*blocks + b] holding step b*size + j of grid q
-    (identity past n).  E, r0 and h are scalars, for one grid, or length-K
-    sequences, one grid and energy per row."""
+    """The n RK4 transfer matrices at energy E, built directly, in band
+    storage: ab[i, c, d] for one grid, where E, r0 and h are scalars, or
+    ab[q, i, c, d] for K grids, one per entry of the length-K sequences
+    E, r0 and h."""
+    rows = ()
     if np.ndim(E):  # one grid per row
         E, r0, h = _column(E), _column(r0), _column(h)
-    return _blocked(lambda r: [_rk4_matrix(m, lam, s, k, E, h, r)], 1, r0, h, n)[0]
+        rows = (len(E),)
+    ab = _band(n, rows)
+
+    def fill(r, t):
+        for (row, col), x in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                                 _rk4_matrix(m, lam, s, k, E, h, r)):
+            np.negative(x, out=t[col, row])
+
+    _fill(_steps(ab), fill, r0, h, n)
+    return ab
 
 
 def _coefficients(m, lam, s, k, r0, h, n):
-    """The grid's read-only coefficient stack C, from the one-grid cache,
-    or built and stored there."""
+    """The grid's read-only coefficient stack, coef[p, c, r, i] = -C_{p,i}[r, c],
+    from the one-grid cache, or built and stored there."""
     global _last_grid
     key = (m, lam, s, k, r0, h, n)
     last_key, coef = _last_grid
     if last_key != key or coef is None:
-        coef = _blocked(lambda r: _rk4_coefficients(m, lam, s, k, h, r), 5, r0, h, n)
+        # the old grid's coefficients go before this grid's are built
+        _last_grid = (key, None)
+        coef = np.empty((5, 2, 2, n))
+        _fill(coef.reshape(5, 4, n), lambda r, out: _rk4_coefficients(m, lam, s, k, h, r, out),
+              r0, h, n)
         coef.flags.writeable = False
         _last_grid = (key, coef)
     return coef
 
 
-def _horner(coef, E):
-    """T(E) = sum_p E^p C_p by Horner's rule, E broadcast against C_p."""
+def _horner(coef, E, ab=None):
+    """T(E) = sum_p E^p C_p by Horner's rule, written into the band buffer
+    ab, a new one by default, and returned.  The passes run on a contiguous
+    array, and only the last writes the band."""
     t = coef[4] * E
     for c in coef[3:0:-1]:
         t += c
         t *= E
-    t += coef[0]
-    return t
+    if ab is None:
+        ab = _band(coef.shape[-1])
+    np.add(t, coef[0], out=_steps(ab))
+    return ab
 
 
 def _transfer_matrices(m, lam, s, k, E, r0, h, n):
     """_step_matrices through the one-grid cache (see the module docstring).
 
-    Returns a new array the caller may overwrite.
+    Returns a new band buffer the caller may overwrite.
     """
     global _last_grid
     key = (m, lam, s, k, r0, h, n)
     last_key, coef = _last_grid
     if last_key != key:
-        _last_grid = (key, None)
+        # drops the local reference too, so the old grid's coefficients are
+        # freed before this grid's matrices are built
+        _last_grid, coef = (key, None), None
         return _step_matrices(m, lam, s, k, E, r0, h, n)
     if coef is None:
         coef = _coefficients(m, lam, s, k, r0, h, n)
     return _horner(coef, E)
 
 
-def _paths(p, n, u0, v0):
-    """The shots through the step matrices p of K grids side by side, in
-    the layout of _step_matrices, launched from (u0[q], v0[q]).  Overwrites
-    p.  Returns u and v of shape (K, n+1), and lists of the K stops and
-    signs, with rk4_path's contract for each row."""
+def _paths(bands, n, u0, v0):
+    """The K shots through the band buffers `bands` (one n-step buffer per
+    row, as _step_matrices lays them out), launched from (u0[q], v0[q]).
+    Returns u and v of shape (K, n+1), and lists of the K stops and signs,
+    with rk4_path's contract for each row."""
     rows = len(u0)
-    size, blocks = p.shape[0], p.shape[3] // rows
-    # p[j, :, :, b] starts as step b*size + j and becomes the product of
-    # the first j+1 steps of block b
-    for j in range(1, size):
-        np.add(p[j, :, 0:1] * p[j - 1, 0], p[j, :, 1:2] * p[j - 1, 1], out=p[j])
-
-    # carry the states across blocks; starts[:, q*blocks + b] enters block
-    # b of row q
-    if rows == 1:
-        # one shot: Python floats beat numpy on length-1 arrays, and the
-        # carry stops once the state passes the cap
-        starts = np.full((2, blocks), np.nan)
-        uu, vv = float(u0[0]), float(v0[0])
-        for b, (e00, e01, e10, e11) in enumerate(zip(*p[-1].reshape(4, blocks).tolist())):
-            starts[:, b] = uu, vv
-            uu, vv = e00 * uu + e01 * vv, e10 * uu + e11 * vv
-            if not (abs(uu) <= _OVERFLOW_CAP and abs(vv) <= _OVERFLOW_CAP):
-                break
-    else:
-        # every row runs to the end; the scan below cuts each at its own
-        # stop, before which the values are the ones a break would give
-        starts = np.empty((blocks, 2, rows))
-        state = np.array([u0, v0], dtype=float)
-        for b, e in enumerate(p[-1].reshape(2, 2, rows, blocks).transpose(3, 0, 1, 2)):
-            starts[b] = state
-            state = e[:, 0] * state[0] + e[:, 1] * state[1]
-        starts = starts.transpose(1, 2, 0).reshape(2, rows * blocks)
-
-    # the state after step b*size + j + 1 of row q, written straight into
-    # u and v (uv[0] and uv[1]); past n it is identity padding, dropped
-    uv = np.empty((2, rows, 1 + blocks * size))
-    uv[0, :, 0] = u0
-    uv[1, :, 0] = v0
-    np.add((p[:, :, 0] * starts[0]).reshape(size, 2, rows, blocks),
-           (p[:, :, 1] * starts[1]).reshape(size, 2, rows, blocks),
-           out=uv[:, :, 1:].reshape(2, rows, blocks, size).transpose(3, 0, 1, 2))
-    u, v = uv[:, :, :n + 1]
+    # x[q] = (u_0, v_0, u_1, v_1, ...) is row q's right-hand side, then its
+    # path: a contiguous float64 b with overwrite_b is solved in place
+    x = np.zeros((rows, n + 1, 2))
+    x[:, 0, 0] = u0
+    x[:, 0, 1] = v0
+    for ab, b in zip(bands, x):
+        _, info = dtbtrs(ab.reshape(-1, 4).T, b.reshape(-1), uplo="L", diag="U",
+                         overwrite_b=1)
+        if info:
+            raise RuntimeError(f"LAPACK dtbtrs rejected argument {-info}")
+    u, v = x[:, :, 0], x[:, :, 1]
 
     stop, sign = [n] * rows, [0.0] * rows
     bad = ~((np.abs(u[:, 1:]) <= _OVERFLOW_CAP) & (np.abs(v[:, 1:]) <= _OVERFLOW_CAP))
@@ -319,8 +310,9 @@ def _paths(p, n, u0, v0):
 def batch_rows(n):
     """The most shots of n steps that rk4_paths runs in one pass: as many
     as _BATCH_STEPS holds, but one where that is fewer than four, since a
-    pass of two or three long shots takes longer than shooting them one at
-    a time (the vectorized carry is then mostly numpy call overhead)."""
+    pass of two or three long shots on distinct grids takes longer than
+    shooting them one at a time (the K-row direct build broadcasts its
+    columns of E and h, which costs more per step than one-grid builds)."""
     rows = _BATCH_STEPS // n
     return rows if rows >= 4 else 1
 
@@ -334,8 +326,8 @@ def rk4_path(m, lam, s, k, E, r0, h, n, u0, v0):
     integration stayed finite).  Entries beyond `stop` are NaN.
     """
     with np.errstate(all="ignore"):
-        p = _transfer_matrices(m, lam, s, k, E, r0, h, n)
-        u, v, stop, sign = _paths(p, n, (u0,), (v0,))
+        ab = _transfer_matrices(m, lam, s, k, E, r0, h, n)
+        u, v, stop, sign = _paths((ab,), n, (u0,), (v0,))
     return u[0], v[0], stop[0], sign[0]
 
 
@@ -359,19 +351,17 @@ def rk4_paths(m, lam, s, k, E, r0, h, n, u0, v0):
         return tuple(np.concatenate(x) for x in zip(*parts))
     with np.errstate(all="ignore"):
         if len(E) == 1:
-            p = _transfer_matrices(m, lam, s, k, float(E[0]), float(r0[0]), float(h[0]), n)
+            bands = (_transfer_matrices(m, lam, s, k, float(E[0]), float(r0[0]),
+                                        float(h[0]), n),)
         elif (r0 == r0[0]).all() and (h == h[0]).all():
             coef = _coefficients(m, lam, s, k, float(r0[0]), float(h[0]), n)
-            # row q's blocks follow row q-1's, as in _step_matrices; one
-            # Horner pass per row keeps numpy's inner loops long
-            p = np.empty(coef.shape[1:4] + (len(E), coef.shape[4]))
-            for q, e in enumerate(E.tolist()):
-                p[:, :, :, q] = _horner(coef, e)
-            p = p.reshape(coef.shape[1:4] + (-1,))
+            # one buffer, refilled for each row once the row before is solved
+            ab = _band(n)
+            bands = (_horner(coef, e, ab) for e in E.tolist())
         else:
             _last_grid = (None, None)
-            p = _step_matrices(m, lam, s, k, E, r0, h, n)
-        u, v, stop, sign = _paths(p, n, u0, v0)
+            bands = _step_matrices(m, lam, s, k, E, r0, h, n)
+        u, v, stop, sign = _paths(bands, n, u0, v0)
     return u, v, np.array(stop), np.array(sign)
 
 

@@ -18,8 +18,8 @@ from diraclinear import (
 from diraclinear._kernels import _CHUNK, _step_matrices, _transfer_matrices, rk4_path
 from diraclinear._kernels import _BATCH_STEPS, _horner, batch_rows, rk4_paths
 
-# grid keys (m, lam, s, k, r0, h, n); no n is a multiple of _CHUNK or of the
-# block size, so every case has identity padding in its last block
+# grid keys (m, lam, s, k, r0, h, n); no n is a multiple of _CHUNK, so every
+# case ends in a partial chunk
 GRIDS = [
     (1.0, 0.2, 0.5, -1, 25e-6, (25.0 - 25e-6) / 5000, 5000),
     (0.9, 0.7, 0.75, 1, 9.0, -8.0 / 2049, 2049),
@@ -61,10 +61,10 @@ def test_cached_step_matrices_match_direct_build(grid):
     key, coef = _kernels._last_grid
     assert key == grid
     assert not coef.flags.writeable
-    # five coefficient matrices per step, identity-padded to whole blocks
-    n, size, blocks = grid[-1], coef.shape[1], coef.shape[-1]
-    assert coef.shape == (5, size, 2, 2, blocks)
-    assert coef.nbytes == 160 * size * blocks and 0 <= size * blocks - n < size
+    # five coefficient matrices per step, in step order
+    n = grid[-1]
+    assert coef.shape == (5, 2, 2, n)
+    assert coef.nbytes == 160 * n
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
@@ -144,9 +144,8 @@ def test_threads_shooting_different_grids_match_serial():
 
 
 # ---------------------------------------------------------------- batches
-# one batch on distinct grids, all with n = 1001 steps, which is not a
-# multiple of the block size 15: rows (E, r0, h, u0, v0) for the stiff
-# pure-scalar (m, lam, s, k) below.  The first two overflow, with opposite
+# one batch on distinct grids, all with n = 1001 steps: rows (E, r0, h, u0,
+# v0) for the stiff pure-scalar (m, lam, s, k) below.  The first two overflow, with opposite
 # signs; the last two run inward.
 STIFF = (1.0, 4.5, 1.0, -1)
 N_ROWS = 1001
