@@ -143,6 +143,7 @@ def _rk4_coefficients(m, lam, s, k, h, r, out):
     x = r + h * np.array([[0.0], [0.5], [1.0]])  # rows r, r + h/2, r + h
     (a1, am, a4), (P1, Pm, P4), (q1, qm, q4) = k / x, m - cs * x, lam * x + m
     b, da = a1 + a4, a1 - a4
+    # the E^0 and E^1 parts of M and W, entries column by column
     m0 = np.stack([am * b + Pm * q1 + P4 * qm, am * (q1 - q4) - qm * da,
                    am * (P4 - P1) + Pm * da, am * b + qm * P1 + q4 * Pm])
     m1 = np.stack([(q1 - Pm) + (qm - P4), da, da, (qm - P1) + (q4 - Pm)])
@@ -153,6 +154,8 @@ def _rk4_coefficients(m, lam, s, k, h, r, out):
     w1 = (0.25 * h * h) * np.stack([q1 - P4, da, da, q4 - P1])
     w1[1] -= h
     w1[2] += h
+    # -C_p is the E^p part of -I + c (A1 + 4 Am + A4 + h M + h dm W) with
+    # c = -h/6; u0 and u1 are c h d0 and c h d1
     c = -h / 6.0
     ch = c * h
     u0, u1 = ch * (am * am + Pm * qm), ch * (qm - Pm)
