@@ -42,27 +42,8 @@ entry, for the grid (m, lam, s, k, r0, h, n) of the most recent call:
 
 Cached and direct step matrices agree to a few 1e-16 of their size, so a
 shot's last bits can depend on whether the grid was shot just before.
-
-rk4_paths shoots K energies with the same n in one call, for the energy
-scans, whose shots are short enough that numpy's per-call overhead, not
-arithmetic, sets their cost.  Each row is its own banded solve (rows
-joined into one system would carry one row's overflow into the next as
-inf * 0 = NaN), and one overflow scan reads all K rows; each row keeps
-rk4_path's contract, overflow, stop, sign and NaN tail included.  For
-the cache:
-
-- K shots on one grid evaluate T(E_q) from that grid's coefficients, one
-  Horner pass per energy, building and storing C first if the cache does
-  not hold it, so the grid's next rk4_path call reuses it;
-- shots on different grids build their matrices directly, each row bit
-  for bit the shot rk4_path's first call on that grid gives, and leave
-  the cache empty;
-- one shot is an rk4_path call, one-grid cache included.
-
-One pass holds at most _BATCH_STEPS steps over all its shots;
-batch_rows(n) says how many shots that is, and rk4_paths splits a longer
-batch into passes.  Past n = 4096 a pass is one shot, so the 20000-step
-grids the CLI defaults to are shot exactly as rk4_path shoots them.
+Each shot is one rk4_path call; the energy scans shoot one energy at a
+time, so a node-count scan on one grid shares that grid's coefficients.
 """
 
 from __future__ import annotations
@@ -76,12 +57,9 @@ from scipy.linalg.lapack import dtbtrs
 NUMBA_AVAILABLE = False
 
 _OVERFLOW_CAP = 1e250
-# steps per batch when building the transfer matrices or their
+# steps per chunk when building the transfer matrices or their
 # coefficients; keeps the temporaries small enough to stay in cache
 _CHUNK = 2048
-# steps per rk4_paths pass, all shots together: caps a batch's working set
-# (64 bytes per step of band storage, 16 of path) at about 1.3 MB
-_BATCH_STEPS = 16384
 
 # (key, C) for the grid of the most recent call, key = (m, lam, s, k, r0, h,
 # n); C is that grid's read-only coefficient stack, or None until the grid
@@ -174,49 +152,35 @@ def _rk4_coefficients(m, lam, s, k, h, r, out):
     out[4, ::3] = 0.25 * ch * h * h
 
 
-def _column(x):
-    """x (a scalar or a length-K sequence) as a float column of shape (K, 1)."""
-    return np.reshape(np.asarray(x, dtype=float), (-1, 1))
-
-
-def _band(n, rows=()):
-    """Band storage for the n-step systems of `rows` shots, ab[..., i, c, d]
-    (see the module docstring), with the unit diagonal and zeros wherever
-    no step matrix goes."""
-    ab = np.zeros(rows + (n + 1, 2, 4))
+def _band(n):
+    """Band storage for an n-step system, ab[i, c, d] (see the module
+    docstring), with the unit diagonal and zeros wherever no step matrix
+    goes."""
+    ab = np.zeros((n + 1, 2, 4))
     ab[..., 0] = 1.0
     return ab
 
 
 def _steps(ab):
-    """The view t[c, r, ..., i] = -T_i[r, c] of band buffers ab[..., i, :, :],
-    i < n: -T_i[:, 0] sits at ab[i, 0, 2:4] and -T_i[:, 1] at ab[i, 1, 1:3]."""
-    lead = ab.shape[:-3]
-    t = ab[..., :-1, :, :].reshape(lead + (-1, 8))[..., 2:].reshape(lead + (-1, 2, 3))
-    return np.moveaxis(t[..., :2], (-2, -1), (0, 1))
+    """The view t[c, r, i] = -T_i[r, c] of a band buffer ab[i, :, :], i < n:
+    -T_i[:, 0] sits at ab[i, 0, 2:4] and -T_i[:, 1] at ab[i, 1, 1:3]."""
+    t = ab[:-1].reshape(-1, 8)[:, 2:].reshape(-1, 2, 3)
+    return t[..., :2].transpose(1, 2, 0)
 
 
 def _fill(out, fill, r0, h, n):
     """fill(r, out[..., i0:i1]) for the radii r of steps i0..i1 - 1 of the
-    grids r0 + h*i, about _CHUNK steps at a time so that the temporaries
-    stay small.  r0 and h are scalars for one grid, else columns of shape
-    (K, 1), and r has the matching shape (steps,) or (K, steps)."""
-    per_chunk = max(1, _CHUNK // np.size(r0))
-    for i0 in range(0, n, per_chunk):
-        i1 = min(n, i0 + per_chunk)
+    grid r0 + h*i, _CHUNK steps at a time so that the temporaries stay
+    small."""
+    for i0 in range(0, n, _CHUNK):
+        i1 = min(n, i0 + _CHUNK)
         fill(r0 + h * np.arange(i0, i1, dtype=float), out[..., i0:i1])
 
 
 def _step_matrices(m, lam, s, k, E, r0, h, n):
     """The n RK4 transfer matrices at energy E, built directly, in band
-    storage: ab[i, c, d] for one grid, where E, r0 and h are scalars, or
-    ab[q, i, c, d] for K grids, one per entry of the length-K sequences
-    E, r0 and h."""
-    rows = ()
-    if np.ndim(E):  # one grid per row
-        E, r0, h = _column(E), _column(r0), _column(h)
-        rows = (len(E),)
-    ab = _band(n, rows)
+    storage ab[i, c, d]."""
+    ab = _band(n)
 
     def fill(r, t):
         for (row, col), x in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
@@ -227,33 +191,14 @@ def _step_matrices(m, lam, s, k, E, r0, h, n):
     return ab
 
 
-def _coefficients(m, lam, s, k, r0, h, n):
-    """The grid's read-only coefficient stack, coef[p, c, r, i] = -C_{p,i}[r, c],
-    from the one-grid cache, or built and stored there."""
-    global _last_grid
-    key = (m, lam, s, k, r0, h, n)
-    last_key, coef = _last_grid
-    if last_key != key or coef is None:
-        # the old grid's coefficients go before this grid's are built
-        _last_grid = (key, None)
-        coef = np.empty((5, 2, 2, n))
-        _fill(coef.reshape(5, 4, n), lambda r, out: _rk4_coefficients(m, lam, s, k, h, r, out),
-              r0, h, n)
-        coef.flags.writeable = False
-        _last_grid = (key, coef)
-    return coef
-
-
-def _horner(coef, E, ab=None):
-    """T(E) = sum_p E^p C_p by Horner's rule, written into the band buffer
-    ab, a new one by default, and returned.  The passes run on a contiguous
-    array, and only the last writes the band."""
+def _horner(coef, E):
+    """T(E) = sum_p E^p C_p by Horner's rule, in a new band buffer.  The
+    passes run on a contiguous array, and only the last writes the band."""
     t = coef[4] * E
     for c in coef[3:0:-1]:
         t += c
         t *= E
-    if ab is None:
-        ab = _band(coef.shape[-1])
+    ab = _band(coef.shape[-1])
     np.add(t, coef[0], out=_steps(ab))
     return ab
 
@@ -272,52 +217,42 @@ def _transfer_matrices(m, lam, s, k, E, r0, h, n):
         _last_grid, coef = (key, None), None
         return _step_matrices(m, lam, s, k, E, r0, h, n)
     if coef is None:
-        coef = _coefficients(m, lam, s, k, r0, h, n)
+        # coef[p, c, r, i] = -C_{p,i}[r, c], read-only once stored
+        coef = np.empty((5, 2, 2, n))
+        _fill(coef.reshape(5, 4, n), lambda r, out: _rk4_coefficients(m, lam, s, k, h, r, out),
+              r0, h, n)
+        coef.flags.writeable = False
+        _last_grid = (key, coef)
     return _horner(coef, E)
 
 
-def _paths(bands, n, u0, v0):
-    """The K shots through the band buffers `bands` (one n-step buffer per
-    row, as _step_matrices lays them out), launched from (u0[q], v0[q]).
-    Returns u and v of shape (K, n+1), and lists of the K stops and signs,
-    with rk4_path's contract for each row."""
-    rows = len(u0)
-    # x[q] = (u_0, v_0, u_1, v_1, ...) is row q's right-hand side, then its
-    # path: a contiguous float64 b with overwrite_b is solved in place
-    x = np.zeros((rows, n + 1, 2))
-    x[:, 0, 0] = u0
-    x[:, 0, 1] = v0
-    for ab, b in zip(bands, x):
-        _, info = dtbtrs(ab.reshape(-1, 4).T, b.reshape(-1), uplo="L", diag="U",
-                         overwrite_b=1)
-        if info:
-            raise RuntimeError(f"LAPACK dtbtrs rejected argument {-info}")
-    u, v = x[:, :, 0], x[:, :, 1]
-
-    stop, sign = [n] * rows, [0.0] * rows
-    bad = ~((np.abs(u[:, 1:]) <= _OVERFLOW_CAP) & (np.abs(v[:, 1:]) <= _OVERFLOW_CAP))
+def _path(ab, n, u0, v0):
+    """The shot through the band buffer ab (as _step_matrices lays it out),
+    launched from (u0, v0), with rk4_path's return contract."""
+    # x = (u_0, v_0, u_1, v_1, ...) is the right-hand side, then the path:
+    # a contiguous float64 b with overwrite_b is solved in place
+    x = np.zeros((n + 1, 2))
+    x[0] = u0, v0
+    _, info = dtbtrs(ab.reshape(-1, 4).T, x.reshape(-1), uplo="L", diag="U", overwrite_b=1)
+    if info:
+        raise RuntimeError(f"LAPACK dtbtrs rejected argument {-info}")
+    u, v = x[:, 0], x[:, 1]
+    # the common case in one pass: a NaN or inf fails the test too
+    if np.abs(x[1:]).max() <= _OVERFLOW_CAP:
+        return u, v, n, 0.0
+    bad = ~((np.abs(u[1:]) <= _OVERFLOW_CAP) & (np.abs(v[1:]) <= _OVERFLOW_CAP))
     if not bad.any():
-        return u, v, stop, sign
-    for q in np.flatnonzero(bad.any(axis=1)):
-        i = stop[q] = int(np.argmax(bad[q]))
-        un, uu = u[q, i + 1], u[q, i]
-        if np.isfinite(un) and un != 0.0:
-            sign[q] = 1.0 if un > 0.0 else -1.0
-        elif uu != 0.0:
-            sign[q] = 1.0 if uu > 0.0 else -1.0
-        u[q, i + 1:] = np.nan
-        v[q, i + 1:] = np.nan
-    return u, v, stop, sign
-
-
-def batch_rows(n):
-    """The most shots of n steps that rk4_paths runs in one pass: as many
-    as _BATCH_STEPS holds, but one where that is fewer than four, since a
-    pass of two or three long shots on distinct grids takes longer than
-    shooting them one at a time (the K-row direct build broadcasts its
-    columns of E and h, which costs more per step than one-grid builds)."""
-    rows = _BATCH_STEPS // n
-    return rows if rows >= 4 else 1
+        return u, v, n, 0.0
+    i = int(np.argmax(bad))
+    un, uu = u[i + 1], u[i]
+    sign = 0.0
+    if np.isfinite(un) and un != 0.0:
+        sign = 1.0 if un > 0.0 else -1.0
+    elif uu != 0.0:
+        sign = 1.0 if uu > 0.0 else -1.0
+    u[i + 1:] = np.nan
+    v[i + 1:] = np.nan
+    return u, v, i, sign
 
 
 def rk4_path(m, lam, s, k, E, r0, h, n, u0, v0):
@@ -329,43 +264,7 @@ def rk4_path(m, lam, s, k, E, r0, h, n, u0, v0):
     integration stayed finite).  Entries beyond `stop` are NaN.
     """
     with np.errstate(all="ignore"):
-        ab = _transfer_matrices(m, lam, s, k, E, r0, h, n)
-        u, v, stop, sign = _paths((ab,), n, (u0,), (v0,))
-    return u[0], v[0], stop[0], sign[0]
-
-
-def rk4_paths(m, lam, s, k, E, r0, h, n, u0, v0):
-    """K shots of n RK4 steps each: row q at energy E[q] from r0[q] with
-    step h[q], launched from (u0[q], v0[q]).
-
-    Returns u and v of shape (K, n+1), and stop and sign of length K; each
-    row keeps rk4_path's contract.  Runs batch_rows(n) shots per pass.  One
-    shot goes through rk4_path's one-grid cache; shots that all share one
-    grid evaluate their step matrices from its cached coefficients (built
-    first if the cache lacks them); shots on different grids build theirs
-    directly and leave the cache empty.
-    """
-    global _last_grid
-    E, r0, h, u0, v0 = (np.asarray(x, dtype=float).ravel() for x in (E, r0, h, u0, v0))
-    rows = batch_rows(n)
-    if len(E) > rows:
-        parts = [rk4_paths(m, lam, s, k, E[i:i + rows], r0[i:i + rows], h[i:i + rows], n,
-                           u0[i:i + rows], v0[i:i + rows]) for i in range(0, len(E), rows)]
-        return tuple(np.concatenate(x) for x in zip(*parts))
-    with np.errstate(all="ignore"):
-        if len(E) == 1:
-            bands = (_transfer_matrices(m, lam, s, k, float(E[0]), float(r0[0]),
-                                        float(h[0]), n),)
-        elif (r0 == r0[0]).all() and (h == h[0]).all():
-            coef = _coefficients(m, lam, s, k, float(r0[0]), float(h[0]), n)
-            # one buffer, refilled for each row once the row before is solved
-            ab = _band(n)
-            bands = (_horner(coef, e, ab) for e in E.tolist())
-        else:
-            _last_grid = (None, None)
-            bands = _step_matrices(m, lam, s, k, E, r0, h, n)
-        u, v, stop, sign = _paths(bands, n, u0, v0)
-    return u, v, np.array(stop), np.array(sign)
+        return _path(_transfer_matrices(m, lam, s, k, E, r0, h, n), n, u0, v0)
 
 
 def warm_up():

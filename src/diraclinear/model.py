@@ -133,12 +133,14 @@ class RadialSolution:
 
 
 def count_nodes(u: np.ndarray) -> int:
-    """Strict sign changes of u over its interior (endpoints excluded)."""
+    """Strict sign changes of u over its interior (endpoints excluded),
+    skipping zero and non-finite entries."""
     interior = u[1:-1]
-    interior = interior[np.isfinite(interior)]
     s = np.sign(interior)
-    s = s[s != 0]
-    return int(np.count_nonzero(s[1:] * s[:-1] < 0))
+    keep = np.isfinite(interior)
+    keep &= s != 0
+    s = s[keep]
+    return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 def potentials(mix: PotentialMix, r):

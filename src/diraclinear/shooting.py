@@ -7,12 +7,14 @@ still converge to the requested one); and a truncated-domain Dirichlet
 estimator for the quasi-bound levels that exist below s = 1/2, converged
 by Brent's method on the Dirichlet residual.
 
-The two energy scans, suggest_bracket's node scan and the estimator's
-Dirichlet scan, shoot their energies in batches through the kernel's
-rk4_paths (one call per batch, at most batch_rows(n) shots) and walk the
-results in order, stopping where a one-shot-at-a-time scan would.  Every
-other shot is one rk4_path call.  The estimator reads only u at the
-Dirichlet point, so its shots build no RadialSolution.
+Every shot is one rk4_path call.  The two energy scans, suggest_bracket's
+node scan and the estimator's Dirichlet scan, bisect their fixed energy
+grids on a count of sign changes, which does not fall as E rises (it
+counts the turns of the Pruefer angle), so each shoots at most 8 of its
+65 (by default) or 97 energies and returns the bracket a walk up the grid
+to its first transition would.  The estimator reads only u at the
+Dirichlet point, and for scan shots its sign changes, so its shots build
+no RadialSolution.
 
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff.  find_bound_state therefore keeps
@@ -28,7 +30,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from ._kernels import batch_rows, rk4_path, rk4_paths
+from ._kernels import rk4_path
 from .errors import BracketError, ConsistencyError, ScanError
 from .model import (
     PotentialMix,
@@ -195,50 +197,36 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     return _normalized(_splice_tail(sol, m, mix, k))
 
 
-# energies per batched shot in the scans, near the count a scan usually
-# needs before it stops; at most batch_rows(n), so one at n = 20000
-_NODE_CHUNK = 16
-_DIRICHLET_CHUNK = 24
+def _first_above(above, lo, hi):
+    """The least index i in (lo, hi) with above(i), or hi when there is
+    none, by bisection.  above(lo) must be false, and above may turn true
+    only once as i rises, as a node count passing a fixed level does; lo
+    and hi themselves are never probed."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def _walk(energies, shoot, chunk):
-    """(E, shoot(chunk of energies)[i]) pairs in scan order, `chunk`
-    energies per shoot call, so a scan that stops early shoots less than
-    one chunk past its stop."""
-    for i in range(0, len(energies), chunk):
-        part = energies[i:i + chunk]
-        yield from zip(part, shoot(part))
+def _dirichlet_u(m, mix, k, e, grid, count=False):
+    """(u, changes) for the outward shot at energy e: u at the outer end of
+    the grid, or +-inf, the sign of u where the shot overflowed, if it
+    overflows first (nan if that sign is 0); and, when `count` is set, the
+    strict sign changes of u over u[1:], so a node that has just come in
+    through the outer end counts too, else None.
 
-
-def _node_counts(m, mix, k, energies, grid):
-    """Node count of the outward shot at each energy on one grid: one
-    rk4_paths call, so the shots share the grid's cached coefficients."""
-    u0, v0 = zip(*(_launch(m, mix, k, e, grid.r_min) for e in energies))
-    rows = len(energies)
-    u, _, _, _ = rk4_paths(m, mix.lam, mix.s, int(k), energies, [grid.r_min] * rows,
-                           [grid.h] * rows, grid.n, u0, v0)
-    return [count_nodes(row) for row in u]
-
-
-def _dirichlet_u(m, mix, k, energies, grids):
-    """u at the outer end of each grid for the outward shot at the paired
-    energy, or +-inf, the sign of u where the shot overflowed, if it
-    overflows first (nan if that sign is 0).  This is every shot of the
-    quasi-bound estimator.  One shot calls rk4_path with integrate_radial's
-    arguments; several, all with the same n, are one rk4_paths call.  No
-    RadialSolution or node count is built."""
-    u0, v0 = zip(*(_launch(m, mix, k, e, g.r_min) for e, g in zip(energies, grids)))
-    n = grids[0].n
-    if len(grids) == 1:
-        (g,) = grids
-        u, _, stop, sign = rk4_path(m, mix.lam, mix.s, int(k), energies[0],
-                                    g.r_min, g.h, n, u0[0], v0[0])
-        u, stop, sign = [u], [stop], [sign]
-    else:
-        u, _, stop, sign = rk4_paths(m, mix.lam, mix.s, int(k), energies,
-                                     [g.r_min for g in grids], [g.h for g in grids], n, u0, v0)
-    return [float(row[-1]) if end == n else math.inf * float(sgn)
-            for row, end, sgn in zip(u, stop, sign)]
+    This is every shot of the quasi-bound estimator: one rk4_path call
+    with integrate_radial's arguments, building no RadialSolution."""
+    u0, v0 = _launch(m, mix, k, e, grid.r_min)
+    u, _, stop, sign = rk4_path(m, mix.lam, mix.s, int(k), e, grid.r_min, grid.h, grid.n,
+                                u0, v0)
+    end = float(u[-1]) if stop == grid.n else math.inf * float(sign)
+    # count_nodes skips both ends of its argument; the padding puts u's
+    # outer end inside
+    return end, count_nodes(np.append(u, np.nan)) if count else None
 
 
 def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
@@ -247,20 +235,18 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     whose interior node count is `nodes`.  Raises ScanError when the window
     contains no such transition.
 
-    The scan energies are shot in batches of up to _NODE_CHUNK, all on the
-    one grid, so they share its cached coefficients (see _kernels); the
-    walk still stops at the first transition."""
+    The bracket is the pair of adjacent scan energies across which the
+    node count first exceeds `nodes`, found by bisecting the scan on the
+    node count, which does not fall as E rises; the end energies are shot
+    only when the bisection closes next to them.  All shots are on the one
+    grid, so they share its cached coefficients (see _kernels)."""
     QuantumNumbers(k)
     width = 10.0 * math.sqrt(mix.lam)
-    energies = m + width * np.arange(1, steps + 1) / steps
-    scan = _walk([m + width / (4.0 * steps)] + energies.tolist(),
-                 lambda es: _node_counts(m, mix, k, es, grid),
-                 min(_NODE_CHUNK, batch_rows(grid.n)))
-    prev_e, prev_n = next(scan)
-    for e, cur in scan:
-        if prev_n <= nodes < cur:
-            return prev_e, e
-        prev_e, prev_n = e, cur
+    energies = [m + width / (4.0 * steps)] + (m + width * np.arange(1, steps + 1) / steps).tolist()
+    i = _first_above(lambda i: integrate_radial(m, mix, k, energies[i], grid).node_count > nodes,
+                     -1, len(energies))
+    if 0 < i < len(energies):
+        return energies[i - 1], energies[i]
     raise ScanError(
         f"no {nodes}-node eigenvalue transition in (m, m + 10*sqrt(lambda)) "
         f"= ({m}, {m + width})")
@@ -278,9 +264,12 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     and a root of u(r_mid) = 0 above m is found in three stages:
 
     1. a 96-point scan of (m, m + 10*sqrt(lambda)), each energy shot to its
-       own Dirichlet point, brackets the lowest sign change; the energies
-       are shot _DIRICHLET_CHUNK at a time, each batch one rk4_paths call
-       on as many grids, and the walk stops at the first sign change;
+       own Dirichlet point, brackets the lowest sign change of u(r_mid):
+       the pair of adjacent scan energies across which the shot's sign
+       changes, counted over u[1:], first exceed those of the first scan
+       energy.  The count does not fall as E rises, so the scan is
+       bisected on it, in 7 or 8 shots, and returns the bracket a walk up
+       the scan to the first sign change of u(r_mid) returns;
     2. r_mid is fixed at the Dirichlet point of the bracket's midpoint; if
        u(r_mid) has one sign at both ends, the bracket is widened one scan
        step at a time toward the end with the smaller |u| until it does
@@ -288,7 +277,8 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     3. Brent's method converges on u(r_mid) to 1e-11*m, one rk4_path shot
        per evaluation.
 
-    Every shot goes through _dirichlet_u, which returns only u(r_mid).
+    Every shot goes through _dirichlet_u, which returns u(r_mid), and
+    for scan shots the sign-change count.
     Raises ScanError when the scan finds no sign change, when the widening
     leaves the scan window without one, or when a shot in the bracket
     overflows before r_mid (it then has no finite residual).
@@ -312,30 +302,32 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
         r_min = min(grid_hint.r_min, 1e-6 * r_mid)
         return RadialGrid(r_min=r_min, r_max=r_mid, n=grid_hint.n)
 
-    def scan_u(energies):
-        return _dirichlet_u(m, mix, k, energies,
-                            [grid_at(dirichlet_radius(e)) for e in energies])
+    def scan_u(i):
+        """u and sign changes of the shot at scan energy i, each energy
+        to its own Dirichlet point; kept in `scan`."""
+        e = energies[i]
+        scan[i] = _dirichlet_u(m, mix, k, e, grid_at(dirichlet_radius(e)), count=True)
+        return scan[i]
 
     def endpoint_u(e, r_mid):
-        return _dirichlet_u(m, mix, k, [e], [grid_at(r_mid)])[0]
+        return _dirichlet_u(m, mix, k, e, grid_at(r_mid))[0]
 
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
     energies = [m + width / (2.0 * steps)] + [m + width * i / steps for i in range(1, steps + 1)]
-    scan = _walk(energies, scan_u, min(_DIRICHLET_CHUNK, batch_rows(grid_hint.n)))
-    prev_e, prev_f = next(scan)
-    bracket = None
-    for e, f in scan:
-        if prev_f == 0.0:
-            return prev_e
-        if prev_f * f < 0:
-            bracket = (prev_e, e)
-            break
-        prev_e, prev_f = e, f
-    if bracket is None:
+    scan = {}
+    f0, changes0 = scan_u(0)
+    if f0 == 0.0:
+        return energies[0]
+    i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, len(energies))
+    if i == len(energies):
         raise ScanError(
             f"no Dirichlet sign change in the scan window "
             f"({m}, {m + width}); no quasi-bound level found")
+    if scan[i - 1][0] == 0.0:
+        # the shot below the crossing ends on a node: a root on the scan grid
+        return energies[i - 1]
+    bracket = (energies[i - 1], energies[i])
 
     # converge at one fixed radius; the scan's radius moved with the
     # energy, so its sign change need not hold at r_mid

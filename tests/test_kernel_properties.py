@@ -1,6 +1,6 @@
-"""RK4 kernel property: rk4_path and a 3-row rk4_paths batch follow a plain
-per-step RK4 loop over seeded draws of the whole parameter domain, outward
-and inward, overflowing shots included."""
+"""RK4 kernel property: rk4_path, on a grid's direct build and on its cached
+coefficients, follows a plain per-step RK4 loop over seeded draws of the
+whole parameter domain, outward and inward, overflowing shots included."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_shooting import _reference_rk4
 
-from diraclinear._kernels import rk4_path, rk4_paths
+from diraclinear._kernels import rk4_path
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 SCALES = st.floats(0.5, 2.0)
@@ -46,11 +46,8 @@ def test_paths_follow_the_per_step_reference(m, lam, s, k, level, n, inward, ste
     launch = (1e-6, -1e-12)
     refs = [_reference_rk4(m, lam, s, k, e, r0, h, n, *launch) for e in energies]
 
-    # a single shot, then the batch on the same grid: the first call on a
-    # grid builds its step matrices directly, the batch evaluates them from
-    # the grid's coefficients in E
+    # the first call on a grid builds its step matrices directly; the shots
+    # after it evaluate them from the grid's coefficients in E
     assert _deviation(rk4_path(m, lam, s, k, energies[0], r0, h, n, *launch), refs[0]) <= 1e-12
-    u, v, stop, sign = rk4_paths(m, lam, s, k, energies, [r0] * 3, [h] * 3, n,
-                                 [launch[0]] * 3, [launch[1]] * 3)
-    for q, ref in enumerate(refs):
-        assert _deviation((u[q], v[q], stop[q], sign[q]), ref) <= 1e-12
+    for e, ref in zip(energies, refs):
+        assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, *launch), ref) <= 1e-12

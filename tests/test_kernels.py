@@ -1,5 +1,4 @@
-"""RK4 kernel: the one-grid cache of the step matrices' coefficients in E,
-and batches of shots (rk4_paths)."""
+"""RK4 kernel: the one-grid cache of the step matrices' coefficients in E."""
 
 import sys
 import threading
@@ -7,16 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from diraclinear import (
-    PotentialMix,
-    RadialGrid,
-    _kernels,
-    estimate_quasibound_energy,
-    shooting,
-    suggest_bracket,
-)
-from diraclinear._kernels import _CHUNK, _step_matrices, _transfer_matrices, rk4_path
-from diraclinear._kernels import _BATCH_STEPS, _horner, batch_rows, rk4_paths
+from diraclinear import _kernels
+from diraclinear._kernels import _CHUNK, _horner, _step_matrices, _transfer_matrices, rk4_path
 
 # grid keys (m, lam, s, k, r0, h, n); no n is a multiple of _CHUNK, so every
 # case ends in a partial chunk
@@ -143,126 +134,23 @@ def test_threads_shooting_different_grids_match_serial():
     assert max(worst.values()) <= 1e-12
 
 
-# ---------------------------------------------------------------- batches
-# one batch on distinct grids, all with n = 1001 steps: rows (E, r0, h, u0,
-# v0) for the stiff pure-scalar (m, lam, s, k) below.  The first two overflow, with opposite
-# signs; the last two run inward.
-STIFF = (1.0, 4.5, 1.0, -1)
-N_ROWS = 1001
-ROWS = [(2.0, 25e-6, (25.0 - 25e-6) / N_ROWS, 1e-6, -1e-12),
-        (6.0, 25e-6, (25.0 - 25e-6) / N_ROWS, 1e-6, -1e-12),
-        (3.0, 25e-6, (2.0 - 25e-6) / N_ROWS, 1e-6, -1e-12),
-        (6.0, 1e-5, (1.5 - 1e-5) / N_ROWS, 2e-6, 3e-9),
-        (2.5, 3.0, -2.5 / N_ROWS, 1e-30, -1e-30),
-        (4.0, 2.5, -2.2 / N_ROWS, 1e-20, 1e-20)]
-
-
-def _first_call(m, lam, s, k, E, r0, h, n, u0, v0):
-    """rk4_path on a direct build: the first call on a grid builds its step
-    matrices directly."""
-    _kernels._last_grid = (None, None)
-    return rk4_path(m, lam, s, k, E, r0, h, n, u0, v0)
-
-
-def _batch(grid, energies):
-    """rk4_paths at each energy on one grid, launched as _shot launches."""
-    m, lam, s, k, r0, h, n = grid
-    rows = len(energies)
-    return rk4_paths(m, lam, s, k, energies, [r0] * rows, [h] * rows, n,
-                     [1e-6] * rows, [-1e-12] * rows)
-
-
-def test_batch_on_distinct_grids_matches_direct_single_shots():
-    m, lam, s, k = STIFF
-    E, r0, h, u0, v0 = (np.array(c) for c in zip(*ROWS))
-    # the cache holds one row's coefficients; a batch that used them would
-    # differ from the direct build in the last bits
-    for _ in range(3):
-        rk4_path(m, lam, s, k, E[2], r0[2], h[2], N_ROWS, u0[2], v0[2])
-    assert _kernels._last_grid[1] is not None
-
-    u, v, stop, sign = rk4_paths(m, lam, s, k, E, r0, h, N_ROWS, u0, v0)
-    assert u.shape == v.shape == (len(ROWS), N_ROWS + 1)
-    assert _kernels._last_grid == (None, None)
-    for q, row in enumerate(ROWS):
-        ur, vr, stop_r, sign_r = _first_call(m, lam, s, k, *row[:3], N_ROWS, *row[3:])
-        assert (stop[q], sign[q]) == (stop_r, sign_r)
-        # equal bit for bit, NaN where the reference is NaN
-        np.testing.assert_array_equal(u[q], ur)
-        np.testing.assert_array_equal(v[q], vr)
-        assert np.all(np.isfinite(u[q, :stop[q] + 1])) and np.all(np.isnan(u[q, stop[q] + 1:]))
-    assert list(stop < N_ROWS) == [True, True, False, False, False, False]
-    assert sorted(sign[:2]) == [-1.0, 1.0] and not sign[2:].any()
-
-
-# here the four lowest energies overflow just before the end, the rest do not
-STIFF_GRID = STIFF + (25e-6, (16.0 - 25e-6) / N_ROWS, N_ROWS)
-
-
-@pytest.mark.parametrize("grid", [GRIDS[0], GRIDS[1], STIFF_GRID],
-                         ids=["outward-one-shot-passes", "inward-two-passes", "overflowing"])
-def test_batch_on_one_grid_matches_sequential_cached_shots(grid):
-    energies = np.linspace(0.9, 6.0, 9)
-    _warm(grid, 1.5)
-    sequential = [_shot(grid, E) for E in energies]
-    u, v, stop, sign = _batch(grid, energies)
-    for q, ref in enumerate(sequential):
-        assert _deviation((u[q], v[q], stop[q], sign[q]), ref) <= 1e-15
-    if grid is STIFF_GRID:
-        assert (stop < grid[-1]).any() and (stop == grid[-1]).any()
-
-
-def test_one_grid_batch_leaves_its_coefficients_for_the_next_single_shot():
+def test_a_grid_shot_again_reuses_its_coefficients():
     a = GRIDS[3]
     _warm(GRIDS[0], 1.5)  # the cache holds another grid
-    u = _batch(a, [1.2, 1.7, 2.9])[0]
+    _shot(a, 1.2)
+    u = _shot(a, 1.7)[0]  # the second shot in a row stores the coefficients
     key, coef = _kernels._last_grid
     assert key == a and coef is not None
 
-    # the next single shot on the grid reuses the stored coefficients
+    # the next shot on the grid reuses the stored coefficients
     m, lam, s, k, r0, h, n = a
     np.testing.assert_array_equal(_transfer_matrices(m, lam, s, k, 1.7, r0, h, n),
                                   _horner(coef, 1.7))
     assert _kernels._last_grid[1] is coef
-    np.testing.assert_array_equal(_shot(a, 1.7)[0], u[1])
+    np.testing.assert_array_equal(_shot(a, 1.7)[0], u)
 
-    # a different grid never does, whether shot alone or in a batch with a
+    # a different grid never does
     b = a[:5] + (1.01 * a[5],) + a[6:]
     np.testing.assert_array_equal(_transfer_matrices(m, lam, s, k, 1.7, r0, b[5], n),
                                   _direct(b, 1.7))
     assert _kernels._last_grid == (b, None)
-    _batch(a, [1.2, 1.7])
-    ua = rk4_paths(m, lam, s, k, [1.7, 1.7], [r0, r0], [h, b[5]], n, [1e-6] * 2, [-1e-12] * 2)[0]
-    assert _kernels._last_grid == (None, None)
-    np.testing.assert_array_equal(ua[0], _first_call(m, lam, s, k, 1.7, r0, h, n, 1e-6, -1e-12)[0])
-
-    # one shot is rk4_path, with its one-grid cache
-    u1 = rk4_paths(m, lam, s, k, [1.7], [r0], [b[5]], n, [1e-6], [-1e-12])[0]
-    assert _kernels._last_grid == (b, None)
-    np.testing.assert_array_equal(u1[0], _first_call(m, lam, s, k, 1.7, r0, b[5], n, 1e-6, -1e-12)[0])
-
-
-def test_batch_sizes_respect_the_step_cap(monkeypatch):
-    for n in (100, 500, 1000, 4000, 4097, 8192, 16384, 16385, 20000, 10 ** 6):
-        assert batch_rows(n) >= 1
-        assert batch_rows(n) == 1 or batch_rows(n) * n <= _BATCH_STEPS
-    # a pass of two or three long shots would be slower than single shots
-    assert [batch_rows(n) for n in (2049, 4096, 4097, 8192, 20000)] == [7, 4, 1, 1, 1]
-
-    # the scans never pass more, and at n = 20000 they shoot one energy at a time
-    calls = []
-    real = shooting.rk4_paths
-
-    def recording(m, lam, s, k, E, r0, h, n, u0, v0):
-        calls.append((len(E), n))
-        return real(m, lam, s, k, E, r0, h, n, u0, v0)
-
-    monkeypatch.setattr(shooting, "rk4_paths", recording)
-    for n in (500, 1000, 4000, 20000):
-        grid = RadialGrid(25e-6, 25.0, n)
-        suggest_bracket(1.0, PotentialMix(0.2, 0.5), -1, grid)
-        estimate_quasibound_energy(1.0, PotentialMix(0.2, 0.0), -1, grid)
-    assert {n for _, n in calls} == {500, 1000, 4000, 20000}
-    assert all(rows * n <= _BATCH_STEPS for rows, n in calls if n < 20000)
-    assert any(rows > 1 for rows, _ in calls)
-    assert all(rows == 1 for rows, n in calls if n == 20000)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diraclinear import (
     BindingClass,
@@ -132,3 +134,23 @@ def test_count_nodes():
     assert count_nodes(np.array([0.0, 1.0, -1.0, 1.0, 0.0])) == 2
     assert count_nodes(np.array([0.0, 1.0, 0.0, 1.0, 0.0])) == 0
     assert count_nodes(np.array([0.0, 1.0, np.nan, np.nan, np.nan])) == 0
+
+
+def _two_pass_nodes(u):
+    """count_nodes by its definition: drop the non-finite entries of the
+    interior, then the zero signs, and count products of neighbours < 0."""
+    interior = u[1:-1]
+    s = np.sign(interior[np.isfinite(interior)])
+    s = s[s != 0]
+    return int(np.count_nonzero(s[1:] * s[:-1] < 0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from((0.0, -0.0, np.nan, np.inf, -np.inf)),
+                                 st.floats(allow_nan=False)), max_size=40),
+       strided=st.booleans())
+def test_count_nodes_matches_its_definition(values, strided):
+    u = np.array(values, dtype=float)
+    if strided:  # a shot's u is a strided view of its interleaved path
+        u = np.stack([u, -u], axis=1)[:, 0]
+    assert count_nodes(u) == _two_pass_nodes(u)

@@ -1,14 +1,16 @@
-"""Scan equivalence: the batched scans give what per-shot scans give.
+"""Scan equivalence: the bisected scans give what per-shot scans give.
 
-suggest_bracket and estimate_quasibound_energy shoot their scan energies in
-rk4_paths batches.  These properties pin both, bit for bit, to references
-written here that shoot one integrate_radial per energy, as the scans did
-before they were batched.
+suggest_bracket and estimate_quasibound_energy bisect their scan energies
+on a sign-change count.  These properties pin both, bit for bit, to
+references written here that shoot one integrate_radial per energy and
+walk the scan up to its first transition, as the scans did before they
+were bisected.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -139,3 +141,13 @@ def test_suggest_bracket_equals_per_shot_node_scan(m, lam, s, k, n, nodes):
     reference = _outcome(_per_shot_bracket, m, mix, k, grid, nodes)
     assert batched == reference
 
+
+def test_node_entering_through_the_dirichlet_point_counts():
+    # scan energy 18 crosses zero in its last step, so only a count that
+    # takes in u(r_mid) sees it; one of the interior nodes alone brackets
+    # the next crossing and converges to 2.3095157601692935
+    m, mix = 0.7358847923680774, PotentialMix(0.7062867500442369, 0.0)
+    hint = RadialGrid(25e-6, 25.0, 500)
+    e = estimate_quasibound_energy(m, mix, -1, hint)
+    assert e == _per_shot_estimate(m, mix, -1, hint, 1.0)
+    assert e == pytest.approx(2.3137887272401096, abs=1e-9)

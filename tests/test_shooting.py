@@ -1,5 +1,7 @@
 """RK4 shooting solver: integration, eigenvalue search, quasi-bound estimate."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,9 +121,11 @@ def _reference_rk4(m, lam, s, k, E, r0, h, n, u0, v0):
     ((M, LAM, 0.5, -1, E1, 8e-6, (8.0 - 8e-6) / 1000, 1000, 8e-6, -1e-11), False),
     # stiff pure-scalar shot whose growing tail passes the overflow cap
     ((M, 4.5, 1.0, -1, 6.0, 25e-6, (25.0 - 25e-6) / 2000, 2000, 25e-6, -1e-10), True),
+    # the same shot cut where only its last entry has passed the cap
+    ((M, 4.5, 1.0, -1, 6.0, 25e-6, (25.0 - 25e-6) / 2000, 1282, 25e-6, -1e-10), True),
     # inward tail rebuild: negative step from a tiny seed
     ((M, LAM, 0.5, -1, E1, 12.0, -0.008, 1000, 1e-30, -1e-30), False),
-], ids=["outward-bound", "outward-overflow", "inward"])
+], ids=["outward-bound", "outward-overflow", "overflow-at-the-end", "inward"])
 def test_rk4_path_matches_per_step_reference(args, diverges):
     ur, vr, stop_r, sign_r = _reference_rk4(*args)
     n = args[7]
@@ -343,13 +347,13 @@ QB_GRID = RadialGrid(r_min=25e-6, r_max=25.0, n=500)
 
 def _record_shots(monkeypatch):
     """Route the estimator's shots, shooting._dirichlet_u, through a
-    recorder of (E, grid), one entry per shot in a batch."""
+    recorder of (E, grid), one entry per shot."""
     shots = []
     real = shooting._dirichlet_u
 
-    def recording(m, mix, k, energies, grids):
-        shots.extend(zip(energies, grids))
-        return real(m, mix, k, energies, grids)
+    def recording(m, mix, k, e, grid, count=False):
+        shots.append((e, grid))
+        return real(m, mix, k, e, grid, count)
 
     monkeypatch.setattr(shooting, "_dirichlet_u", recording)
     return shots
@@ -410,19 +414,34 @@ def test_quasibound_refinement_shot_budget(monkeypatch):
     assert len(shots) - scan <= 15
 
 
+@pytest.mark.parametrize("n", [500, 1000, 4000, 20000])
+def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
+    ends = []
+    real = shooting.rk4_path
+
+    def recording(m, lam, s, k, E, r0, h, steps, u0, v0):
+        ends.append(r0 + h * steps)
+        return real(m, lam, s, k, E, r0, h, steps, u0, v0)
+
+    monkeypatch.setattr(shooting, "rk4_path", recording)
+    grid = RadialGrid(25e-6, 25.0, n)
+    suggest_bracket(M, EQUAL, -1, grid)
+    assert len(ends) <= math.ceil(math.log2(64 + 1)) + 2
+    ends.clear()
+    estimate_quasibound_energy(M, VECTOR, -1, grid)
+    # the scan's radius moves with the energy; every shot after it ends at
+    # the one fixed Dirichlet radius of the last shot
+    assert ends.index(ends[-1]) <= math.ceil(math.log2(97)) + 2
+
+
 def test_quasibound_without_fixed_radius_sign_change_raises(monkeypatch):
     # the scan sees a sign change, but u(r_mid) keeps one sign all the way
     # down to m: no root exists, so no energy may be returned
     real = shooting._dirichlet_u
-    calls = []
 
-    def one_sign_after_scan(m, mix, k, energies, grids):
-        real(m, mix, k, energies, grids)
-        out = []
-        for E in energies:
-            out.append(-1.0 if len(calls) < 5 else 1.0)
-            calls.append(E)
-        return out
+    def one_sign_after_scan(m, mix, k, e, grid, count=False):
+        # scan shots count their sign changes; every fixed-radius shot is positive
+        return real(m, mix, k, e, grid, count) if count else (1.0, None)
 
     monkeypatch.setattr(shooting, "_dirichlet_u", one_sign_after_scan)
     with pytest.raises(ScanError, match="no Dirichlet sign change at r_mid"):
@@ -434,10 +453,10 @@ def test_quasibound_overflow_near_root_raises(monkeypatch):
     e_true = estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
     real = shooting._dirichlet_u
 
-    def overflowing_near_root(m, mix, k, energies, grids):
+    def overflowing_near_root(m, mix, k, e, grid, count=False):
         # an overflowed shot ends as +-inf, the sign of u where it overflowed
-        return [np.inf if abs(E - e_true) < 1e-3 else f
-                for E, f in zip(energies, real(m, mix, k, energies, grids))]
+        f, changes = real(m, mix, k, e, grid, count)
+        return (np.inf if abs(e - e_true) < 1e-3 else f), changes
 
     monkeypatch.setattr(shooting, "_dirichlet_u", overflowing_near_root)
     with pytest.raises(ScanError, match="overflows"):
