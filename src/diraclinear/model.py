@@ -132,10 +132,10 @@ class RadialSolution:
     grid: RadialGrid | None = field(default=None, repr=False)
 
 
-def count_nodes(u: np.ndarray) -> int:
-    """Strict sign changes of u over its interior (endpoints excluded),
-    skipping zero and non-finite entries."""
-    interior = u[1:-1]
+def count_nodes(u: np.ndarray, end: bool = False) -> int:
+    """Strict sign changes of u over its interior (endpoints excluded, or
+    with `end` set only the first), skipping zero and non-finite entries."""
+    interior = u[1:] if end else u[1:-1]
     s = np.sign(interior)
     keep = np.isfinite(interior)
     keep &= s != 0

@@ -12,7 +12,12 @@ node scan and the estimator's Dirichlet scan, bisect their fixed energy
 grids on a count of sign changes, which does not fall as E rises (it
 counts the turns of the Pruefer angle), so each shoots at most 8 of its
 65 (by default) or 97 energies and returns the bracket a walk up the grid
-to its first transition would.  The estimator reads only u at the
+to its first transition would.  The node scan goes on past the top of its
+window, in steps of the same spacing, while the energies' turning points
+r1 lie on the grid.  The Dirichlet scan starts from the index of the last
+scan of the same problem and grid hint, so the 0.9 and 1.1 spread
+estimates of a level confirm the central estimate's index in two shots;
+any start gives the same bracket.  The estimator reads only u at the
 Dirichlet point, and for scan shots its sign changes, so its shots build
 no RadialSolution.
 
@@ -197,11 +202,31 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     return _normalized(_splice_tail(sol, m, mix, k))
 
 
-def _first_above(above, lo, hi):
+def _first_above(above, lo, hi, start=None):
     """The least index i in (lo, hi) with above(i), or hi when there is
-    none, by bisection.  above(lo) must be false, and above may turn true
-    only once as i rises, as a node count passing a fixed level does; lo
-    and hi themselves are never probed."""
+    none.  above(lo) must be false, and above may turn true only once as
+    i rises, as a node count passing a fixed level does; lo and hi
+    themselves are never probed.
+
+    Without a start this is plain bisection.  A start inside (lo, hi) is
+    a guess at the answer: start and start - 1 are probed first, and when
+    the turn lies between them start is returned after those two probes.
+    Otherwise the search gallops away from start in steps of 1, 2, 4, ...
+    until it passes the turn and bisects the last step, an exponential
+    search (Bentley and Yao, 1976).  above is monotone, so a guess, good
+    or bad, changes only which indices are probed, never the result."""
+    if start is not None and lo < start < hi:
+        step = 1
+        if above(start):
+            hi = start
+            while hi - step > lo and above(hi - step):
+                hi, step = hi - step, 2 * step
+            lo = max(lo, hi - step)
+        else:
+            lo = start
+            while lo + step < hi and not above(lo + step):
+                lo, step = lo + step, 2 * step
+            hi = min(hi, lo + step)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):
@@ -224,32 +249,66 @@ def _dirichlet_u(m, mix, k, e, grid, count=False):
     u, _, stop, sign = rk4_path(m, mix.lam, mix.s, int(k), e, grid.r_min, grid.h, grid.n,
                                 u0, v0)
     end = float(u[-1]) if stop == grid.n else math.inf * float(sign)
-    # count_nodes skips both ends of its argument; the padding puts u's
-    # outer end inside
-    return end, count_nodes(np.append(u, np.nan)) if count else None
+    return end, count_nodes(u, end=True) if count else None
 
 
 def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
                     nodes: int = 0, steps: int = 64):
     """Scan (m, m + 10*sqrt(lambda)) for a bracket around the eigenvalue
-    whose interior node count is `nodes`.  Raises ScanError when the window
-    contains no such transition.
+    whose interior node count is `nodes`.
 
     The bracket is the pair of adjacent scan energies across which the
     node count first exceeds `nodes`, found by bisecting the scan on the
     node count, which does not fall as E rises; the end energies are shot
-    only when the bisection closes next to them.  All shots are on the one
-    grid, so they share its cached coefficients (see _kernels)."""
+    only when the bisection closes next to them.  When the count is still
+    at or below `nodes` at the top of the window, the scan goes on upward
+    in steps of the same spacing, through energies whose turning point
+    r1 = (E - m)/lambda lies within r_max, galloping from the top and
+    bisecting the last step (see _first_above).  All shots are on the one
+    grid, so they share its cached coefficients (see _kernels).
+
+    Raises ScanError when there is no such transition; its message names
+    the r_max that the next scan energy needs when the scan went past the
+    window."""
     QuantumNumbers(k)
     width = 10.0 * math.sqrt(mix.lam)
-    energies = [m + width / (4.0 * steps)] + (m + width * np.arange(1, steps + 1) / steps).tolist()
-    i = _first_above(lambda i: integrate_radial(m, mix, k, energies[i], grid).node_count > nodes,
-                     -1, len(energies))
-    if 0 < i < len(energies):
-        return energies[i - 1], energies[i]
+
+    def energy(j):
+        return m + width / (4.0 * steps) if j == 0 else m + width * j / steps
+
+    def r1(j):
+        return (energy(j) - m) / mix.lam
+
+    def above(j):
+        return integrate_radial(m, mix, k, energy(j), grid).node_count > nodes
+
+    top = steps  # the last scan energy that may be shot
+    i = _first_above(above, -1, top + 1)
+    if i > top:
+        # past the window: up to the last energy whose r1 lies on the grid
+        top = max(steps, int(grid.r_max * mix.lam * steps / width))
+        while r1(top + 1) <= grid.r_max:
+            top += 1
+        while top > steps and r1(top) > grid.r_max:
+            top -= 1
+        i = _first_above(above, steps, top + 1, start=steps + 1)
+    if 0 < i <= top:
+        return energy(i - 1), energy(i)
+    if top > steps:
+        raise ScanError(
+            f"no {nodes}-node eigenvalue transition in (m, E) = ({m}, {energy(top)}), "
+            f"the scan energies whose turning point lies within r_max = {grid.r_max}; "
+            f"the next one, {energy(top + 1)}, needs r_max >= {r1(top + 1)}")
     raise ScanError(
         f"no {nodes}-node eigenvalue transition in (m, m + 10*sqrt(lambda)) "
         f"= ({m}, {m + width})")
+
+
+# (key, i) of the most recent Dirichlet scan: key = (m, lam, s, k, r_min, n)
+# of its problem and grid hint, and i the scan index it returned.  Replaced
+# by one assignment and read once into a local, so a thread never pairs one
+# problem's key with another problem's index.
+_last_scan = (None, None)
 
 
 def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
@@ -269,7 +328,11 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
        changes, counted over u[1:], first exceed those of the first scan
        energy.  The count does not fall as E rises, so the scan is
        bisected on it, in 7 or 8 shots, and returns the bracket a walk up
-       the scan to the first sign change of u(r_mid) returns;
+       the scan to the first sign change of u(r_mid) returns.  When the
+       previous scan had the same m, lambda, s, k and grid_hint r_min and
+       n (its midpoint_scale may differ), the search starts at that scan's
+       index and, when the index still holds, takes 3 shots: energy 0 and
+       the two energies across it (see _first_above);
     2. r_mid is fixed at the Dirichlet point of the bracket's midpoint; if
        u(r_mid) has one sign at both ends, the bracket is widened one scan
        step at a time toward the end with the smaller |u| until it does
@@ -287,6 +350,7 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     its truncation-sensitivity spread.  n and r_min are taken from
     grid_hint; the outer radius is the Dirichlet point itself.
     """
+    global _last_scan
     if mix.s >= 0.5:
         raise ValueError("s >= 0.5 is strictly bound; use find_bound_state")
     QuantumNumbers(k)
@@ -319,7 +383,13 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     f0, changes0 = scan_u(0)
     if f0 == 0.0:
         return energies[0]
-    i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, len(energies))
+    # the spread estimates share the central estimate's key, and almost
+    # always its index: start there
+    key = (m, mix.lam, mix.s, k, grid_hint.r_min, grid_hint.n)
+    last_key, start = _last_scan
+    i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, len(energies),
+                     start if last_key == key else None)
+    _last_scan = (key, i)
     if i == len(energies):
         raise ScanError(
             f"no Dirichlet sign change in the scan window "

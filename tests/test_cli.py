@@ -117,6 +117,21 @@ def test_solve_zero_index_targets_that_level(capsys):
     assert float(parse_report(out)["difference_gev"]) < 1e-3
 
 
+def test_solve_level_above_the_scan_window(capsys):
+    # level 28, E = 5.6787, lies above the scan window (1, 5.472) but its
+    # turning point r1 = 23.4 lies on the default 25-long grid
+    code, out, _ = run_cli(capsys, "solve", "--zero-index", "28")
+    assert code == 0
+    rep = parse_report(out)
+    assert float(rep["analytic_energy_gev"]) == equal_mix_energy(1.0, 0.2, 28)
+    # only 1.6 past r1 the grid ends before the tail has decayed, which
+    # raises the box's level by 5.8e-4; a 32-long grid holds the tail
+    assert float(rep["difference_gev"]) < 1e-3
+    code, out, _ = run_cli(capsys, "solve", "--zero-index", "28", "--rmax", "32")
+    assert code == 0
+    assert float(parse_report(out)["difference_gev"]) < 1e-8
+
+
 def test_solve_quasibound_reports_classification_and_radii(capsys):
     code, out, _ = run_cli(capsys, "solve", "--s", "0.2", "--n", "4000")
     assert code == 0

@@ -4,7 +4,8 @@ suggest_bracket and estimate_quasibound_energy bisect their scan energies
 on a sign-change count.  These properties pin both, bit for bit, to
 references written here that shoot one integrate_radial per energy and
 walk the scan up to its first transition, as the scans did before they
-were bisected.
+were bisected; and they pin the estimator's scan started from the last
+scan's index to the scan started cold.
 """
 
 import math
@@ -19,8 +20,10 @@ from diraclinear import (
     PotentialMix,
     RadialGrid,
     ScanError,
+    equal_mix_energy,
     estimate_quasibound_energy,
     integrate_radial,
+    shooting,
     suggest_bracket,
 )
 from diraclinear.model import turning_points
@@ -151,3 +154,62 @@ def test_node_entering_through_the_dirichlet_point_counts():
     e = estimate_quasibound_energy(m, mix, -1, hint)
     assert e == _per_shot_estimate(m, mix, -1, hint, 1.0)
     assert e == pytest.approx(2.3137887272401096, abs=1e-9)
+
+
+@PROPERTY
+@given(lo=st.integers(-1, 40), size=st.integers(1, 60), turn=st.integers(1, 61),
+       start=st.one_of(st.none(), st.integers(-3, 105)))
+def test_first_above_with_any_start_equals_bisection(lo, size, turn, start):
+    hi = lo + size
+    probed = []
+
+    def above(i):
+        assert lo < i < hi
+        probed.append(i)
+        return i >= lo + turn
+
+    plain = shooting._first_above(lambda i: i >= lo + turn, lo, hi)
+    assert shooting._first_above(above, lo, hi, start) == plain
+    if start is not None and lo < start - 1 and start == plain < hi:
+        assert probed == [start, start - 1]
+
+
+@PROPERTY
+@given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS)
+def test_warm_scan_estimates_equal_cold_ones(m, lam, s, k, n):
+    mix = PotentialMix(lam, s)
+    hint = RadialGrid(25e-6, 25.0, n)
+    scales = (1.0, 0.9, 1.1)
+    cold = []
+    for c in scales:
+        shooting._last_scan = (None, None)
+        cold.append(_outcome(estimate_quasibound_energy, m, mix, k, hint, c))
+    shooting._last_scan = (None, None)
+    warm = [_outcome(estimate_quasibound_energy, m, mix, k, hint, c) for c in scales]
+    assert warm == cold  # float equality: the same bits
+
+
+@PROPERTY
+@given(m=SCALES, lam=SCALES, nodes=st.integers(0, 40), decay=st.floats(2.0, 6.0),
+       n=st.sampled_from((2000, 4000)))
+def test_node_scan_brackets_the_airy_level(m, lam, nodes, decay, n):
+    # the scan goes past its window as far as the grid holds r1: the level
+    # is bracketed whenever the grid ends `decay` Airy lengths past its r1
+    # (closer in, the box's own level lies above the Airy one), and no
+    # energy whose r1 lies past r_max is shot
+    e = equal_mix_energy(m, lam, nodes + 1)
+    rmax = (e - m) / lam + decay * (lam * (m + e)) ** (-1.0 / 3.0)
+    grid = RadialGrid(1e-6 * rmax, rmax, n)
+    shot = []
+
+    def recording(m, mix, k, E, grid):
+        shot.append(E)
+        return integrate_radial(m, mix, k, E, grid)
+
+    shooting.integrate_radial = recording
+    try:
+        lo, hi = suggest_bracket(m, PotentialMix(lam, 0.5), -1, grid, nodes)
+    finally:
+        shooting.integrate_radial = integrate_radial
+    assert lo < e < hi
+    assert all(E <= m + 10.0 * math.sqrt(lam) or (E - m) / lam <= rmax for E in shot)

@@ -1,6 +1,8 @@
 """RK4 shooting solver: integration, eigenvalue search, quasi-bound estimate."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -428,10 +430,77 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
     suggest_bracket(M, EQUAL, -1, grid)
     assert len(ends) <= math.ceil(math.log2(64 + 1)) + 2
     ends.clear()
+    # a cold scan, whose key misses the hint, bisects
+    monkeypatch.setattr(shooting, "_last_scan", (None, None))
     estimate_quasibound_energy(M, VECTOR, -1, grid)
     # the scan's radius moves with the energy; every shot after it ends at
     # the one fixed Dirichlet radius of the last shot
     assert ends.index(ends[-1]) <= math.ceil(math.log2(97)) + 2
+    # the spread estimates start at the central estimate's index: energy 0,
+    # then the two scan energies across the transition
+    for scale in (0.9, 1.1):
+        ends.clear()
+        estimate_quasibound_energy(M, VECTOR, -1, grid, midpoint_scale=scale)
+        assert ends.index(ends[-1]) <= 3
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.9, 1.1])
+def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale):
+    monkeypatch.setattr(shooting, "_last_scan", (None, None))
+    m, mix = 0.7358847923680774, PotentialMix(0.7062867500442369, 0.3)
+    cold = repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale))
+    key, i = shooting._last_scan
+    hints = [i + off for off in range(-3, 4)] + [0, 97]
+    for start in hints:
+        shooting._last_scan = (key, start)
+        assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold, start
+    # another problem's key and index, left by the call before
+    estimate_quasibound_energy(1.2, VECTOR, -1, QB_GRID, scale)
+    assert shooting._last_scan[0] != key
+    assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold
+
+
+def test_threads_estimating_different_problems_match_serial(monkeypatch):
+    problems = [(1.0, PotentialMix(0.2, 0.0), -1), (0.8, PotentialMix(0.6, 0.25), 1),
+                (1.2, PotentialMix(0.4, 0.45), -2), (0.6, PotentialMix(0.9, 0.1), 2)]
+    scales = (1.0, 0.9, 1.1)
+    monkeypatch.setattr(shooting, "_last_scan", (None, None))
+    serial, indices = {}, {}
+    for p in problems:
+        serial[p] = []
+        for c in scales:
+            serial[p].append(estimate_quasibound_energy(*p, QB_GRID, midpoint_scale=c))
+            key, i = shooting._last_scan
+            indices.setdefault(key, set()).add(i)
+    got, errors = {}, []
+
+    def worker(p):
+        try:
+            got[p] = [estimate_quasibound_energy(*p, QB_GRID, midpoint_scale=c)
+                      for _ in range(3) for c in scales]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(p,)) for p in problems]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(got) == len(problems)
+    # threads interleave shots, so a shot's grid may or may not be cached
+    # (see _kernels) and Brent's last iterate may move within its tolerance
+    for p in problems:
+        assert got[p] == pytest.approx(3 * serial[p], rel=0, abs=1e-10)
+    # the hint left behind pairs one problem's key with that problem's index
+    key, i = shooting._last_scan
+    assert i in indices[key]
 
 
 def test_quasibound_without_fixed_radius_sign_change_raises(monkeypatch):
@@ -471,3 +540,29 @@ def test_quasibound_rejects_bound_mix():
 def test_scan_error_when_no_transition():
     with pytest.raises(ScanError):
         suggest_bracket(M, EQUAL, -1, GRID, nodes=40)
+
+
+def test_node_scan_past_its_window_stops_at_r_max(monkeypatch):
+    shot = []
+    real = shooting.integrate_radial
+
+    def recording(m, mix, k, E, grid):
+        shot.append(E)
+        return real(m, mix, k, E, grid)
+
+    monkeypatch.setattr(shooting, "integrate_radial", recording)
+    # levels 28 and 40 lie above the window top 1 + 10*sqrt(0.2) = 5.47; on
+    # GRID only energies up to r1 = 25, E = 6, may be shot
+    lo, hi = suggest_bracket(M, EQUAL, -1, GRID, nodes=27)
+    assert 1.0 + 10.0 * math.sqrt(LAM) < lo < equal_mix_energy(M, LAM, 28) < hi
+    shot.clear()
+    with pytest.raises(ScanError, match=r"needs r_max >= 25\.155"):
+        suggest_bracket(M, EQUAL, -1, GRID, nodes=39)
+    assert max(shot) <= M + LAM * GRID.r_max
+    # r1 at the window top is 22.4: a 20-long grid goes no further, and
+    # the message is the window's
+    shot.clear()
+    short = RadialGrid(20e-6, 20.0, 4000)
+    with pytest.raises(ScanError, match=r"in \(m, m \+ 10\*sqrt\(lambda\)\)"):
+        suggest_bracket(M, EQUAL, -1, short, nodes=39)
+    assert max(shot) == 1.0 + 10.0 * math.sqrt(LAM)
