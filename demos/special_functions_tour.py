@@ -1,10 +1,12 @@
 #! /usr/bin/env python3
 """The special functions the solver is built on, and how far to trust them.
 
-Ai and Ai' are evaluated inside the package from Maclaurin series and
-asymptotic expansions; scipy.special.airy serves below as an independent
-yardstick.  The Bessel functions J0/I0/K0 and the Ai zeros come from
-scipy.special, behind wrappers that check the domain.
+Ai and Ai' are evaluated inside the package: on |x| <= 7 from float64
+Taylor polynomials about stored nodes 1/8 apart, whose tables are built
+once at import from extended-precision Maclaurin series and the Airy
+equation, and beyond from asymptotic expansions; scipy.special.airy serves
+below as an independent yardstick.  The Bessel functions J0/I0/K0 and the
+Ai zeros come from scipy.special, behind wrappers that check the domain.
 """
 
 import numpy as np
@@ -60,15 +62,15 @@ except ValueError as exc:
     print(f"K0(0) correctly rejected: {exc}")
 
 # =============================================================================
-# Ai switches from its series to an asymptotic expansion at |x| = AIRY_SWITCH;
-# the two branches agree there to well below 1e-9.
+# Ai switches from its node tables to an asymptotic expansion at
+# |x| = AIRY_SWITCH; the two branches agree there to well below 1e-9.
 
 from diraclinear import specfun
 
 for x_sw, asym in ((specfun.AIRY_SWITCH, specfun._airy_asym_pos),
                    (-specfun.AIRY_SWITCH, specfun._airy_asym_neg)):
     at = np.array([x_sw])
-    gap = abs(specfun._airy_series(at)[0] - asym(at)[0])
+    gap = abs(specfun._airy_taylor(at, False)[0] - asym(at)[0])
     print(f"Ai branch agreement at x = {x_sw:+}: {gap:.1e}")
     assert gap < 1e-9
 

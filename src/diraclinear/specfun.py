@@ -7,13 +7,16 @@ at the continuum edge and the classical turning point.
 The Bessel functions are validating wrappers over scipy.special, and the
 Ai zeros are scipy.special.ai_zeros polished by one Newton step on the
 in-house Ai/Ai'.  Ai and Ai' are evaluated here.  For |x| <= AIRY_SWITCH
-they are 32-term Maclaurin series summed by Horner's rule in extended
-precision (80-bit longdouble), which the cancellation near x = -7 needs.
-Beyond it they are the standard large-argument asymptotic expansions,
-summed by Horner's rule in float64 in powers of 1/zeta <= 0.08.  They stay
-in-house because scipy.special.airy rounds unevenly enough to fail the
-contract |Ai'' - x Ai| <= 1e-7 with Ai'' from central differences at
-h = 1e-4.
+they are 13-term Taylor polynomials about the nearest of 113 nodes spaced
+1/8 apart on [-7, 7], summed by Horner's rule in float64 (|t| <= 1/16).
+The node tables are built once at import: Ai and Ai' at each node from
+32-term Maclaurin series in extended precision (80-bit longdouble), which
+the cancellation near x = -7 needs, and the higher coefficients from the
+Airy equation y'' = x y by recurrence.  Beyond the nodes Ai and Ai' are
+the standard large-argument asymptotic expansions, summed by Horner's rule
+in float64 in powers of 1/zeta <= 0.08.  They stay in-house because
+scipy.special.airy rounds unevenly enough to fail the contract
+|Ai'' - x Ai| <= 1e-7 with Ai'' from central differences at h = 1e-4.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -34,7 +37,7 @@ _AIP0 = _LD("-0.258819403792806798405183560189203963479")
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Switchover between the Airy series and asymptotic branches.  The textbook
+# Switchover between the Taylor nodes and the asymptotic branches.  The textbook
 # asymptotic expansion has an optimal-truncation floor ~ exp(-2*zeta); this
 # seam keeps that floor below the accuracy contract on both sides.
 AIRY_SWITCH = 7.0
@@ -45,26 +48,80 @@ AIRY_SWITCH = 7.0
 # Raising AIRY_SWITCH needs more terms.
 _N_SERIES = 32
 
+# Taylor nodes x_j = -AIRY_SWITCH + j * _NODE_STEP cover |x| <= AIRY_SWITCH,
+# so every point there lies within 1/16 of one.  With 13 terms the dropped
+# part of both Ai and Ai' is below 1e-19 of max(|Ai|, |Ai'|) at |t| = 1/16.
+_NODE_STEP = 0.125
+_N_TAYLOR = 13
 
-def _series_tables():
+
+def _series_tables(terms=_N_SERIES):
     """Maclaurin coefficient tables in longdouble, indexed by powers of x^3.
 
     Ai(x)  = Ai(0)*f(x) + Ai'(0)*g(x)
     f(x)   = sum F[k] x^(3k)         g(x) = x * sum G[k] x^(3k)
     f'(x)  = x^2 * sum FP[k] x^(3k)  g'(x) = sum GP[k] x^(3k)
     """
-    F = np.empty(_N_SERIES, dtype=_LD)
-    G = np.empty(_N_SERIES, dtype=_LD)
+    F = np.empty(terms, dtype=_LD)
+    G = np.empty(terms, dtype=_LD)
     F[0] = G[0] = _LD(1)
-    for k in range(1, _N_SERIES):
+    for k in range(1, terms):
         F[k] = F[k - 1] / _LD(3 * k * (3 * k - 1))
         G[k] = G[k - 1] / _LD(3 * k * (3 * k + 1))
-    FP = F[1:] * _LD(3) * np.arange(1, _N_SERIES, dtype=_LD)
-    GP = G * (_LD(3) * np.arange(_N_SERIES, dtype=_LD) + _LD(1))
+    FP = F[1:] * _LD(3) * np.arange(1, terms, dtype=_LD)
+    GP = G * (_LD(3) * np.arange(terms, dtype=_LD) + _LD(1))
     return F, G, FP, GP
 
 
 _AI_F, _AI_G, _AI_FP, _AI_GP = _series_tables()
+
+
+def _powsum(y, coef):
+    """sum_k coef[k] * y**k by Horner's rule, in the dtype of y and coef.
+
+    One multiply and one add per coefficient, with no table of powers.  It
+    sums the longdouble Maclaurin series at the Taylor nodes and the float64
+    asymptotic expansions.
+    """
+    acc = np.full_like(y, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= y
+        acc += c
+    return acc
+
+
+def _airy_maclaurin(x, derivative=False):
+    """Ai(x), or Ai'(x), from the Maclaurin tables, in longdouble."""
+    xl = np.asarray(x).astype(_LD)
+    y = xl * xl * xl
+    if derivative:
+        return _AI0 * xl * xl * _powsum(y, _AI_FP) + _AIP0 * _powsum(y, _AI_GP)
+    return _AI0 * _powsum(y, _AI_F) + _AIP0 * xl * _powsum(y, _AI_G)
+
+
+_NODES = -AIRY_SWITCH + _NODE_STEP * np.arange(round(2 * AIRY_SWITCH / _NODE_STEP) + 1)
+
+
+def _taylor_tables(terms=_N_TAYLOR):
+    """Taylor coefficients of Ai and Ai' about the nodes, rounded to float64.
+
+    Row n, column j holds the coefficient of t^n, t = x - x_j.  c_0 = Ai(x_j)
+    and c_1 = Ai'(x_j) come from the Maclaurin series, and Ai'' = x Ai gives
+    (n+1)(n+2) c_{n+2} = x_j c_n + c_{n-1}, run in longdouble.  The Ai'
+    table holds (n+1) c_{n+1}.
+    """
+    xl = _NODES.astype(_LD)
+    c = np.zeros((terms + 1, xl.size), dtype=_LD)
+    c[0] = _airy_maclaurin(xl)
+    c[1] = _airy_maclaurin(xl, derivative=True)
+    c[2] = xl * c[0] / _LD(2)
+    for n in range(1, terms - 1):
+        c[n + 2] = (xl * c[n] + c[n - 1]) / _LD((n + 1) * (n + 2))
+    dc = c[1:] * np.arange(1, terms + 1, dtype=_LD)[:, None]
+    return c[:terms].astype(float), dc.astype(float)
+
+
+_AI_TAYLOR, _AIP_TAYLOR = _taylor_tables()
 
 # Airy asymptotic coefficients c_k (and d_k for Ai') in inverse powers of
 # zeta = (2/3)|x|^(3/2).
@@ -84,21 +141,6 @@ def _as_array(x, name):
     return arr, arr.ndim == 0
 
 
-def _powsum(y, coef):
-    """sum_k coef[k] * y**k by Horner's rule, in the dtype of y and coef.
-
-    One multiply and one add per coefficient, with no table of powers.  On
-    the longdouble Maclaurin series it agrees with a pairwise sum of the
-    terms within 2e-14 on [-10, 10], and its error against 40-digit
-    references is the same.
-    """
-    acc = np.full_like(y, coef[-1])
-    for c in coef[-2::-1]:
-        acc *= y
-        acc += c
-    return acc
-
-
 def _inv_powsum(z, coef):
     """sum_k coef[k] * z**-k in float64 (asymptotic tail sums).
 
@@ -112,20 +154,16 @@ def _inv_powsum(z, coef):
 # ---------------------------------------------------------------------------
 # Airy Ai
 
-def _airy_series(x):
-    xl = x.astype(_LD)
-    y = xl * xl * xl
-    f = _powsum(y, _AI_F)
-    g = xl * _powsum(y, _AI_G)
-    return (_AI0 * f + _AIP0 * g).astype(float)
-
-
-def _airy_prime_series(x):
-    xl = x.astype(_LD)
-    y = xl * xl * xl
-    fp = xl * xl * _powsum(y, _AI_FP)
-    gp = _powsum(y, _AI_GP)
-    return (_AI0 * fp + _AIP0 * gp).astype(float)
+def _airy_taylor(x, derivative):
+    """Horner's rule on the nearest node's row, |x| <= AIRY_SWITCH."""
+    j = np.rint((x + AIRY_SWITCH) * (1.0 / _NODE_STEP)).astype(np.intp)
+    t = x - _NODES.take(j)
+    table = _AIP_TAYLOR if derivative else _AI_TAYLOR
+    acc = table[-1].take(j)
+    for row in table[-2::-1]:
+        acc *= t
+        acc += row.take(j)
+    return acc
 
 
 def _airy_asym_pos(x, derivative=False):
@@ -164,10 +202,7 @@ def _airy_eval(x, derivative):
     ser = np.abs(flat) <= AIRY_SWITCH
     pos = (~ser) & (flat > 0)
     neg = (~ser) & (flat < 0)
-    if derivative:
-        out[ser] = _airy_prime_series(flat[ser])
-    else:
-        out[ser] = _airy_series(flat[ser])
+    out[ser] = _airy_taylor(flat[ser], derivative)
     if pos.any():
         out[pos] = _airy_asym_pos(flat[pos], derivative)
     if neg.any():

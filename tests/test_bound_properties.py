@@ -1,6 +1,7 @@
 """Bound eigenstate properties over seeded draws of the whole s >= 1/2
-domain: the requested node count, unit norm, and a tail that decays past
-the turning point r1 without changing sign."""
+domain: the requested node count, unit norm, a tail that decays past
+the turning point r1 without changing sign, and the scaling law
+E(c*m, c^2*lambda) = c*E(m, lambda) on the shooting path."""
 
 import math
 
@@ -30,3 +31,22 @@ def test_bound_eigenstate_has_its_nodes_and_a_clean_tail(m, lam, s, k, nodes, re
     tail = np.sign(sol.u[sol.r > r1 + 1.0 / math.sqrt(lam)])
     tail = tail[tail != 0]
     assert np.count_nonzero(tail[1:] * tail[:-1] < 0) == 0
+
+
+@PROPERTY
+@given(m=SCALES, lam=SCALES, c=SCALES, s=st.floats(0.5, 1.0),
+       k=st.sampled_from((-1, 1, -2)), nodes=st.sampled_from((0, 1)),
+       reach=st.floats(4.0, 30.0), n=st.sampled_from((1000, 4000)))
+def test_bound_energy_obeys_the_scaling_law(m, lam, c, s, k, nodes, reach, n):
+    # r -> r/c maps the radial equation at (m, lambda) onto the one at
+    # (c*m, c^2*lambda) with every energy times c, step for step on a grid
+    # scaled by 1/c; each solve stops within 1e-8 of its transition
+    def solve(m, lam, grid):
+        mix = PotentialMix(lam, s)
+        return find_bound_state(m, mix, k, suggest_bracket(m, mix, k, grid, nodes=nodes),
+                                grid, nodes=nodes).E
+
+    rmax = reach / math.sqrt(lam)
+    base = solve(m, lam, RadialGrid(1e-6 * rmax, rmax, n))
+    scaled = solve(c * m, c * c * lam, RadialGrid(1e-6 * rmax / c, rmax / c, n))
+    assert abs(scaled - c * base) <= (1.0 + c) * 1e-8

@@ -23,7 +23,7 @@ def test_airy_near_first_zero():
 
 def test_airy_at_five_cross_checked():
     # asymptotic and series branches agree here, pinning the value
-    series = sf._airy_series(np.array([5.0]))[0]
+    series = sf._airy_maclaurin(np.array([5.0]))[0]
     asym = sf._airy_asym_pos(np.array([5.0]))[0]
     assert abs(series - asym) < 1e-9
     assert abs(sf.airy_ai(5.0) - 1.0834e-4) < 1e-8
@@ -47,6 +47,41 @@ def test_airy_ode_residual():
     h = 1e-4
     second = (sf.airy_ai(x + h) - 2.0 * sf.airy_ai(x) + sf.airy_ai(x - h)) / h**2
     assert np.max(np.abs(second - x * sf.airy_ai(x))) <= 1e-7
+
+
+def test_airy_ode_residual_across_node_seams():
+    # the grid above never straddles a seam between two Taylor nodes (odd
+    # multiples of _NODE_STEP / 2); here every stencil on [-5, 5] does
+    h = 1e-4
+    seams = np.arange(-5.0 + sf._NODE_STEP / 2, 5.0, sf._NODE_STEP)
+    x = (seams[:, None] + h * np.array([-0.75, -0.25, 0.0, 0.25, 0.75])).ravel()
+    second = (sf.airy_ai(x + h) - 2.0 * sf.airy_ai(x) + sf.airy_ai(x - h)) / h**2
+    assert np.max(np.abs(second - x * sf.airy_ai(x))) <= 1e-7
+
+
+def test_airy_against_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.linspace(-7.0, 7.0, 3001)
+    with mpmath.workdps(40):
+        ai = np.array([float(mpmath.airyai(v)) for v in x])
+        aip = np.array([float(mpmath.airyai(v, derivative=1)) for v in x])
+    assert np.max(np.abs(sf.airy_ai(x) - ai)) <= 3e-15
+    assert np.max(np.abs(sf.airy_ai_prime(x) - aip)) <= 1e-14
+
+
+def test_taylor_truncation_covers_node_spacing():
+    # at |t| = _NODE_STEP / 2 the Taylor terms the tables drop (the
+    # recurrence run 6 terms further) must sum to below 1e-18 of
+    # max(|Ai|, |Ai'|) at every node
+    kept = sf._N_TAYLOR
+    t = sf._NODE_STEP / 2
+    scale = np.maximum(np.abs(sf._AI_TAYLOR[0]), np.abs(sf._AIP_TAYLOR[0]))
+    powers = t ** np.arange(kept, kept + 6)
+    for name, table, full in zip(("Ai", "Ai'"), (sf._AI_TAYLOR, sf._AIP_TAYLOR),
+                                 sf._taylor_tables(kept + 6)):
+        assert np.array_equal(full[:kept], table), name
+        dropped = np.sum(np.abs(full[kept:]) * powers[:, None], axis=0)
+        assert np.all(dropped < 1e-18 * scale), name
 
 
 def _extended_series_tables(extra=64):
@@ -93,18 +128,25 @@ def _pairwise_inv_powsum(z, coef):
 
 
 def test_airy_matches_pairwise_reference(monkeypatch):
-    # Horner's rule on 32-term series and float64 asymptotic sums against
-    # the earlier 48-term power tables summed pairwise in longdouble
+    # Taylor nodes and float64 asymptotic sums against a reference computed
+    # at every point: the 48-term Maclaurin series summed pairwise in
+    # longdouble for |x| <= AIRY_SWITCH, the asymptotic expansions summed
+    # pairwise in longdouble beyond
     x = np.linspace(-12.0, 12.0, 20001)
     ai, aip = sf.airy_ai(x), sf.airy_ai_prime(x)
-    with monkeypatch.context() as patch:
-        patch.setattr(sf, "_N_SERIES", 48)
-        for name, table in zip(("_AI_F", "_AI_G", "_AI_FP", "_AI_GP"),
-                               sf._series_tables()):
-            patch.setattr(sf, name, table)
-        patch.setattr(sf, "_powsum", _pairwise_powsum)
-        patch.setattr(sf, "_inv_powsum", _pairwise_inv_powsum)
-        ai_ref, aip_ref = sf.airy_ai(x), sf.airy_ai_prime(x)
+    F, G, FP, GP = sf._series_tables(48)
+    inner, pos = np.abs(x) <= sf.AIRY_SWITCH, x > sf.AIRY_SWITCH
+    neg = ~(inner | pos)
+    xl = x[inner].astype(np.longdouble)
+    y = xl * xl * xl
+    ai_ref, aip_ref = np.empty_like(x), np.empty_like(x)
+    ai_ref[inner] = sf._AI0 * _pairwise_powsum(y, F) + sf._AIP0 * xl * _pairwise_powsum(y, G)
+    aip_ref[inner] = (sf._AI0 * xl * xl * _pairwise_powsum(y, FP)
+                      + sf._AIP0 * _pairwise_powsum(y, GP))
+    monkeypatch.setattr(sf, "_inv_powsum", _pairwise_inv_powsum)
+    for ref, derivative in ((ai_ref, False), (aip_ref, True)):
+        ref[pos] = sf._airy_asym_pos(x[pos], derivative)
+        ref[neg] = sf._airy_asym_neg(x[neg], derivative)
     assert np.max(np.abs(ai - ai_ref)) <= 2e-14
     assert np.max(np.abs(aip - aip_ref)) <= 4e-14
 
