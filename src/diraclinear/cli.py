@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -34,26 +35,43 @@ from .shooting import (
     integrate_radial,
     suggest_bracket,
 )
-from .tunneling import gamma_mixed, gamma_pure_vector, lifetime_ratio
+from .tunneling import gamma_mixed
 
 
 class UsageError(ValueError):
     """Bad flags or config entries; maps to exit code 2."""
 
 
+def _setting(default, key, cast, text, command=None, metavar=None):
+    """A `RunConfig` field with its config key, cast and help text, the
+    one command that takes it (None: all) and its flag metavar."""
+    if default is not None:
+        text += f" (default {default})"
+    return field(default=default, metadata=dict(
+        key=key, cast=cast, help=text, command=command, metavar=metavar))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective run parameters after merging defaults, config file, flags."""
+    """Effective run parameters after merging defaults, config file, flags.
+    Each field is one setting: config key `key`, flag `--key` (`_` as `-`)."""
 
-    m: float = 1.0
-    lam: float = 0.2
-    s: float = 0.5
-    k: int = -1
-    zero_index: int = 1
-    r_max: float = 25.0
-    n: int = 20000
-    out: str | None = None
-    energy: float | None = None
+    m: float = _setting(1.0, "m", float, "fermion mass in GeV")
+    lam: float = _setting(0.2, "lambda", float, "linear slope in GeV^2")
+    s: float = _setting(0.5, "s", float, "scalar fraction in [0, 1]")
+    k: int = _setting(-1, "k", int, "Dirac quantum number")
+    zero_index: int = _setting(1, "zero_index", int,
+                               "bound level for s >= 0.5, 1 = ground state; "
+                               "the Airy zero index at s = 0.5")
+    r_max: float = _setting(25.0, "rmax", float, "outer grid radius in GeV^-1")
+    n: int = _setting(20000, "n", int, "number of grid steps")
+    out: str | None = _setting(None, "out", str,
+                               "CSV output path; with --dump-config, the dump's path",
+                               metavar="PATH")
+    energy: float | None = _setting(None, "energy", float,
+                                    "evaluate the barrier at this energy instead "
+                                    "of the quasi-bound estimate",
+                                    command="lifetime")
 
     def validate(self) -> "RunConfig":
         Particle(self.m)
@@ -71,49 +89,41 @@ class RunConfig:
         return RadialGrid(r_min=1e-6 * self.r_max, r_max=self.r_max, n=self.n)
 
 
-_CONFIG_KEYS = {
-    "m": ("m", float),
-    "lambda": ("lam", float),
-    "s": ("s", float),
-    "k": ("k", int),
-    "zero_index": ("zero_index", int),
-    "rmax": ("r_max", float),
-    "n": ("n", int),
-    "out": ("out", str),
-    "energy": ("energy", float),
-}
+_SETTINGS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def read_config(path: str) -> dict:
     """Parse a key=value config file; '#' starts a comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config: {exc}") from exc
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            attr, cast = _CONFIG_KEYS[key]
-            try:
-                values[attr] = cast(val.strip())
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        setting = _SETTINGS.get(key)
+        if setting is None:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[setting.name] = setting.metadata["cast"](val.strip())
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
 def dump_config(cfg: RunConfig) -> str:
     lines = ["# dirac-linear run configuration"]
-    by_attr = {attr: key for key, (attr, _) in _CONFIG_KEYS.items()}
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if val is None:
-            continue
-        lines.append(f"{by_attr[f.name]}={val}")
+    for key, setting in _SETTINGS.items():
+        val = getattr(cfg, setting.name)
+        if val is not None:
+            lines.append(f"{key}={val}")
     return "\n".join(lines) + "\n"
 
 
@@ -127,16 +137,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write(path, chunks):
+    """Write the strings `chunks` to `path`; failing to is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path, comment_fields, header, lines):
     """Write the comment line, the header and the data `lines`, each of
     which already ends in a newline."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# " + " ".join(f"{k}={_fmt(v)}" for k, v in comment_fields) + "\n")
-            fh.write(",".join(header) + "\n")
-            fh.writelines(lines)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+    comment = "# " + " ".join(f"{k}={_fmt(v)}" for k, v in comment_fields) + "\n"
+    _write(path, chain([comment, ",".join(header) + "\n"], lines))
 
 
 def _report(pairs):
@@ -244,7 +258,7 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, steps: int) -> i
         raise UsageError("sweep requires --out <path> for the CSV")
     if steps < 2:
         raise UsageError("sweep needs at least 2 steps")
-    attr = {"s": "s", "lambda": "lam", "m": "m"}[param]
+    attr = _SETTINGS[param].name
     rows = []
     for value in np.linspace(lo, hi, steps):
         row_cfg = replace(cfg, **{attr: float(value)})
@@ -273,36 +287,27 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, steps: int) -> i
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
-    common.add_argument("--m", type=float, help="fermion mass in GeV (default 1.0)")
-    common.add_argument("--lambda", dest="lam", type=float,
-                        help="linear slope in GeV^2 (default 0.2)")
-    common.add_argument("--s", type=float, help="scalar fraction in [0, 1] (default 0.5)")
-    common.add_argument("--k", type=int, help="Dirac quantum number (default -1)")
-    common.add_argument("--zero-index", dest="zero_index", type=int,
-                        help="bound level for s >= 0.5, 1 = ground state; the "
-                             "Airy zero index at s = 0.5 (default 1)")
-    common.add_argument("--rmax", dest="r_max", type=float,
-                        help="outer grid radius in GeV^-1 (default 25)")
-    common.add_argument("--n", type=int, help="number of grid steps (default 20000)")
-    common.add_argument("--out", metavar="PATH", help="CSV output path")
-    common.add_argument("--dump-config", action="store_true",
-                        help="print the effective configuration and exit")
-
     parser = argparse.ArgumentParser(
         prog="dirac-linear",
         description="One-body radial Dirac equation with a linear confining "
                     "potential of arbitrary Lorentz vector/scalar mix "
                     "(natural units; energies in GeV).")
     sub = parser.add_subparsers(dest="command", required=True)
+    only = {"lifetime": argparse.ArgumentParser(add_help=False)}
+    for key, setting in _SETTINGS.items():
+        meta = setting.metadata
+        only.get(meta["command"], common).add_argument(
+            "--" + key.replace("_", "-"), dest=setting.name, type=meta["cast"],
+            help=meta["help"], metavar=meta["metavar"])
+    common.add_argument("--dump-config", action="store_true",
+                        help="print the effective configuration and exit")
+
     sub.add_parser("solve", parents=[common],
                    help="eigenvalue report (analytic and/or shooting)")
     sub.add_parser("profile", parents=[common],
                    help="write the radial wavefunction profile as CSV")
-    life = sub.add_parser("lifetime", parents=[common],
-                          help="Gamow barrier integral and lifetime ratio")
-    life.add_argument("--energy", type=float,
-                      help="evaluate the barrier at this energy instead of "
-                           "the quasi-bound estimate")
+    sub.add_parser("lifetime", parents=[common, only["lifetime"]],
+                   help="Gamow barrier integral and lifetime ratio")
     sweep = sub.add_parser("sweep", parents=[common],
                            help="sweep s, lambda, or m and tabulate")
     sweep.add_argument("--param", required=True, choices=["s", "lambda", "m"])
@@ -314,12 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_config(args) -> RunConfig:
-    values = {}
-    if args.config:
-        try:
-            values.update(read_config(args.config))
-        except OSError as exc:
-            raise UsageError(f"cannot read config: {exc}") from exc
+    values = read_config(args.config) if args.config else {}
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -336,10 +336,10 @@ def main(argv=None) -> int:
     try:
         cfg = make_config(args)
         if args.dump_config:
-            text = dump_config(cfg)
+            # --out names the dump, so the dump does not record it
+            text = dump_config(replace(cfg, out=None))
             if cfg.out:
-                with open(cfg.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                _write(cfg.out, [text])
             else:
                 sys.stdout.write(text)
             return 0
@@ -350,8 +350,7 @@ def main(argv=None) -> int:
         if args.command == "lifetime":
             return cmd_lifetime(cfg)
         if args.command == "sweep":
-            lo, hi = args.range
-            return cmd_sweep(cfg, args.param, lo, hi, args.steps)
+            return cmd_sweep(cfg, args.param, *args.range, args.steps)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Command-line interface: reports, CSV contracts, config round trips."""
 
 import math
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,16 @@ from diraclinear import (
     suggest_bracket,
     turning_points,
 )
-from diraclinear.cli import _CONFIG_KEYS, RunConfig, dump_config, main, read_config
+from diraclinear.cli import (
+    RunConfig,
+    build_parser,
+    dump_config,
+    main,
+    make_config,
+    read_config,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -63,15 +74,61 @@ def test_dump_config_round_trip(tmp_path, capsys):
                          "--dump-config", "--out", str(path))
     assert code == 0
     reparsed = RunConfig(**read_config(str(path)))
-    expected = RunConfig(m=1.3, lam=0.33, s=0.2, k=-2, n=1234, out=str(path))
+    # --out names the dump itself, so the dump does not record it
+    expected = RunConfig(m=1.3, lam=0.33, s=0.2, k=-2, n=1234)
     assert reparsed == expected
     # and dumping the reparsed config reproduces the same text
     assert dump_config(reparsed) == dump_config(expected)
 
 
-def test_config_keys_cover_run_config_fields():
-    attrs = sorted(attr for attr, _ in _CONFIG_KEYS.values())
-    assert attrs == sorted(f.name for f in fields(RunConfig))
+def test_dumped_config_survives_its_reuse(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    code, _, _ = run_cli(capsys, "solve", "--n", "1000", "--rmax", "20",
+                         "--dump-config", "--out", str(path))
+    assert code == 0
+    dumped = path.read_bytes()
+    code, out, _ = run_cli(capsys, "solve", "--config", str(path))
+    assert code == 0
+    assert "shooting_energy_gev" in parse_report(out)
+    assert path.read_bytes() == dumped
+
+
+# a value other than the default for every setting
+SETTING_VALUES = dict(m=1.3, lam=0.33, s=0.2, k=-2, zero_index=2, r_max=30.0,
+                      n=1234, out="x.csv", energy=1.7)
+
+
+@pytest.mark.parametrize("setting", fields(RunConfig), ids=lambda f: f.name)
+def test_setting_as_flag_equals_setting_as_config_key(setting, tmp_path):
+    value = SETTING_VALUES[setting.name]
+    assert value != setting.default
+    key = setting.metadata["key"]
+    command = setting.metadata["command"] or "solve"
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text(f"{key}={value}\n")
+    parser = build_parser()
+    by_flag = make_config(parser.parse_args(
+        [command, "--" + key.replace("_", "-"), str(value)]))
+    by_key = make_config(parser.parse_args([command, "--config", str(cfg_path)]))
+    assert by_flag == by_key == RunConfig(**{setting.name: value})
+    assert f"{key}={value}" in dump_config(by_key).splitlines()
+
+
+def _readme_commands():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("dirac-linear ")]
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("")
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv[1:], "--dump-config")
+        assert code == 0, (argv, err)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -82,6 +139,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     assert "s=1.0" in out          # flag wins
     assert "n=2000" in out         # file value survives
+
+
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"m=1.0\n# caf\xe9\n")
+    code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 2
+    assert "cannot read config" in err
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -346,8 +411,9 @@ def test_sweep_range_outside_domain_is_usage_error(tmp_path, capsys):
     assert "out of domain" in err
 
 
-def test_unwritable_output_is_reported(capsys):
-    code, _, err = run_cli(capsys, "profile", "--n", "2000",
-                           "--out", "/nonexistent-dir/x.csv")
+@pytest.mark.parametrize("argv", [["profile", "--n", "2000"], ["solve", "--dump-config"]],
+                         ids=["profile", "dump"])
+def test_unwritable_output_is_reported(argv, tmp_path, capsys):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing-dir" / "x"))
     assert code == 2
-    assert "cannot write" in err
+    assert err.startswith("error: cannot write")
