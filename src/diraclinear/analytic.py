@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ScanError
 from .model import RadialSolution, count_nodes
 from .specfun import airy_ai, airy_ai_prime, airy_ai_zero, bessel_i0, bessel_j0, bessel_k0
 
@@ -59,7 +59,8 @@ def equal_mix_energy(m: float, lam: float, zero_index: int = 1) -> float:
 
     Solves (E^2 - m^2) = |beta_i| [lambda*(m+E)]^(2/3) for the unique root
     E > m by bisection to 1e-12 relative; zero_index = 1 is the ground
-    state and higher indices give the radial excitations.
+    state and higher indices give the radial excitations.  Raises ScanError
+    when doubling the bracket's top 60 times does not pass the root.
     """
     if not (m > 0):
         raise ValueError("mass must be positive")
@@ -77,7 +78,8 @@ def equal_mix_energy(m: float, lam: float, zero_index: int = 1) -> float:
             break
         hi *= 2.0
     else:
-        raise RuntimeError("failed to bracket the eigenvalue")
+        raise ScanError(f"failed to bracket the equal-mix eigenvalue at m = {m}, "
+                        f"lambda = {lam}")
     while (hi - lo) > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if shifted(mid) < 0:

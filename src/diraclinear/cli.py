@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .analytic import equal_mix_energy
-from .errors import BracketError, ConsistencyError, ScanError
+from .errors import ScanError
 from .model import (
     BindingClass,
     Particle,
@@ -158,92 +158,86 @@ def _report(pairs):
         print(f"{name}: {_fmt(value)}")
 
 
-def _quasibound_with_spread(cfg: RunConfig):
+def _level(cfg: RunConfig, spread=False):
+    """(E, eigenstate or None, truncation spread or None) of `cfg`'s level,
+    the one place the CLI picks a solver: for s >= 1/2 the bound state with
+    zero_index - 1 nodes, else the quasi-bound estimate and, with `spread`,
+    the gap between the estimates at 0.9 and 1.1 of its Dirichlet point."""
     mix, grid = cfg.mix(), cfg.grid()
+    if classify_binding(mix) is BindingClass.STRICTLY_BOUND:
+        nodes = cfg.zero_index - 1
+        bracket = suggest_bracket(cfg.m, mix, cfg.k, grid, nodes=nodes)
+        sol = find_bound_state(cfg.m, mix, cfg.k, bracket, grid, nodes=nodes)
+        return sol.E, sol, None
     e = estimate_quasibound_energy(cfg.m, mix, cfg.k, grid)
+    if not spread:
+        return e, None, None
     lo = estimate_quasibound_energy(cfg.m, mix, cfg.k, grid, midpoint_scale=0.9)
     hi = estimate_quasibound_energy(cfg.m, mix, cfg.k, grid, midpoint_scale=1.1)
-    return e, abs(hi - lo)
+    return e, None, abs(hi - lo)
 
 
-def _solve_bound(cfg: RunConfig):
-    nodes = cfg.zero_index - 1
-    bracket = suggest_bracket(cfg.m, cfg.mix(), cfg.k, cfg.grid(), nodes=nodes)
-    return find_bound_state(cfg.m, cfg.mix(), cfg.k, bracket, cfg.grid(), nodes=nodes)
+def _comment_fields(cfg: RunConfig):
+    return [("m", cfg.m), ("lambda", cfg.lam), ("s", cfg.s), ("k", cfg.k)]
 
 
-def _profile_lines(cfg: RunConfig, sol):
+def _write_profile(cfg: RunConfig, e, sol):
+    """Write the r, u, v, V, S profile CSV of the level at `e` to cfg.out,
+    shooting it when `sol` is None."""
+    if sol is None:
+        sol = integrate_radial(cfg.m, cfg.mix(), cfg.k, e, cfg.grid())
     # all-float columns: repr of the Python floats is what _fmt writes,
     # without its per-cell type dispatch
     v_pot, s_pot = potentials(cfg.mix(), sol.r)
     cols = [c.tolist() for c in (sol.r, sol.u, sol.v, v_pot, s_pot)]
-    return (",".join(map(repr, row)) + "\n" for row in zip(*cols))
+    _write_csv(cfg.out, _comment_fields(cfg) + [("E", e)], ["r", "u", "v", "V", "S"],
+               (",".join(map(repr, row)) + "\n" for row in zip(*cols)))
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    binding = classify_binding(cfg.mix())
-    pairs = [("binding", binding)]
-    sol = None
-    if binding is BindingClass.STRICTLY_BOUND:
-        sol = _solve_bound(cfg)
-        e_used = sol.E
-        if cfg.s == 0.5:
-            e_analytic = equal_mix_energy(cfg.m, cfg.lam, cfg.zero_index)
-            pairs += [("analytic_energy_gev", e_analytic),
-                      ("shooting_energy_gev", sol.E),
-                      ("difference_gev", abs(sol.E - e_analytic))]
-        else:
-            pairs += [("shooting_energy_gev", sol.E)]
+def cmd_solve(cfg: RunConfig, args) -> int:
+    pairs = [("binding", classify_binding(cfg.mix()))]
+    e, sol, spread = _level(cfg, spread=True)
+    if sol is None:
+        pairs += [("quasibound_energy_gev", e), ("truncation_spread_gev", spread)]
+    elif cfg.s == 0.5:
+        e_analytic = equal_mix_energy(cfg.m, cfg.lam, cfg.zero_index)
+        pairs += [("analytic_energy_gev", e_analytic),
+                  ("shooting_energy_gev", e),
+                  ("difference_gev", abs(e - e_analytic))]
     else:
-        e_used, spread = _quasibound_with_spread(cfg)
-        pairs += [("quasibound_energy_gev", e_used),
-                  ("truncation_spread_gev", spread)]
-    tp = turning_points(cfg.m, e_used, cfg.mix())
+        pairs += [("shooting_energy_gev", e)]
+    tp = turning_points(cfg.m, e, cfg.mix())
     pairs += [("r1", tp.r1)]
     if tp.r2 is not None:
         pairs += [("r2", tp.r2), ("r3", tp.r3)]
     _report(pairs)
     if cfg.out:
-        if sol is None:
-            sol = integrate_radial(cfg.m, cfg.mix(), cfg.k, e_used, cfg.grid())
-        _write_csv(cfg.out, _comment_fields(cfg, sol.E),
-                   ["r", "u", "v", "V", "S"], _profile_lines(cfg, sol))
+        _write_profile(cfg, e, sol)
     return 0
 
 
-def _comment_fields(cfg: RunConfig, energy):
-    return [("m", cfg.m), ("lambda", cfg.lam), ("s", cfg.s), ("k", cfg.k),
-            ("E", energy)]
-
-
-def cmd_profile(cfg: RunConfig) -> int:
+def cmd_profile(cfg: RunConfig, args) -> int:
     if not cfg.out:
         raise UsageError("profile requires --out <path> for the CSV")
-    if cfg.s >= 0.5:
-        sol = _solve_bound(cfg)
-    else:
-        e = estimate_quasibound_energy(cfg.m, cfg.mix(), cfg.k, cfg.grid())
-        sol = integrate_radial(cfg.m, cfg.mix(), cfg.k, e, cfg.grid())
-    _write_csv(cfg.out, _comment_fields(cfg, sol.E),
-               ["r", "u", "v", "V", "S"], _profile_lines(cfg, sol))
-    print(f"wrote {cfg.out} ({cfg.n + 1} rows), E = {sol.E!r} GeV")
+    e, sol, _ = _level(cfg)
+    _write_profile(cfg, e, sol)
+    print(f"wrote {cfg.out} ({cfg.n + 1} rows), E = {e!r} GeV")
     return 0
 
 
-def cmd_lifetime(cfg: RunConfig) -> int:
-    if cfg.s >= 0.5:
+def cmd_lifetime(cfg: RunConfig, args) -> int:
+    binding = classify_binding(cfg.mix())
+    if binding is BindingClass.STRICTLY_BOUND:
         raise ValueError("state is strictly bound (s >= 0.5); no tunneling")
     if cfg.energy is not None:
         if not (cfg.energy > cfg.m):
             raise UsageError("--energy must exceed the mass m")
         e, source, spread = cfg.energy, "user", None
     else:
-        e, spread = _quasibound_with_spread(cfg)
+        e, _, spread = _level(cfg, spread=True)
         source = "estimated"
     rep = gamma_mixed(cfg.m, cfg.mix(), e)
-    pairs = [("binding", classify_binding(cfg.mix())),
-             ("energy_gev", e),
-             ("energy_source", source)]
+    pairs = [("binding", binding), ("energy_gev", e), ("energy_source", source)]
     if spread is not None:
         pairs.append(("truncation_spread_gev", spread))
     pairs += [("gamma", rep.gamma),
@@ -253,11 +247,14 @@ def cmd_lifetime(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, steps: int) -> int:
+def cmd_sweep(cfg: RunConfig, args) -> int:
+    param, (lo, hi), steps = args.param, args.range, args.steps
     if not cfg.out:
         raise UsageError("sweep requires --out <path> for the CSV")
     if steps < 2:
         raise UsageError("sweep needs at least 2 steps")
+    if not np.isfinite([lo, hi]).all():
+        raise UsageError(f"sweep range ({lo}, {hi}) must be finite")
     attr = _SETTINGS[param].name
     rows = []
     for value in np.linspace(lo, hi, steps):
@@ -267,17 +264,15 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, steps: int) -> i
         except ValueError as exc:
             raise UsageError(f"sweep value {param}={value} out of domain: {exc}") from exc
         mix = row_cfg.mix()
-        binding = classify_binding(mix)
-        if binding is BindingClass.STRICTLY_BOUND:
-            e = _solve_bound(row_cfg).E
-            gamma = tau = r2 = r3 = None
-            r1 = turning_points(row_cfg.m, e, mix).r1
-        else:
-            e = estimate_quasibound_energy(row_cfg.m, mix, row_cfg.k, row_cfg.grid())
+        e, sol, _ = _level(row_cfg)
+        gamma = tau = None
+        if sol is None:
             rep = gamma_mixed(row_cfg.m, mix, e)
-            gamma, tau, r1, r2, r3 = rep.gamma, rep.tau_ratio, rep.r1, rep.r2, rep.r3
-        rows.append([param, float(value), e, gamma, tau, r1, r2, r3, binding])
-    _write_csv(cfg.out, _comment_fields(cfg, None)[:4] + [("param", param)],
+            gamma, tau = rep.gamma, rep.tau_ratio
+        tp = turning_points(row_cfg.m, e, mix)
+        rows.append([param, float(value), e, gamma, tau, tp.r1, tp.r2, tp.r3,
+                     classify_binding(mix)])
+    _write_csv(cfg.out, _comment_fields(cfg) + [("param", param)],
                ["param", "value", "E", "gamma", "tau_ratio", "r1", "r2", "r3", "binding"],
                (",".join(_fmt(c) for c in row) + "\n" for row in rows))
     print(f"wrote {cfg.out} ({steps} rows)")
@@ -303,13 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the effective configuration and exit")
 
     sub.add_parser("solve", parents=[common],
-                   help="eigenvalue report (analytic and/or shooting)")
+                   help="eigenvalue report (analytic and/or shooting)"
+                   ).set_defaults(run=cmd_solve)
     sub.add_parser("profile", parents=[common],
-                   help="write the radial wavefunction profile as CSV")
+                   help="write the radial wavefunction profile as CSV"
+                   ).set_defaults(run=cmd_profile)
     sub.add_parser("lifetime", parents=[common, only["lifetime"]],
-                   help="Gamow barrier integral and lifetime ratio")
+                   help="Gamow barrier integral and lifetime ratio"
+                   ).set_defaults(run=cmd_lifetime)
     sweep = sub.add_parser("sweep", parents=[common],
                            help="sweep s, lambda, or m and tabulate")
+    sweep.set_defaults(run=cmd_sweep)
     sweep.add_argument("--param", required=True, choices=["s", "lambda", "m"])
     sweep.add_argument("--range", nargs=2, type=float, required=True,
                        metavar=("LO", "HI"))
@@ -321,6 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 def make_config(args) -> RunConfig:
     values = read_config(args.config) if args.config else {}
     for f in fields(RunConfig):
+        only = f.metadata["command"]
+        if f.name in values and only not in (None, args.command):
+            raise UsageError(f"{args.config}: config key {f.metadata['key']!r} "
+                             f"is taken only by the {only} command")
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
@@ -343,19 +346,11 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(text)
             return 0
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "profile":
-            return cmd_profile(cfg)
-        if args.command == "lifetime":
-            return cmd_lifetime(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.param, *args.range, args.steps)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(cfg, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ScanError, BracketError, ConsistencyError) as exc:
+    except (ValueError, ScanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

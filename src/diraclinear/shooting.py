@@ -51,19 +51,24 @@ def _launch(m, mix, k, E, r_min):
     """Launch values (u0, v0) at r_min for a shot at energy E, from the
     series behavior at the regular singular point: the leading component
     goes like r^|k| and the other follows from the leading-order relation.
-    Raises ValueError on a non-finite E, and when r_min^|k| underflows so
-    that both values vanish and the shot would be identically zero."""
+    Raises ValueError on a non-finite E, when r_min^(|k| + 1) overflows,
+    and when r_min^|k| underflows so that both values vanish and the shot
+    would be identically zero."""
     if not np.isfinite(E):
         raise ValueError("E must be finite")
     kk = abs(k)
     p0 = E + m - (1.0 - 2.0 * mix.s) * mix.lam * r_min
     q0 = E - m - mix.lam * r_min
+    try:
+        higher = r_min ** (kk + 1)  # overflows first: r_min^|k| is smaller
+    except OverflowError:
+        raise ValueError(f"r_min^(|k| + 1) = {r_min}^{kk + 1} overflows") from None
     if k < 0:
         u0 = r_min ** kk
-        v0 = -q0 * r_min ** (kk + 1) / (2 * kk + 1)
+        v0 = -q0 * higher / (2 * kk + 1)
     else:
         v0 = r_min ** kk
-        u0 = p0 * r_min ** (kk + 1) / (2 * kk + 1)
+        u0 = p0 * higher / (2 * kk + 1)
     if u0 == 0.0 and v0 == 0.0:
         raise ValueError(
             f"r_min^|k| = {r_min}^{abs(k)} underflows to zero, so both "
@@ -161,9 +166,10 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     The bracket must contain the target eigenvalue; when it holds several,
     `nodes` (interior node count, ground state = 0) picks one, defaulting
     to the lowest eigenvalue above the left endpoint.  Bisection runs to
-    |dE| <= 1e-8.  The returned solution keeps the outward shot up to the
-    turning point r1 = (E - m)/lambda and past it an inward shot spliced on
-    in place of the spurious growing tail (see _splice_tail); it is
+    |dE| <= 1e-8, or until the ends are adjacent doubles.  The returned
+    solution keeps the outward shot up to the turning point
+    r1 = (E - m)/lambda and past it an inward shot spliced on in place of
+    the spurious growing tail (see _splice_tail); it is
     normalized to trapezoid(u^2 + v^2) = 1 and oriented with a positive
     main lobe.  When r1 lies beyond r_max the grid has no forbidden region,
     and the outward shot is returned as it is, normalized.  Raises
@@ -193,6 +199,8 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
 
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles: the bracket cannot shrink
+            break
         if integrate_radial(m, mix, k, mid, grid).node_count > nodes:
             hi = mid
         else:
@@ -269,9 +277,14 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
 
     Raises ScanError when there is no such transition; its message names
     the r_max that the next scan energy needs when the scan went past the
-    window."""
+    window.  Also raises ScanError when the scan step is too small to move
+    an energy near m, as for a huge m, and when more than 2^52 scan
+    energies lie past the window."""
     QuantumNumbers(k)
     width = 10.0 * math.sqrt(mix.lam)
+    if m + width / steps == m:
+        raise ScanError(f"the scan step {width / steps} is below the resolution "
+                        f"of energies near m = {m}")
 
     def energy(j):
         return m + width / (4.0 * steps) if j == 0 else m + width * j / steps
@@ -286,7 +299,13 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     i = _first_above(above, -1, top + 1)
     if i > top:
         # past the window: up to the last energy whose r1 lies on the grid
-        top = max(steps, int(grid.r_max * mix.lam * steps / width))
+        estimate = grid.r_max * mix.lam * steps / width
+        if not estimate < 2.0 ** 52:  # past 2^52 the index no longer steps the energy
+            raise ScanError(
+                f"no {nodes}-node eigenvalue transition in (m, m + 10*sqrt(lambda)) "
+                f"= ({m}, {m + width}), and r_max = {grid.r_max} puts more than "
+                f"2^52 scan energies past it")
+        top = max(steps, int(estimate))
         while r1(top + 1) <= grid.r_max:
             top += 1
         while top > steps and r1(top) > grid.r_max:

@@ -1,7 +1,10 @@
 """Command-line interface: reports, CSV contracts, config round trips."""
 
 import math
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,7 +30,8 @@ from diraclinear.cli import (
     read_config,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -417,3 +421,65 @@ def test_unwritable_output_is_reported(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing-dir" / "x"))
     assert code == 2
     assert err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # the bisection closes on two adjacent doubles 1.5e-5 apart
+    (["solve", "--lambda", "1e12", "--n", "500"], 0),
+    # every scan energy rounds to m
+    (["solve", "--m", "1e300"], 1),
+    (["sweep", "--param", "m", "--range", "1", "1e300", "--steps", "2",
+      "--out", "{tmp}/x.csv"], 1),
+    # past the scan window the energy indices exceed 2^52
+    (["solve", "--lambda", "1e300", "--n", "100"], 1),
+    # the equal-mix bracket's top overflows
+    (["solve", "--m", "1e-300", "--lambda", "1e12", "--n", "500"], 1),
+], ids=["adjacent-doubles", "huge-mass", "huge-mass-sweep", "huge-slope", "analytic-bracket"])
+def test_extreme_settings_end(argv, expected, tmp_path):
+    # each of these ran forever before it was fixed, so it runs in a
+    # process of its own under a timeout
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "diraclinear.cli",
+                           *[a.format(tmp=tmp_path) for a in argv]],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == expected, proc.stderr
+    if expected:
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
+
+
+# a warning would print on stderr ahead of the error line
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, expected", [
+    (["solve", "--rmax", "1e300", "--n", "100"], 1),  # r_min^2 overflows
+    (["sweep", "--param", "s", "--range", "0", "inf", "--steps", "2"], 2),
+], ids=["launch-overflow", "infinite-range"])
+def test_extreme_settings_report_one_error_line(argv, expected, tmp_path, capsys):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == expected
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "profile", "sweep"])
+def test_energy_config_key_outside_lifetime_is_usage_error(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s=0.25\nn=1000\nenergy=1.6\n")
+    extra = ["--param", "s", "--range", "0", "0.4"] if command == "sweep" else []
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra,
+                             "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and out == ""
+    assert "'energy'" in err and "lifetime" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "lifetime", "--config", str(cfg))
+    assert code == 0 and parse_report(out)["energy_source"] == "user"
+
+
+@pytest.mark.parametrize("s", ["0.75", "0.2"])
+def test_solve_and_profile_write_the_same_profile(s, tmp_path, capsys):
+    flags = ["--s", s, "--k", "1", "--n", "1500", "--rmax", "20"]
+    code, _, _ = run_cli(capsys, "solve", *flags, "--out", str(tmp_path / "solve.csv"))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "profile", *flags, "--out", str(tmp_path / "profile.csv"))
+    assert code == 0
+    assert (tmp_path / "solve.csv").read_bytes() == (tmp_path / "profile.csv").read_bytes()
