@@ -1,11 +1,11 @@
 #! /usr/bin/env python3
 """The special functions the solver is built on, and how far to trust them.
 
-Ai and Ai' are evaluated inside the package: on |x| <= 7 from float64
+Ai and Ai' are evaluated inside the package: on |x| <= 12 from float64
 Taylor polynomials about stored nodes 1/8 apart, whose tables are built
-once at import from extended-precision Maclaurin series and the Airy
-equation, and beyond from asymptotic expansions; scipy.special.airy serves
-below as an independent yardstick.  The Bessel functions J0/I0/K0 and the
+once at import from scipy.special.airy at the nodes and the Airy equation,
+and beyond from asymptotic expansions; scipy.special.airy serves below as
+an independent yardstick.  The Bessel functions J0/I0/K0 and the
 Ai zeros come from scipy.special, behind wrappers that check the domain.
 """
 

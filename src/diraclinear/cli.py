@@ -230,8 +230,8 @@ def cmd_lifetime(cfg: RunConfig, args) -> int:
     if binding is BindingClass.STRICTLY_BOUND:
         raise ValueError("state is strictly bound (s >= 0.5); no tunneling")
     if cfg.energy is not None:
-        if not (cfg.energy > cfg.m):
-            raise UsageError("--energy must exceed the mass m")
+        if not (cfg.m < cfg.energy < np.inf):
+            raise UsageError("--energy must be finite and exceed the mass m")
         e, source, spread = cfg.energy, "user", None
     else:
         e, _, spread = _level(cfg, spread=True)

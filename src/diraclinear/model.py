@@ -28,8 +28,8 @@ class Particle:
     m: float
 
     def __post_init__(self):
-        if not (self.m > 0):
-            raise ValueError(f"mass must be positive, got {self.m}")
+        if not (0 < self.m < np.inf):
+            raise ValueError(f"mass must be positive and finite, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class PotentialMix:
     s: float
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError(f"slope lam must be positive, got {self.lam}")
+        if not (0 < self.lam < np.inf):
+            raise ValueError(f"slope lam must be positive and finite, got {self.lam}")
         if not (0.0 <= self.s <= 1.0):
             raise ValueError(f"scalar fraction s must lie in [0, 1], got {self.s}")
 

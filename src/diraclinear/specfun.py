@@ -7,16 +7,16 @@ at the continuum edge and the classical turning point.
 The Bessel functions are validating wrappers over scipy.special, and the
 Ai zeros are scipy.special.ai_zeros polished by one Newton step on the
 in-house Ai/Ai'.  Ai and Ai' are evaluated here.  For |x| <= AIRY_SWITCH
-they are 13-term Taylor polynomials about the nearest of 113 nodes spaced
-1/8 apart on [-7, 7], summed by Horner's rule in float64 (|t| <= 1/16).
-The node tables are built once at import: Ai and Ai' at each node from
-32-term Maclaurin series in extended precision (80-bit longdouble), which
-the cancellation near x = -7 needs, and the higher coefficients from the
-Airy equation y'' = x y by recurrence.  Beyond the nodes Ai and Ai' are
-the standard large-argument asymptotic expansions, summed by Horner's rule
-in float64 in powers of 1/zeta <= 0.08.  They stay in-house because
-scipy.special.airy rounds unevenly enough to fail the contract
-|Ai'' - x Ai| <= 1e-7 with Ai'' from central differences at h = 1e-4.
+they are 13-term Taylor polynomials about the nearest of 193 nodes spaced
+1/8 apart on [-12, 12], summed by Horner's rule in float64 (|t| <= 1/16).
+The node tables are built once at import: Ai and Ai' at each node from one
+scipy.special.airy call, and the higher coefficients from the Airy equation
+y'' = x y by recurrence in float64; no extended precision is used.  Beyond
+the nodes, on (12, inf), Ai and Ai' are the standard large-argument
+asymptotic expansions, summed by Horner's rule in float64 in powers of
+1/zeta < 0.036.  Evaluation stays in-house because scipy.special.airy rounds
+unevenly enough to fail the contract |Ai'' - x Ai| <= 1e-7 with Ai'' from
+central differences at h = 1e-4.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -29,59 +29,26 @@ import math
 import numpy as np
 from scipy import special as sp
 
-_LD = np.longdouble
-
-# Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3)
-_AI0 = _LD("0.355028053887817239260063186004183176398")
-_AIP0 = _LD("-0.258819403792806798405183560189203963479")
-
 _SQRT_PI = math.sqrt(math.pi)
 
 # Switchover between the Taylor nodes and the asymptotic branches.  The textbook
-# asymptotic expansion has an optimal-truncation floor ~ exp(-2*zeta); this
-# seam keeps that floor below the accuracy contract on both sides.
-AIRY_SWITCH = 7.0
-
-# Maclaurin terms kept.  At |x| = AIRY_SWITCH the first dropped term of each
-# table is below 1e-21 of its largest term (31 terms suffice for F and GP,
-# 30 for G and FP); further terms would add only longdouble rounding.
-# Raising AIRY_SWITCH needs more terms.
-_N_SERIES = 32
+# asymptotic expansion has an optimal-truncation floor ~ exp(-2*zeta), far below
+# float64 rounding past this seam, where the rounded phase sets the error: 2e-15
+# (Ai) and 9e-15 (Ai') on [-16, -12], growing to 1.6e-14 and 1.1e-13 at -60.
+AIRY_SWITCH = 12.0
 
 # Taylor nodes x_j = -AIRY_SWITCH + j * _NODE_STEP cover |x| <= AIRY_SWITCH,
 # so every point there lies within 1/16 of one.  With 13 terms the dropped
-# part of both Ai and Ai' is below 1e-19 of max(|Ai|, |Ai'|) at |t| = 1/16.
+# part of both Ai and Ai' is below 1e-18 of max(|Ai|, |Ai'|) at |t| = 1/16.
 _NODE_STEP = 0.125
 _N_TAYLOR = 13
 
 
-def _series_tables(terms=_N_SERIES):
-    """Maclaurin coefficient tables in longdouble, indexed by powers of x^3.
-
-    Ai(x)  = Ai(0)*f(x) + Ai'(0)*g(x)
-    f(x)   = sum F[k] x^(3k)         g(x) = x * sum G[k] x^(3k)
-    f'(x)  = x^2 * sum FP[k] x^(3k)  g'(x) = sum GP[k] x^(3k)
-    """
-    F = np.empty(terms, dtype=_LD)
-    G = np.empty(terms, dtype=_LD)
-    F[0] = G[0] = _LD(1)
-    for k in range(1, terms):
-        F[k] = F[k - 1] / _LD(3 * k * (3 * k - 1))
-        G[k] = G[k - 1] / _LD(3 * k * (3 * k + 1))
-    FP = F[1:] * _LD(3) * np.arange(1, terms, dtype=_LD)
-    GP = G * (_LD(3) * np.arange(terms, dtype=_LD) + _LD(1))
-    return F, G, FP, GP
-
-
-_AI_F, _AI_G, _AI_FP, _AI_GP = _series_tables()
-
-
 def _powsum(y, coef):
-    """sum_k coef[k] * y**k by Horner's rule, in the dtype of y and coef.
+    """sum_k coef[k] * y**k by Horner's rule in float64.
 
     One multiply and one add per coefficient, with no table of powers.  It
-    sums the longdouble Maclaurin series at the Taylor nodes and the float64
-    asymptotic expansions.
+    sums the asymptotic expansions beyond AIRY_SWITCH.
     """
     acc = np.full_like(y, coef[-1])
     for c in coef[-2::-1]:
@@ -90,35 +57,23 @@ def _powsum(y, coef):
     return acc
 
 
-def _airy_maclaurin(x, derivative=False):
-    """Ai(x), or Ai'(x), from the Maclaurin tables, in longdouble."""
-    xl = np.asarray(x).astype(_LD)
-    y = xl * xl * xl
-    if derivative:
-        return _AI0 * xl * xl * _powsum(y, _AI_FP) + _AIP0 * _powsum(y, _AI_GP)
-    return _AI0 * _powsum(y, _AI_F) + _AIP0 * xl * _powsum(y, _AI_G)
-
-
 _NODES = -AIRY_SWITCH + _NODE_STEP * np.arange(round(2 * AIRY_SWITCH / _NODE_STEP) + 1)
 
 
 def _taylor_tables(terms=_N_TAYLOR):
-    """Taylor coefficients of Ai and Ai' about the nodes, rounded to float64.
+    """Taylor coefficients of Ai and Ai' about the nodes, in float64.
 
     Row n, column j holds the coefficient of t^n, t = x - x_j.  c_0 = Ai(x_j)
-    and c_1 = Ai'(x_j) come from the Maclaurin series, and Ai'' = x Ai gives
-    (n+1)(n+2) c_{n+2} = x_j c_n + c_{n-1}, run in longdouble.  The Ai'
-    table holds (n+1) c_{n+1}.
+    and c_1 = Ai'(x_j) come from scipy.special.airy, and Ai'' = x Ai gives
+    (n+1)(n+2) c_{n+2} = x_j c_n + c_{n-1}.  The Ai' table holds
+    (n+1) c_{n+1}.
     """
-    xl = _NODES.astype(_LD)
-    c = np.zeros((terms + 1, xl.size), dtype=_LD)
-    c[0] = _airy_maclaurin(xl)
-    c[1] = _airy_maclaurin(xl, derivative=True)
-    c[2] = xl * c[0] / _LD(2)
+    c = np.zeros((terms + 1, _NODES.size))
+    c[0], c[1] = sp.airy(_NODES)[:2]
+    c[2] = _NODES * c[0] / 2
     for n in range(1, terms - 1):
-        c[n + 2] = (xl * c[n] + c[n - 1]) / _LD((n + 1) * (n + 2))
-    dc = c[1:] * np.arange(1, terms + 1, dtype=_LD)[:, None]
-    return c[:terms].astype(float), dc.astype(float)
+        c[n + 2] = (_NODES * c[n] + c[n - 1]) / ((n + 1) * (n + 2))
+    return c[:terms], c[1:] * np.arange(1, terms + 1)[:, None]
 
 
 _AI_TAYLOR, _AIP_TAYLOR = _taylor_tables()
@@ -144,9 +99,8 @@ def _as_array(x, name):
 def _inv_powsum(z, coef):
     """sum_k coef[k] * z**-k in float64 (asymptotic tail sums).
 
-    Beyond AIRY_SWITCH, z is zeta or zeta^2 with zeta > 12.3, so 1/z < 0.082
-    and the terms fall off fast: float64 sums keep the 7.5e-13 relative
-    error that the truncated expansion has on (7, 40] in longdouble.
+    Beyond AIRY_SWITCH, z is zeta or zeta^2 with zeta > 27.7, so 1/z < 0.036
+    and the terms fall off fast.
     """
     return _powsum(1.0 / z, coef)
 
@@ -214,7 +168,7 @@ def _airy_eval(x, derivative):
 def airy_ai(x):
     """Airy function Ai(x), the solution of u'' = x u that decays as x -> +inf.
 
-    Accurate to a few 1e-13 absolute for |x| <= 10 (contract: 1e-10).
+    Accurate to a few 1e-15 absolute for |x| <= 12 (contract: 1e-10).
     Raises ValueError on non-finite input.
     """
     return _airy_eval(x, derivative=False)
@@ -229,7 +183,7 @@ def airy_ai_zero(index):
     """The index-th negative zero of Ai (1-based, strictly decreasing).
 
     scipy.special.ai_zeros, polished by one Newton step on the in-house
-    Ai/Ai': within 6e-15 absolute for the first 50 indices and 2e-14 for
+    Ai/Ai': within 8e-15 absolute for the first 50 indices and 2e-14 for
     the first 200 (scipy's value alone is off by 8.1e-12 at index 5).  The
     last 256 indices asked for are cached.
     """

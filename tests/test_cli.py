@@ -461,6 +461,18 @@ def test_extreme_settings_report_one_error_line(argv, expected, tmp_path, capsys
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--m", "inf", "--n", "100"],
+    ["solve", "--lambda", "inf", "--n", "100"],
+    ["lifetime", "--s", "0.2", "--energy", "inf"],
+], ids=["mass", "slope", "energy"])
+def test_infinite_setting_is_usage_error(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("command", ["solve", "profile", "sweep"])
 def test_energy_config_key_outside_lifetime_is_usage_error(command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -100,8 +100,12 @@ def test_classify_binding():
 def test_type_validation():
     with pytest.raises(ValueError):
         Particle(0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Particle(np.inf)
     with pytest.raises(ValueError):
         PotentialMix(-0.2, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        PotentialMix(np.inf, 0.5)
     with pytest.raises(ValueError):
         PotentialMix(0.2, 1.2)
     with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 """Special-function accuracy against closed forms and independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +26,10 @@ def test_airy_near_first_zero():
 
 
 def test_airy_at_five_cross_checked():
-    # asymptotic and series branches agree here, pinning the value
-    series = sf._airy_maclaurin(np.array([5.0]))[0]
+    # the node tables and the asymptotic branch agree here, pinning the value
+    taylor = sf._airy_taylor(np.array([5.0]), False)[0]
     asym = sf._airy_asym_pos(np.array([5.0]))[0]
-    assert abs(series - asym) < 1e-9
+    assert abs(taylor - asym) < 1e-9
     assert abs(sf.airy_ai(5.0) - 1.0834e-4) < 1e-8
 
 
@@ -59,6 +63,15 @@ def test_airy_ode_residual_across_node_seams():
     assert np.max(np.abs(second - x * sf.airy_ai(x))) <= 1e-7
 
 
+def test_airy_ode_residual_dense_across_branches():
+    # the same check at every 1e-4 on [-12, 12]: across every node seam
+    # and out to AIRY_SWITCH
+    h = 1e-4
+    x = np.linspace(-12.0, 12.0, 240001)
+    second = (sf.airy_ai(x + h) - 2.0 * sf.airy_ai(x) + sf.airy_ai(x - h)) / h**2
+    assert np.max(np.abs(second - x * sf.airy_ai(x))) <= 1e-6
+
+
 def test_airy_against_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
     x = np.linspace(-7.0, 7.0, 3001)
@@ -67,6 +80,36 @@ def test_airy_against_mpmath_oracle():
         aip = np.array([float(mpmath.airyai(v, derivative=1)) for v in x])
     assert np.max(np.abs(sf.airy_ai(x) - ai)) <= 3e-15
     assert np.max(np.abs(sf.airy_ai_prime(x) - aip)) <= 1e-14
+
+
+def test_airy_against_mpmath_oracle_beyond_seven():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([np.linspace(-12.0, -7.0, 501)[:-1],
+                        np.linspace(7.0, 12.0, 501)[1:]])
+    with mpmath.workdps(40):
+        ai = np.array([float(mpmath.airyai(v)) for v in x])
+        aip = np.array([float(mpmath.airyai(v, derivative=1)) for v in x])
+    got = sf.airy_ai(x)
+    assert np.max(np.abs(got - ai)) <= 1e-14
+    assert np.max(np.abs(sf.airy_ai_prime(x) - aip)) <= 3e-14
+    pos = x > 0
+    assert np.max(np.abs(got[pos] / ai[pos] - 1.0)) <= 2e-14
+
+
+def test_taylor_tables_need_no_extended_precision():
+    # the node tables come out bit-identical where numpy's longdouble is
+    # plain float64, as on MSVC Windows and macOS arm64
+    code = ("import sys, numpy\n"
+            "numpy.longdouble = numpy.float64\n"
+            "from diraclinear import specfun\n"
+            "sys.stdout.write((specfun._AI_TAYLOR.tobytes()"
+            " + specfun._AIP_TAYLOR.tobytes()).hex())\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    tables = np.frombuffer(bytes.fromhex(proc.stdout)).reshape(2, *sf._AI_TAYLOR.shape)
+    np.testing.assert_array_equal(tables, [sf._AI_TAYLOR, sf._AIP_TAYLOR])
 
 
 def test_taylor_truncation_covers_node_spacing():
@@ -82,31 +125,6 @@ def test_taylor_truncation_covers_node_spacing():
         assert np.array_equal(full[:kept], table), name
         dropped = np.sum(np.abs(full[kept:]) * powers[:, None], axis=0)
         assert np.all(dropped < 1e-18 * scale), name
-
-
-def _extended_series_tables(extra=64):
-    """_series_tables' recurrence run `extra` terms past the kept tables."""
-    ld = np.longdouble
-    f, g = list(sf._AI_F), list(sf._AI_G)
-    for k in range(len(f), len(f) + extra):
-        f.append(f[-1] / ld(3 * k * (3 * k - 1)))
-        g.append(g[-1] / ld(3 * k * (3 * k + 1)))
-    fp = [f[k] * ld(3) * ld(k) for k in range(1, len(f))]
-    gp = [g[k] * ld(3 * k + 1) for k in range(len(g))]
-    return {"F": (sf._AI_F, f), "G": (sf._AI_G, g),
-            "FP": (sf._AI_FP, fp), "GP": (sf._AI_GP, gp)}
-
-
-def test_series_truncation_covers_switch():
-    # at the seam |x| = AIRY_SWITCH, y = x^3, the Maclaurin terms the tables
-    # drop must sum to below 1e-20 of the largest term they keep
-    y = np.longdouble(sf.AIRY_SWITCH) ** 3
-    for name, (kept, full) in _extended_series_tables().items():
-        full = np.array(full, dtype=np.longdouble)
-        assert np.array_equal(full[: kept.size], kept), name
-        terms = np.abs(full) * y ** np.arange(full.size, dtype=np.longdouble)
-        dropped = np.sum(terms[kept.size:])
-        assert dropped < 1e-20 * np.max(terms[: kept.size]), name
 
 
 def _pairwise_powsum(y, coef):
@@ -127,22 +145,48 @@ def _pairwise_inv_powsum(z, coef):
                             coef.astype(np.longdouble)).astype(float)
 
 
+# Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3)
+_AI0 = np.longdouble("0.355028053887817239260063186004183176398")
+_AIP0 = np.longdouble("-0.258819403792806798405183560189203963479")
+
+
+def _maclaurin_tables(terms=48):
+    """Maclaurin coefficient tables in longdouble, indexed by powers of x^3.
+
+    Ai(x)  = Ai(0)*f(x) + Ai'(0)*g(x)
+    f(x)   = sum F[k] x^(3k)         g(x) = x * sum G[k] x^(3k)
+    f'(x)  = x^2 * sum FP[k] x^(3k)  g'(x) = sum GP[k] x^(3k)
+    """
+    ld = np.longdouble
+    F = np.empty(terms, dtype=ld)
+    G = np.empty(terms, dtype=ld)
+    F[0] = G[0] = ld(1)
+    for k in range(1, terms):
+        F[k] = F[k - 1] / ld(3 * k * (3 * k - 1))
+        G[k] = G[k - 1] / ld(3 * k * (3 * k + 1))
+    FP = F[1:] * ld(3) * np.arange(1, terms, dtype=ld)
+    GP = G * (ld(3) * np.arange(terms, dtype=ld) + ld(1))
+    return F, G, FP, GP
+
+
 def test_airy_matches_pairwise_reference(monkeypatch):
     # Taylor nodes and float64 asymptotic sums against a reference computed
     # at every point: the 48-term Maclaurin series summed pairwise in
-    # longdouble for |x| <= AIRY_SWITCH, the asymptotic expansions summed
-    # pairwise in longdouble beyond
-    x = np.linspace(-12.0, 12.0, 20001)
+    # longdouble for |x| <= 7, the asymptotic expansions summed pairwise in
+    # longdouble beyond AIRY_SWITCH; the Maclaurin series cancels too much
+    # past |x| = 7, so (7, AIRY_SWITCH] is left to the mpmath oracle
+    x = np.linspace(-16.0, 16.0, 32001)
+    x = x[(np.abs(x) <= 7.0) | (np.abs(x) > sf.AIRY_SWITCH)]
     ai, aip = sf.airy_ai(x), sf.airy_ai_prime(x)
-    F, G, FP, GP = sf._series_tables(48)
-    inner, pos = np.abs(x) <= sf.AIRY_SWITCH, x > sf.AIRY_SWITCH
+    F, G, FP, GP = _maclaurin_tables()
+    inner, pos = np.abs(x) <= 7.0, x > sf.AIRY_SWITCH
     neg = ~(inner | pos)
     xl = x[inner].astype(np.longdouble)
     y = xl * xl * xl
     ai_ref, aip_ref = np.empty_like(x), np.empty_like(x)
-    ai_ref[inner] = sf._AI0 * _pairwise_powsum(y, F) + sf._AIP0 * xl * _pairwise_powsum(y, G)
-    aip_ref[inner] = (sf._AI0 * xl * xl * _pairwise_powsum(y, FP)
-                      + sf._AIP0 * _pairwise_powsum(y, GP))
+    ai_ref[inner] = _AI0 * _pairwise_powsum(y, F) + _AIP0 * xl * _pairwise_powsum(y, G)
+    aip_ref[inner] = (_AI0 * xl * xl * _pairwise_powsum(y, FP)
+                      + _AIP0 * _pairwise_powsum(y, GP))
     monkeypatch.setattr(sf, "_inv_powsum", _pairwise_inv_powsum)
     for ref, derivative in ((ai_ref, False), (aip_ref, True)):
         ref[pos] = sf._airy_asym_pos(x[pos], derivative)
