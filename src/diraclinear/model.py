@@ -108,7 +108,13 @@ class RadialGrid:
         return (self.r_max - self.r_min) / self.n
 
     def radii(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.n + 1)
+        """r_min + h*i for i = 0..n with the last entry r_max: what
+        np.linspace(r_min, r_max, n + 1) computes, without its overhead."""
+        r = np.arange(self.n + 1, dtype=float)
+        r *= self.h
+        r += self.r_min
+        r[-1] = self.r_max
+        return r
 
 
 @dataclass
@@ -138,8 +144,11 @@ def count_nodes(u: np.ndarray, end: bool = False) -> int:
     interior = u[1:] if end else u[1:-1]
     s = np.sign(interior)
     keep = np.isfinite(interior)
-    keep &= s != 0
-    s = s[keep]
+    # the common case keeps every entry: every sign is +-1 (no entry is
+    # zero or NaN) and every entry is finite
+    if not (np.dot(s, s) == s.size and keep.all()):
+        keep &= s != 0
+        s = s[keep]
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 

@@ -461,6 +461,17 @@ def test_extreme_settings_report_one_error_line(argv, expected, tmp_path, capsys
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_huge_mass_coarse_grid_fails_in_the_scan(capsys):
+    # at h E ~ 2.5e11 the node counts once depended on the shot before, so
+    # the solve re-shot the scan's bracket and refuted it with a
+    # BracketError; the scan and the solve now count alike, and the run
+    # fails in the scan, with its own error
+    code, out, err = run_cli(capsys, "solve", "--m", "1e12", "--n", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "tail shape is identical" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--m", "inf", "--n", "100"],
     ["solve", "--lambda", "inf", "--n", "100"],

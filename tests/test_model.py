@@ -133,6 +133,17 @@ def test_radial_grid_points():
     assert grid.h == pytest.approx((10.0 - 1e-4) / 100)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(r_min=st.floats(1e-300, 1e3), width=st.floats(1e-12, 1e6),
+       n=st.integers(100, 30000))
+def test_radial_grid_points_are_linspace_bit_for_bit(r_min, width, n):
+    r_max = r_min + width
+    if not r_max > r_min:
+        return
+    r = RadialGrid(r_min=r_min, r_max=r_max, n=n).radii()
+    assert r.tobytes() == np.linspace(r_min, r_max, n + 1).tobytes()
+
+
 def test_count_nodes():
     assert count_nodes(np.array([0.0, 1.0, 2.0, 1.0, 0.5, 0.1])) == 0
     assert count_nodes(np.array([0.0, 1.0, -1.0, 1.0, 0.0])) == 2

@@ -131,8 +131,8 @@ def _reference_rk4(m, lam, s, k, E, r0, h, n, u0, v0):
 def test_rk4_path_matches_per_step_reference(args, diverges):
     ur, vr, stop_r, sign_r = _reference_rk4(*args)
     n = args[7]
-    # the first shot on a grid builds its step matrices directly; the third
-    # evaluates them from the grid's cached coefficients in E
+    # the first shot on a grid builds its step matrices directly; the second
+    # adds the rest of the grid's stack, and the third evaluates the stack
     for _ in range(3):
         u, v, stop, sign = rk4_path(*args)
         assert len(u) == len(v) == n + 1
