@@ -225,5 +225,12 @@ def rk4_path(m, lam, s, k, E, r0, h, n, u0, v0):
 
 def warm_up():
     """Run the kernel once on a trivial problem, so that a timed caller does
-    not pay for first-call set-up."""
+    not pay for its first-call set-up.
+
+    This warms the kernel only.  The library imports scipy.optimize,
+    scipy.integrate and scipy.special on first use, so the first brentq
+    (quasi-bound estimates), quad (barrier integrals) or scipy.special call
+    (Bessel functions, Airy zeros and node tables) still loads its
+    subpackage.
+    """
     rk4_path(1.0, 0.2, 0.5, -1, 1.5, 1e-4, 1e-3, 4, 1e-4, 0.0)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._kernels import rk4_path
 from .errors import BracketError, ConsistencyError, ScanError
@@ -370,6 +369,8 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     grid_hint; the outer radius is the Dirichlet point itself.
     """
     global _last_scan
+    from scipy.optimize import brentq
+
     if mix.s >= 0.5:
         raise ValueError("s >= 0.5 is strictly bound; use find_bound_state")
     QuantumNumbers(k)

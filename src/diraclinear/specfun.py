@@ -9,16 +9,18 @@ Ai zeros are scipy.special.ai_zeros polished by one Newton step on the
 in-house Ai/Ai'.  Ai and Ai' are evaluated here.  For |x| <= AIRY_SWITCH
 they are 13-term Taylor polynomials about the nearest of 193 nodes spaced
 1/8 apart on [-12, 12], summed by Horner's rule in float64 (|t| <= 1/16).
-The node tables are built once at import: Ai and Ai' at each node from one
-scipy.special.airy call, and the higher coefficients from the Airy equation
-y'' = x y by recurrence in float64; no extended precision is used.  Beyond
-the nodes, on (12, inf), Ai and Ai' are the standard large-argument
-asymptotic expansions, summed by Horner's rule in float64 in powers of
-1/zeta < 0.036.  Evaluation stays in-house because scipy.special.airy rounds
-unevenly enough to fail the contract |Ai'' - x Ai| <= 1e-7 with Ai'' from
-central differences at h = 1e-4.
+The node tables are built on first use, by one cached builder: Ai and Ai'
+at each node from one scipy.special.airy call, and the higher coefficients
+from the Airy equation y'' = x y by recurrence in float64; no extended
+precision is used.  Beyond the nodes, on (12, inf), Ai and Ai' are the
+standard large-argument asymptotic expansions, summed by Horner's rule in
+float64 in powers of 1/zeta < 0.036.  Evaluation stays in-house because
+scipy.special.airy rounds unevenly enough to fail the contract
+|Ai'' - x Ai| <= 1e-7 with Ai'' from central differences at h = 1e-4.
 
-All functions are pure and accept scalars or numpy arrays.
+All functions are pure and accept scalars or numpy arrays.  scipy.special
+is imported by the functions that call it, so importing this module does
+not load it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special as sp
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -60,23 +61,27 @@ def _powsum(y, coef):
 _NODES = -AIRY_SWITCH + _NODE_STEP * np.arange(round(2 * AIRY_SWITCH / _NODE_STEP) + 1)
 
 
+@functools.cache
 def _taylor_tables(terms=_N_TAYLOR):
     """Taylor coefficients of Ai and Ai' about the nodes, in float64.
 
     Row n, column j holds the coefficient of t^n, t = x - x_j.  c_0 = Ai(x_j)
     and c_1 = Ai'(x_j) come from scipy.special.airy, and Ai'' = x Ai gives
     (n+1)(n+2) c_{n+2} = x_j c_n + c_{n-1}.  The Ai' table holds
-    (n+1) c_{n+1}.
+    (n+1) c_{n+1}.  Built on the first call for each number of terms, and
+    read-only, since every caller shares them.
     """
+    from scipy import special
+
     c = np.zeros((terms + 1, _NODES.size))
-    c[0], c[1] = sp.airy(_NODES)[:2]
+    c[0], c[1] = special.airy(_NODES)[:2]
     c[2] = _NODES * c[0] / 2
     for n in range(1, terms - 1):
         c[n + 2] = (_NODES * c[n] + c[n - 1]) / ((n + 1) * (n + 2))
-    return c[:terms], c[1:] * np.arange(1, terms + 1)[:, None]
-
-
-_AI_TAYLOR, _AIP_TAYLOR = _taylor_tables()
+    tables = c[:terms], c[1:] * np.arange(1, terms + 1)[:, None]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 # Airy asymptotic coefficients c_k (and d_k for Ai') in inverse powers of
 # zeta = (2/3)|x|^(3/2).
@@ -112,7 +117,7 @@ def _airy_taylor(x, derivative):
     """Horner's rule on the nearest node's row, |x| <= AIRY_SWITCH."""
     j = np.rint((x + AIRY_SWITCH) * (1.0 / _NODE_STEP)).astype(np.intp)
     t = x - _NODES.take(j)
-    table = _AIP_TAYLOR if derivative else _AI_TAYLOR
+    table = _taylor_tables()[1 if derivative else 0]
     acc = table[-1].take(j)
     for row in table[-2::-1]:
         acc *= t
@@ -196,7 +201,9 @@ def airy_ai_zero(index):
 
 @functools.lru_cache(maxsize=256)
 def _ai_zero(index):
-    z = float(sp.ai_zeros(index)[0][-1])
+    from scipy import special
+
+    z = float(special.ai_zeros(index)[0][-1])
     return z - airy_ai(z) / airy_ai_prime(z)
 
 
@@ -211,14 +218,18 @@ def bessel_j0(x):
     Raises ValueError on non-finite input.
     """
     arr, scalar = _as_array(x, "bessel_j0")
-    out = sp.j0(np.abs(arr))
+    from scipy import special
+
+    out = special.j0(np.abs(arr))
     return float(out) if scalar else out
 
 
 def bessel_i0(x):
     """Modified Bessel function I0(x); even in x, >= 1 and increasing on x >= 0."""
     arr, scalar = _as_array(x, "bessel_i0")
-    out = sp.i0(np.abs(arr))
+    from scipy import special
+
+    out = special.i0(np.abs(arr))
     return float(out) if scalar else out
 
 
@@ -231,5 +242,7 @@ def bessel_k0(x):
     arr, scalar = _as_array(x, "bessel_k0")
     if np.any(arr <= 0.0):
         raise ValueError("bessel_k0 requires x > 0 (divergent at x = 0)")
-    out = sp.k0(arr)
+    from scipy import special
+
+    out = special.k0(arr)
     return float(out) if scalar else out

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .model import PotentialMix, turning_points
 
 _QUAD_KW = dict(epsabs=0.0, epsrel=1e-11, limit=200)
@@ -95,6 +93,8 @@ def gamma_barrier_quadrature(m: float, lam: float, E: float | None = None) -> fl
     # mirror image on the right) leaves a smooth integrand
     d = r2 - r1
 
+    from scipy.integrate import quad
+
     def half(t):
         return 2.0 * t * t * lam * math.sqrt(d - t * t)
 
@@ -125,6 +125,8 @@ def gamma_mixed(m: float, mix: PotentialMix, E: float) -> TunnelingReport:
         # integrand lam * sqrt((r - r2)(r - r1)) vanishes like a square
         # root at r2 only; absorb it with r = r2 + t^2
         d = tp.r2 - tp.r1
+
+        from scipy.integrate import quad
 
         def integrand(t):
             return 2.0 * t * t * lam * math.sqrt(t * t + d)

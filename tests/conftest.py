@@ -12,6 +12,10 @@ from diraclinear._kernels import warm_up  # noqa: E402
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # run the RK4 kernel once so timed tests measure the algorithms, not
+    # run the RK4 kernel once, and load the scipy subpackages the library
+    # imports on first use, so timed tests measure the algorithms, not
     # first-call set-up
     warm_up()
+    import scipy.integrate  # noqa: F401
+    import scipy.optimize  # noqa: F401
+    import scipy.special  # noqa: F401

@@ -106,14 +106,15 @@ def test_taylor_tables_need_no_extended_precision():
     code = ("import sys, numpy\n"
             "numpy.longdouble = numpy.float64\n"
             "from diraclinear import specfun\n"
-            "sys.stdout.write((specfun._AI_TAYLOR.tobytes()"
-            " + specfun._AIP_TAYLOR.tobytes()).hex())\n")
+            "ai, aip = specfun._taylor_tables()\n"
+            "sys.stdout.write((ai.tobytes() + aip.tobytes()).hex())\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    tables = np.frombuffer(bytes.fromhex(proc.stdout)).reshape(2, *sf._AI_TAYLOR.shape)
-    np.testing.assert_array_equal(tables, [sf._AI_TAYLOR, sf._AIP_TAYLOR])
+    ai, aip = sf._taylor_tables()
+    tables = np.frombuffer(bytes.fromhex(proc.stdout)).reshape(2, *ai.shape)
+    np.testing.assert_array_equal(tables, [ai, aip])
 
 
 def test_taylor_truncation_covers_node_spacing():
@@ -122,10 +123,10 @@ def test_taylor_truncation_covers_node_spacing():
     # max(|Ai|, |Ai'|) at every node
     kept = sf._N_TAYLOR
     t = sf._NODE_STEP / 2
-    scale = np.maximum(np.abs(sf._AI_TAYLOR[0]), np.abs(sf._AIP_TAYLOR[0]))
+    ai, aip = sf._taylor_tables()
+    scale = np.maximum(np.abs(ai[0]), np.abs(aip[0]))
     powers = t ** np.arange(kept, kept + 6)
-    for name, table, full in zip(("Ai", "Ai'"), (sf._AI_TAYLOR, sf._AIP_TAYLOR),
-                                 sf._taylor_tables(kept + 6)):
+    for name, table, full in zip(("Ai", "Ai'"), (ai, aip), sf._taylor_tables(kept + 6)):
         assert np.array_equal(full[:kept], table), name
         dropped = np.sum(np.abs(full[kept:]) * powers[:, None], axis=0)
         assert np.all(dropped < 1e-18 * scale), name
