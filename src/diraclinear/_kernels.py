@@ -197,8 +197,6 @@ def _path(ab, n, u0, v0):
     if x[1:].max() <= _OVERFLOW_CAP and x[1:].min() >= -_OVERFLOW_CAP:
         return u, v, n, 0.0
     bad = ~((np.abs(u[1:]) <= _OVERFLOW_CAP) & (np.abs(v[1:]) <= _OVERFLOW_CAP))
-    if not bad.any():
-        return u, v, n, 0.0
     i = int(np.argmax(bad))
     un, uu = u[i + 1], u[i]
     sign = 0.0

@@ -6,7 +6,8 @@ follows from the negative zeros of Ai: the eigencondition is
 
     (E^2 - m^2) = |beta_i| * [lambda*(m+E)]^(2/3)
 
-with beta_i the i-th zero.  This module also provides the pure-scalar
+with beta_i the i-th zero, a quartic in (E+m)^(1/3) that Newton's method
+solves to an ulp or so.  This module also provides the pure-scalar
 Gaussian asymptote and the local Bessel-function profiles of the
 pure-vector quasi-bound state near the continuum edge and the classical
 turning point.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ScanError
+from .errors import ConsistencyError
 from .model import RadialSolution, count_nodes
 from .specfun import airy_ai, airy_ai_prime, airy_ai_zero, bessel_i0, bessel_j0, bessel_k0
 
@@ -26,7 +27,7 @@ from .specfun import airy_ai, airy_ai_prime, airy_ai_zero, bessel_i0, bessel_j0,
 @dataclass(frozen=True)
 class EqualMixSolution:
     """Equal-mix eigenstate parameters: energy, the Airy argument scale
-    [lambda*(m+E)]^(1/3), q2 = m^2 - E^2 (< 0 for binding), and which
+    [lambda*(m+E)]^(1/3), q2 = (m - E)(m + E) (< 0 for binding), and which
     Airy zero quantized the state."""
 
     E: float
@@ -57,45 +58,37 @@ class LocalProfileCoefficients:
 def equal_mix_energy(m: float, lam: float, zero_index: int = 1) -> float:
     """Eigenenergy of the equal-mix (V = S = lambda*r/2) S-state.
 
-    Solves (E^2 - m^2) = |beta_i| [lambda*(m+E)]^(2/3) for the unique root
-    E > m by bisection to 1e-12 relative; zero_index = 1 is the ground
-    state and higher indices give the radial excitations.  Raises ScanError
-    when doubling the bracket's top 60 times does not pass the root.
+    In w = (E + m)^(1/3), with c = |beta_i| lambda^(2/3), the eigencondition
+    (E^2 - m^2) = |beta_i| [lambda*(m+E)]^(2/3) is f(w) = w^4 - 2mw - c = 0,
+    convex and increasing for w > 0.  Newton's method from
+    w0 = (2m)^(1/3) + c^(1/4), where f >= 0 as w0^3 >= 2m + c^(3/4), falls
+    monotonically onto the one positive root and stops when a step no
+    longer lowers w; E = m + c/w then needs no subtraction.  zero_index = 1
+    is the ground state.  Raises ValueError unless m and lambda are
+    positive and finite.
     """
-    if not (m > 0):
-        raise ValueError("mass must be positive")
-    if not (lam > 0):
-        raise ValueError("slope must be positive")
-    beta = abs(airy_ai_zero(zero_index))
-
-    def shifted(e):
-        return (e * e - m * m) - beta * (lam * (m + e)) ** (2.0 / 3.0)
-
-    lo = m
-    hi = m + 20.0 * lam ** 0.5 + 10.0 * lam / m
-    for _ in range(60):  # ceiling is generous; expand if a huge zero_index needs it
-        if shifted(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise ScanError(f"failed to bracket the equal-mix eigenvalue at m = {m}, "
-                        f"lambda = {lam}")
-    while (hi - lo) > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if shifted(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if not (0.0 < m < np.inf):
+        raise ValueError("mass must be positive and finite")
+    if not (0.0 < lam < np.inf):
+        raise ValueError("slope must be positive and finite")
+    c = abs(airy_ai_zero(zero_index)) * lam ** (2.0 / 3.0)
+    w = (2.0 * m) ** (1.0 / 3.0) + c ** 0.25
+    while True:
+        w3 = w * w * w  # f/f' divided through by w^3: w^4 is never formed
+        nxt = w - (w - (2.0 * m * w + c) / w3) / (4.0 - 2.0 * m / w3)
+        if not nxt < w:
+            return m + c / w
+        w = nxt
 
 
 def equal_mix_solution(m: float, lam: float, zero_index: int = 1) -> EqualMixSolution:
-    """equal_mix_energy packaged with the Airy argument scale and q^2."""
+    """equal_mix_energy packaged with the Airy argument scale and q^2,
+    as (m - E)(m + E), which unlike m^2 - E^2 keeps its digits."""
     e = equal_mix_energy(m, lam, zero_index)
     return EqualMixSolution(
         E=e,
         scale=(lam * (m + e)) ** (1.0 / 3.0),
-        q2=m * m - e * e,
+        q2=(m - e) * (m + e),
         zero_index=zero_index,
     )
 
@@ -103,9 +96,10 @@ def equal_mix_solution(m: float, lam: float, zero_index: int = 1) -> EqualMixSol
 def equal_mix_wavefunction(m: float, lam: float, E: float, grid) -> RadialSolution:
     """Closed-form equal-mix wavefunction u = c1*Ai(xi(r)) on a caller grid.
 
-    xi(r) = [lambda*(m+E)]^(1/3) * (r + (m^2-E^2)/(lambda*(m+E))), and the
-    lower component follows from v = (u' - u/r)/(E+m) with the analytic
-    Airy derivative; v(0) is set to its limit 0.  The result is normalized
+    xi(r) = [lambda*(m+E)]^(1/3) * (r - (E-m)/lambda), the shift
+    q^2/(lambda*(m+E)) with m + E cancelled, and the lower component
+    follows from v = (u' - u/r)/(E+m) with the analytic Airy derivative;
+    v(0) is set to its limit 0.  The result is normalized
     to trapezoid(u^2 + v^2) = 1 on the grid and raises ConsistencyError
     when E is not an eigenvalue (Ai at the origin's argument fails to
     vanish).
@@ -119,8 +113,7 @@ def equal_mix_wavefunction(m: float, lam: float, E: float, grid) -> RadialSoluti
         raise ValueError("equal-mix bound states require E > m")
 
     scale = (lam * (m + E)) ** (1.0 / 3.0)
-    q2 = m * m - E * E
-    shift = q2 / (lam * (m + E))
+    shift = (m - E) / lam
     xi = scale * (r + shift)
 
     u = airy_ai(xi)

@@ -109,9 +109,10 @@ def _splice_tail(sol: RadialSolution, m, mix, k):
     A least-squares fit of (u, v) at the splice point scales it onto the
     outward shot.
 
-    When r1 lies beyond r_max the grid has no forbidden region, and the
-    shot is returned as it is.  Raises ConsistencyError when the outward
-    shot overflows before the splice point or the inward one before
+    When r1 lies beyond r_max the grid has no forbidden region, and when
+    the splice point is the grid's last point nothing lies past it; either
+    way the shot is returned as it is.  Raises ConsistencyError when the
+    outward shot overflows before the splice point or the inward one before
     reaching it.
     """
     r, u, v, E = sol.r, sol.u.copy(), sol.v.copy(), sol.E
@@ -124,6 +125,8 @@ def _splice_tail(sol: RadialSolution, m, mix, k):
         raise ConsistencyError(
             f"the outward shot at E = {E} overflows before the turning point "
             f"r1 = {r1}, so there is no state to splice a tail onto")
+    if i1 == n:
+        return sol
 
     rr = r[i1:]
     p = E + m - (1.0 - 2.0 * mix.s) * mix.lam * rr
@@ -170,8 +173,12 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     r1 = (E - m)/lambda and past it an inward shot spliced on in place of
     the spurious growing tail (see _splice_tail); it is
     normalized to trapezoid(u^2 + v^2) = 1 and oriented with a positive
-    main lobe.  When r1 lies beyond r_max the grid has no forbidden region,
-    and the outward shot is returned as it is, normalized.  Raises
+    main lobe.  When r1 lies beyond r_max, or in the grid's last step, no
+    tail lies past the splice point, and the outward shot, at the box's
+    level, is returned as it is, normalized.  A state whose node count is
+    not `nodes` (a raw shot's node on a grid point, its sign picked by
+    rounding) gives way to the state at the bracket's lower end, 1e-8
+    below.  Raises
     ConsistencyError when the outward shot overflows before r1 or the
     inward one before reaching it.
     """
@@ -204,9 +211,10 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
             hi = mid
         else:
             lo = mid
-    e = 0.5 * (lo + hi)
-    sol = integrate_radial(m, mix, k, e, grid)
-    return _normalized(_splice_tail(sol, m, mix, k))
+    sol = _splice_tail(integrate_radial(m, mix, k, 0.5 * (lo + hi), grid), m, mix, k)
+    if sol.node_count != nodes:
+        sol = _splice_tail(integrate_radial(m, mix, k, lo, grid), m, mix, k)
+    return _normalized(sol)
 
 
 def _first_above(above, lo, hi, start=None):

@@ -58,6 +58,12 @@ def test_energy_weak_slope_limit():
     assert 0 < e - 1.0 < 1e-4
 
 
+@pytest.mark.parametrize("m, lam", [(math.inf, LAM), (M, math.inf), (math.nan, LAM), (M, math.nan)])
+def test_energy_rejects_non_finite_parameters(m, lam):
+    with pytest.raises(ValueError):
+        equal_mix_energy(m, lam, 1)
+
+
 def test_energies_increase_with_zero_index():
     es = [equal_mix_energy(M, LAM, i) for i in range(1, 7)]
     assert all(b > a for a, b in zip(es, es[1:]))

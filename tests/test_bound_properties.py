@@ -6,16 +6,14 @@ E(c*m, c^2*lambda) = c*E(m, lambda) on the shooting path."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from diraclinear import PotentialMix, RadialGrid, find_bound_state, suggest_bracket
 
-PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 SCALES = st.floats(0.5, 2.0)
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=st.sampled_from((-1, 1, -2)),
        nodes=st.sampled_from((0, 1)), reach=st.floats(4.0, 30.0),
        n=st.sampled_from((100, 300, 1000)))
@@ -33,7 +31,6 @@ def test_bound_eigenstate_has_its_nodes_and_a_clean_tail(m, lam, s, k, nodes, re
     assert np.count_nonzero(tail[1:] * tail[:-1] < 0) == 0
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, c=SCALES, s=st.floats(0.5, 1.0),
        k=st.sampled_from((-1, 1, -2)), nodes=st.sampled_from((0, 1)),
        reach=st.floats(4.0, 30.0), n=st.sampled_from((1000, 4000)))

@@ -432,8 +432,9 @@ def test_unwritable_output_is_reported(argv, tmp_path, capsys):
       "--out", "{tmp}/x.csv"], 1),
     # past the scan window the energy indices exceed 2^52
     (["solve", "--lambda", "1e300", "--n", "100"], 1),
-    # the equal-mix bracket's top overflows
-    (["solve", "--m", "1e-300", "--lambda", "1e12", "--n", "500"], 1),
+    # an extreme equal-mix point: the quartic solve has no bracket top to
+    # overflow, so the run reports both levels
+    (["solve", "--m", "1e-300", "--lambda", "1e12", "--n", "500"], 0),
 ], ids=["adjacent-doubles", "huge-mass", "huge-mass-sweep", "huge-slope", "analytic-bracket"])
 def test_extreme_settings_end(argv, expected, tmp_path):
     # each of these ran forever before it was fixed, so it runs in a
@@ -470,6 +471,15 @@ def test_huge_mass_coarse_grid_fails_in_the_scan(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "tail shape is identical" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "profile"])
+def test_turning_point_in_the_last_step_solves(command, tmp_path, capsys):
+    # r1 = 3.2994 lies in the grid's last step; the level is the box's
+    code, out, err = run_cli(capsys, command, "--rmax", "3.31", "--n", "100",
+                             "--out", str(tmp_path / "x.csv"))
+    assert code == 0 and err == ""
+    assert "zero-size" not in out
 
 
 @pytest.mark.parametrize("argv", [

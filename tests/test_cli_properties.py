@@ -55,7 +55,7 @@ def run(argv):
 
 # a warning would print on stderr next to the error line
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=50, derandomize=True, deadline=None)
+@settings(max_examples=50)
 @given(command=st.sampled_from(["solve", "profile", "lifetime", "sweep"]),
        values=SETTINGS, in_file=st.booleans(), out=st.booleans(), sweep=SWEEP)
 def test_fuzzed_settings_end_with_a_documented_exit_code(command, values, in_file, out,

@@ -22,17 +22,15 @@ the step.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from diraclinear import PotentialMix, RadialGrid, integrate_radial
 
-PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 SCALES = st.floats(0.5, 2.0)
 COARSE = 800
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=st.sampled_from((-1, 1, -2)),
        above=st.floats(1.0, 4.0))
 def test_normalized_shot_converges_at_fourth_order(m, lam, s, k, above):

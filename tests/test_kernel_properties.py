@@ -6,13 +6,12 @@ overflowing shots included, and on coarse steps far from the centre."""
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from test_shooting import _reference_rk4
 
 from diraclinear._kernels import rk4_path, warm_up
 
-PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 SCALES = st.floats(0.5, 2.0)
 
 
@@ -31,7 +30,6 @@ def _deviation(got, ref):
                np.max(np.abs(v[fin] - vr[fin]) / scale))
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 1.0), k=st.sampled_from((-2, -1, 1, 2)),
        level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        n=st.sampled_from((7, 100, 1000)), inward=st.booleans(),
@@ -55,7 +53,6 @@ def test_paths_follow_the_per_step_reference(m, lam, s, k, level, n, inward, ste
         assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, *launch), ref) <= 1e-12
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 1.0), k=st.sampled_from((-2, -1, 1, 2)),
        energy=st.floats(0.0, 10.0), reach=st.floats(-12.0, 12.0),
        n=st.sampled_from((7, 30)), inward=st.booleans(),

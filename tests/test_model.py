@@ -133,7 +133,7 @@ def test_radial_grid_points():
     assert grid.h == pytest.approx((10.0 - 1e-4) / 100)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(r_min=st.floats(1e-300, 1e3), width=st.floats(1e-12, 1e6),
        n=st.integers(100, 30000))
 def test_radial_grid_points_are_linspace_bit_for_bit(r_min, width, n):
@@ -160,7 +160,7 @@ def _two_pass_nodes(u):
     return int(np.count_nonzero(s[1:] * s[:-1] < 0))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(values=st.lists(st.one_of(st.sampled_from((0.0, -0.0, np.nan, np.inf, -np.inf)),
                                  st.floats(allow_nan=False)), max_size=40),
        strided=st.booleans())

@@ -9,7 +9,7 @@ eps = 1/2 - s.  Both run the paths that import scipy on first use: quad
 for gamma, brentq for the level.
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from diraclinear import (
@@ -20,13 +20,11 @@ from diraclinear import (
     gamma_mixed,
 )
 
-PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 SCALES = st.floats(0.5, 2.0)
 MIN_SPACING = 1e-3
 S_TOP = 0.499
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, above=st.floats(0.01, 4.0),
        s_lo=st.floats(0.0, S_TOP - MIN_SPACING), t=st.floats(0.0, 1.0))
 def test_gamma_is_non_decreasing_in_s(m, lam, above, s_lo, t):
@@ -39,7 +37,6 @@ def test_gamma_is_non_decreasing_in_s(m, lam, above, s_lo, t):
     assert lo <= hi
 
 
-@PROPERTY
 @given(m=st.floats(0.5, 1.0), lam=st.floats(0.5, 1.0))
 def test_quasibound_level_is_continuous_at_equal_mix(m, lam):
     # at the corners of the (m, lambda) square the gaps read 1.8-5.0e-4 at

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -28,7 +28,6 @@ from diraclinear import (
 )
 from diraclinear.model import turning_points
 
-PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 SCALES = st.floats(0.5, 2.0)
 CHANNELS = st.sampled_from((-1, 1, -2))
 STEPS = st.sampled_from((100, 500, 1000))
@@ -121,7 +120,6 @@ def _per_shot_bracket(m, mix, k, grid, nodes, steps=64):
         f"= ({m}, {m + width})")
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
        midpoint_scale=st.sampled_from((0.9, 1.0, 1.1)))
 def test_quasibound_estimate_equals_per_shot_scan(m, lam, s, k, n, midpoint_scale):
@@ -133,7 +131,6 @@ def test_quasibound_estimate_equals_per_shot_scan(m, lam, s, k, n, midpoint_scal
     assert batched == reference  # float equality: the same bits
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=CHANNELS, n=STEPS,
        nodes=st.sampled_from((0, 1, 2, 12)))
 def test_suggest_bracket_equals_per_shot_node_scan(m, lam, s, k, n, nodes):
@@ -156,7 +153,6 @@ def test_node_entering_through_the_dirichlet_point_counts():
     assert e == pytest.approx(2.3137887272401096, abs=1e-9)
 
 
-@PROPERTY
 @given(lo=st.integers(-1, 40), size=st.integers(1, 60), turn=st.integers(1, 61),
        start=st.one_of(st.none(), st.integers(-3, 105)))
 def test_first_above_with_any_start_equals_bisection(lo, size, turn, start):
@@ -174,7 +170,6 @@ def test_first_above_with_any_start_equals_bisection(lo, size, turn, start):
         assert probed == [start, start - 1]
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS)
 def test_warm_scan_estimates_equal_cold_ones(m, lam, s, k, n):
     mix = PotentialMix(lam, s)
@@ -189,7 +184,6 @@ def test_warm_scan_estimates_equal_cold_ones(m, lam, s, k, n):
     assert warm == cold  # float equality: the same bits
 
 
-@PROPERTY
 @given(m=SCALES, lam=SCALES, nodes=st.integers(0, 40), decay=st.floats(2.0, 6.0),
        n=st.sampled_from((2000, 4000)))
 def test_node_scan_brackets_the_airy_level(m, lam, nodes, decay, n):

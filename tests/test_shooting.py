@@ -303,6 +303,22 @@ def test_grid_ending_before_r1_keeps_the_shot():
     np.testing.assert_allclose(sol.u * raw.u[-1] / sol.u[-1], raw.u, rtol=1e-14, atol=0)
 
 
+def test_turning_point_in_the_last_step_keeps_the_shot():
+    # r1 falls between the last two grid points, so the splice point is
+    # the grid's end and no tail lies past it to shoot inward
+    last_step = 0
+    for r_max in np.linspace(3.30, 3.33, 31):
+        grid = RadialGrid(r_min=1e-6 * r_max, r_max=r_max, n=100)
+        sol = find_bound_state(M, EQUAL, -1, suggest_bracket(M, EQUAL, -1, grid), grid)
+        assert sol.node_count == 0
+        assert abs(np.trapezoid(sol.u ** 2 + sol.v ** 2, sol.r) - 1.0) <= 1e-12
+        if np.searchsorted(sol.r, (sol.E - M) / LAM) == grid.n:
+            last_step += 1
+            raw = integrate_radial(M, EQUAL, -1, sol.E, grid)
+            np.testing.assert_allclose(sol.u * raw.u[-1] / sol.u[-1], raw.u, rtol=1e-14, atol=0)
+    assert last_step > 0
+
+
 def test_mixed_potential_oscillates_past_lifted_continuum():
     mix = PotentialMix(LAM, 0.25)
     e = 1.5828
