@@ -8,18 +8,25 @@ estimator for the quasi-bound levels that exist below s = 1/2, converged
 by Brent's method on the Dirichlet residual.
 
 Every shot is one rk4_path call.  The two energy scans, suggest_bracket's
-node scan and the estimator's Dirichlet scan, bisect their fixed energy
-grids on a count of sign changes, which does not fall as E rises (it
-counts the turns of the Pruefer angle), so each shoots at most 8 of its
-65 (by default) or 97 energies and returns the bracket a walk up the grid
-to its first transition would.  The node scan goes on past the top of its
-window, in steps of the same spacing, while the energies' turning points
-r1 lie on the grid.  The Dirichlet scan starts from the index of the last
-scan of the same problem and grid hint, so the 0.9 and 1.1 spread
-estimates of a level confirm the central estimate's index in two shots;
-any start gives the same bracket.  The estimator reads only u at the
-Dirichlet point, and for scan shots its sign changes, so its shots build
-no RadialSolution.
+node scan and the estimator's Dirichlet scan, search their fixed energy
+grids of 65 (by default) and 97 energies on a count of sign changes,
+which does not fall as E rises (it counts the turns of the Pruefer
+angle), and return the bracket a walk up the grid to its first
+transition would.  Each starts at a guess of the transition's index (see
+_first_above): the Dirichlet scan at the index of the last scan of the
+same problem and grid hint, so the 0.9 and 1.1 spread estimates of a
+level confirm the central estimate's index in two shots; every other
+scan at the index of the WKB level (_wkb_level, pure arithmetic, no
+shot), which on the benchmark's requests is the transition's index or
+one off, so the search takes 2 shots, or 4 when the guess is one step
+high, in place of a cold bisection's 7 or 8.  The count is monotone only on a grid that resolves the Airy
+length, so a grid whose step exceeds a quarter of it at the guessed
+level gets no guess, and its scan bisects cold.  Any start gives the
+same bracket as the cold bisection: a guess changes only which energies
+are shot.  The node scan goes on past the top of its window, in steps
+of the same spacing, while the energies' turning points r1 lie on the
+grid.  The estimator reads only u at the Dirichlet point, and for scan
+shots its sign changes, so its shots build no RadialSolution.
 
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff.  find_bound_state therefore keeps
@@ -251,6 +258,82 @@ def _first_above(above, lo, hi, start=None):
     return hi
 
 
+# an 8-point Gauss-Legendre rule on [0, 1], as (x^2, w x^2) for its nodes x
+# and weights w
+_GL8 = tuple((x * x, w * x * x) for x, w in (
+    (0.019855071751231912, 0.05061426814518853),
+    (0.10166676129318664, 0.11119051722668721),
+    (0.2372337950418355, 0.15685332293894344),
+    (0.4082826787521751, 0.18134189168918083),
+    (0.5917173212478248, 0.18134189168918083),
+    (0.7627662049581645, 0.15685332293894344),
+    (0.8983332387068134, 0.11119051722668721),
+    (0.9801449282487681, 0.05061426814518853)))
+
+
+def _wkb_level(m, lam, s, k, nodes):
+    """The WKB level E of the `nodes`-node state, or None when the
+    arithmetic fails or E is not finite: the root of
+
+        integral_0^r1 sqrt(P Q) dr = (nodes + l/2 + 3/4) pi,
+
+    P Q = (E + m - (1-2s) lambda r)(E - m - lambda r), the standard
+    quantisation for a linear potential, with l the orbital angular
+    momentum of k.  At s = 1/2, k = -1 its levels are the Airy levels with
+    each zero of Ai in its leading asymptotic form.  With a = E - m and
+    lambda r = a - a x^2 the integral is 2 a^(3/2) G(a) / lambda, where
+    G(a) = int_0^1 x^2 sqrt(2m + 2s a + (1-2s) a x^2) dx takes an 8-point
+    Gauss-Legendre rule.  F(a) = a^(3/2) G(a) meets F* = lambda (nodes +
+    l/2 + 3/4) pi / 2 by the fixed-point iteration a <- a (F*/F(a))^(1/p),
+    p = d ln F / d ln a (between 3/2 and 2), which is Newton's method in
+    ln a and takes about 4 steps (the plain a <- (F*/G(a))^(2/3) took
+    about 21).  It starts at the lesser root of F* = a^(3/2) G(0) and
+    F* = a^2 G1, G1 = int_0^1 x^2 sqrt(2s + (1-2s) x^2) dx, which lies at
+    or above the level, since G(a) >= G(0) and G(a) >= sqrt(a) G1.  Pure
+    math: no shot, no scipy."""
+    c0, c1 = 2.0 * s, 1.0 - 2.0 * s
+    try:
+        target = 0.5 * math.pi * (nodes + 0.5 * QuantumNumbers(k).l + 0.75) * lam
+        a = min((3.0 * target / math.sqrt(2.0 * m)) ** (2.0 / 3.0),
+                math.sqrt(target / sum(wx2 * math.sqrt(c0 + c1 * x2) for x2, wx2 in _GL8)))
+        for _ in range(30):
+            g = dg = 0.0
+            for x2, wx2 in _GL8:
+                c = c0 + c1 * x2
+                root = math.sqrt(2.0 * m + c * a)
+                g += wx2 * root
+                dg += wx2 * c / root
+            slope = 1.5 + 0.5 * a * dg / g
+            a, last = a * (target / (a * math.sqrt(a) * g)) ** (1.0 / slope), a
+            if abs(a - last) <= 1e-12 * a:
+                break
+        e = m + a
+    except (ArithmeticError, ValueError):
+        return None
+    return e if math.isfinite(e) else None
+
+
+def _wkb_start(m, mix, k, nodes, step, grid_step):
+    """Where a scan of the energies m + j*step, j >= 1, starts: the index
+    of the first one above _wkb_level's level.  None, for a cold
+    bisection, when there is no level, or when grid_step(E), the step of
+    the grid a shot at the level's energy E runs on, exceeds a quarter of
+    the Airy length (lambda (m + E))^(-1/3): on such grids the node count
+    need not be monotone in E, and a start could change the bracket (at
+    m = 1e12 on a 100-step grid an unguarded start turned the scan's
+    ScanError into a level 500 times the Airy binding).  An index outside
+    the scan is no start either (see _first_above)."""
+    e = _wkb_level(m, mix.lam, mix.s, k, nodes)
+    if e is None:
+        return None
+    try:
+        if not abs(grid_step(e)) <= 0.25 * (mix.lam * (m + e)) ** (-1.0 / 3.0):
+            return None
+        return math.floor((e - m) / step) + 1
+    except (ArithmeticError, ValueError):
+        return None
+
+
 def _dirichlet_u(m, mix, k, e, grid, count=False):
     """(u, changes) for the outward shot at energy e: u at the outer end of
     the grid, or +-inf, the sign of u where the shot overflowed, if it
@@ -273,9 +356,14 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     whose interior node count is `nodes`.
 
     The bracket is the pair of adjacent scan energies across which the
-    node count first exceeds `nodes`, found by bisecting the scan on the
-    node count, which does not fall as E rises; the end energies are shot
-    only when the bisection closes next to them.  When the count is still
+    node count first exceeds `nodes`, found by searching the scan on the
+    node count, which does not fall as E rises.  The search starts at the
+    first scan energy above the WKB level of the `nodes`-node state (see
+    _wkb_start) and confirms it in 2 shots when the guess is right, and
+    in 4 when it is one step high; a grid too coarse for the guess, whose
+    step exceeds a quarter of the Airy length there, is bisected cold.
+    Either way the bracket is the cold bisection's, and the end energies
+    are shot only when the search closes next to them.  When the count is still
     at or below `nodes` at the top of the window, the scan goes on upward
     in steps of the same spacing, through energies whose turning point
     r1 = (E - m)/lambda lies within r_max, galloping from the top and
@@ -303,7 +391,8 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
         return integrate_radial(m, mix, k, energy(j), grid).node_count > nodes
 
     top = steps  # the last scan energy that may be shot
-    i = _first_above(above, -1, top + 1)
+    i = _first_above(above, -1, top + 1,
+                     _wkb_start(m, mix, k, nodes, width / steps, lambda e: grid.h))
     if i > top:
         # past the window: up to the last energy whose r1 lies on the grid
         estimate = grid.r_max * mix.lam * steps / width
@@ -353,12 +442,16 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
        the pair of adjacent scan energies across which the shot's sign
        changes, counted over u[1:], first exceed those of the first scan
        energy.  The count does not fall as E rises, so the scan is
-       bisected on it, in 7 or 8 shots, and returns the bracket a walk up
-       the scan to the first sign change of u(r_mid) returns.  When the
-       previous scan had the same m, lambda, s, k and grid_hint r_min and
-       n (its midpoint_scale may differ), the search starts at that scan's
-       index and, when the index still holds, takes 3 shots: energy 0 and
-       the two energies across it (see _first_above);
+       searched on it and returns the bracket a walk up the scan to the
+       first sign change of u(r_mid) returns, whatever index it starts
+       from (see _first_above).  When the previous scan had the same m,
+       lambda, s, k and grid_hint r_min and n (its midpoint_scale may
+       differ), the search starts at that scan's index; else at the index
+       of the WKB level (see _wkb_start), unless the grid the level's
+       energy is shot on has a step over a quarter of the Airy length
+       there, when it bisects cold in 7 or 8 shots.  When the start
+       holds, the scan takes 3 shots: energy 0 and the two energies
+       across the start;
     2. r_mid is fixed at the Dirichlet point of the bracket's midpoint; if
        u(r_mid) has one sign at both ends, the bracket is widened one scan
        step at a time toward the end with the smaller |u| until it does
@@ -412,11 +505,13 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     if f0 == 0.0:
         return energies[0]
     # the spread estimates share the central estimate's key, and almost
-    # always its index: start there
+    # always its index: start there; else at the WKB level
     key = (m, mix.lam, mix.s, k, grid_hint.r_min, grid_hint.n)
     last_key, start = _last_scan
-    i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, len(energies),
-                     start if last_key == key else None)
+    if last_key != key:
+        start = _wkb_start(m, mix, k, changes0, width / steps,
+                           lambda e: grid_at(dirichlet_radius(e)).h)
+    i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, len(energies), start)
     _last_scan = (key, i)
     if i == len(energies):
         raise ScanError(

@@ -4,8 +4,9 @@ suggest_bracket and estimate_quasibound_energy bisect their scan energies
 on a sign-change count.  These properties pin both, bit for bit, to
 references written here that shoot one integrate_radial per energy and
 walk the scan up to its first transition, as the scans did before they
-were bisected; and they pin the estimator's scan started from the last
-scan's index to the scan started cold.
+were bisected; and they pin the scans started at the WKB level's index,
+or at any wild index, and the estimator's scan started from the last
+scan's index, to the scans started cold.
 """
 
 import math
@@ -170,18 +171,58 @@ def test_first_above_with_any_start_equals_bisection(lo, size, turn, start):
         assert probed == [start, start - 1]
 
 
+def _starting_at(start, fn, *args):
+    """fn's outcome with every scan's WKB start replaced by `start`
+    (None: a cold bisection)."""
+    real = shooting._wkb_start
+    shooting._wkb_start = lambda *_: start
+    try:
+        return _outcome(fn, *args)
+    finally:
+        shooting._wkb_start = real
+
+
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS)
 def test_warm_scan_estimates_equal_cold_ones(m, lam, s, k, n):
     mix = PotentialMix(lam, s)
     hint = RadialGrid(25e-6, 25.0, n)
     scales = (1.0, 0.9, 1.1)
-    cold = []
+    cold, guessed = [], []
     for c in scales:
         shooting._last_scan = (None, None)
-        cold.append(_outcome(estimate_quasibound_energy, m, mix, k, hint, c))
+        cold.append(_starting_at(None, estimate_quasibound_energy, m, mix, k, hint, c))
+        shooting._last_scan = (None, None)
+        guessed.append(_outcome(estimate_quasibound_energy, m, mix, k, hint, c))
     shooting._last_scan = (None, None)
     warm = [_outcome(estimate_quasibound_energy, m, mix, k, hint, c) for c in scales]
-    assert warm == cold  # float equality: the same bits
+    assert guessed == cold  # float equality: the same bits
+    assert warm == cold
+
+
+@given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=st.sampled_from((-2, -1, 1)),
+       nodes=st.integers(0, 3), n=st.sampled_from((1000, 4000)))
+def test_guessed_node_scans_equal_cold_ones(m, lam, s, k, nodes, n):
+    # the benchmark's grids: 10/sqrt(lambda) long, which resolves every
+    # Airy length in the window, so every draw gets a WKB start
+    mix = PotentialMix(lam, s)
+    rmax = 10.0 / math.sqrt(lam)
+    grid = RadialGrid(1e-6 * rmax, rmax, n)
+    guess = shooting._wkb_start(m, mix, k, nodes, 10.0 * math.sqrt(lam) / 64, lambda e: grid.h)
+    assert guess is not None
+    cold = _starting_at(None, suggest_bracket, m, mix, k, grid, nodes)
+    assert _outcome(suggest_bracket, m, mix, k, grid, nodes) == cold
+    for wild in (0, 64, guess - 3, guess + 3):
+        assert _starting_at(wild, suggest_bracket, m, mix, k, grid, nodes) == cold, wild
+
+
+@given(m=SCALES, lam=SCALES, nodes=st.integers(0, 40))
+def test_wkb_start_is_within_one_step_of_the_airy_level(m, lam, nodes):
+    # the node scan's energies are m + j*step; its transition is the first
+    # one above the level; grid_step 0 stands for a fine grid
+    step = 10.0 * math.sqrt(lam) / 64
+    first_above = math.floor((equal_mix_energy(m, lam, nodes + 1) - m) / step) + 1
+    start = shooting._wkb_start(m, PotentialMix(lam, 0.5), -1, nodes, step, lambda e: 0.0)
+    assert abs(start - first_above) <= 1
 
 
 @given(m=SCALES, lam=SCALES, nodes=st.integers(0, 40), decay=st.floats(2.0, 6.0),

@@ -443,6 +443,13 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
 
     monkeypatch.setattr(shooting, "rk4_path", recording)
     grid = RadialGrid(25e-6, 25.0, n)
+    # from the WKB level's index: 2 shots when it is the transition's index
+    # or the one below, 4 when it is one above
+    suggest_bracket(M, EQUAL, -1, grid)
+    assert len(ends) <= 4
+    # with no start the scans bisect
+    monkeypatch.setattr(shooting, "_wkb_start", lambda *args: None)
+    ends.clear()
     suggest_bracket(M, EQUAL, -1, grid)
     assert len(ends) <= math.ceil(math.log2(64 + 1)) + 2
     ends.clear()
@@ -464,12 +471,22 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
 def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale):
     monkeypatch.setattr(shooting, "_last_scan", (None, None))
     m, mix = 0.7358847923680774, PotentialMix(0.7062867500442369, 0.3)
-    cold = repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale))
+    guess = shooting._wkb_start
+    monkeypatch.setattr(shooting, "_wkb_start", lambda *args: None)
+    cold = repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale))  # a bisection
     key, i = shooting._last_scan
     hints = [i + off for off in range(-3, 4)] + [0, 97]
     for start in hints:
         shooting._last_scan = (key, start)
         assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold, start
+    # a scan with no hint for its key starts at the WKB start, here wild
+    for start in hints:
+        monkeypatch.setattr(shooting, "_wkb_start", lambda *args, start=start: start)
+        shooting._last_scan = (None, None)
+        assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold, start
+    monkeypatch.setattr(shooting, "_wkb_start", guess)
+    shooting._last_scan = (None, None)
+    assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold
     # another problem's key and index, left by the call before
     estimate_quasibound_energy(1.2, VECTOR, -1, QB_GRID, scale)
     assert shooting._last_scan[0] != key
@@ -551,6 +568,28 @@ def test_quasibound_overflow_near_root_raises(monkeypatch):
 def test_quasibound_rejects_bound_mix():
     with pytest.raises(ValueError, match="find_bound_state"):
         estimate_quasibound_energy(M, EQUAL, -1, GRID)
+
+
+@pytest.mark.parametrize("m, lam, n", [
+    (1.0, 1e12, 500), (1e300, 0.2, 20000), (1.0, 1e300, 100), (1e-300, 1e12, 500),
+    (1e12, 0.2, 100),
+], ids=["adjacent-doubles", "huge-mass", "huge-slope", "analytic-bracket", "huge-mass-n100"])
+def test_unresolved_grids_get_no_wkb_start(m, lam, n):
+    # test_extreme_settings_end's equal-mix settings, and solve --m 1e12
+    # --n 100: the grid step exceeds a quarter of the Airy length at the
+    # level, so the node count need not be monotone and the scan bisects
+    # cold, keeping its answer (its ScanError at m = 1e12)
+    grid = RadialGrid(1e-6 * 25.0, 25.0, n)
+    step = 10.0 * math.sqrt(lam) / 64
+    assert shooting._wkb_start(m, PotentialMix(lam, 0.5), -1, 0, step, lambda e: grid.h) is None
+
+
+@pytest.mark.parametrize("m, lam, s", [
+    (math.nan, 0.2, 0.5), (math.inf, 0.2, 0.5), (1.0, math.nan, 0.5), (1.0, math.inf, 0.5),
+    (1.0, 0.2, math.nan), (0.0, 0.2, 0.5), (-1.0, 0.2, 0.5),
+])
+def test_wkb_level_without_a_finite_level_is_none(m, lam, s):
+    assert shooting._wkb_level(m, lam, s, -1, 0) is None
 
 
 def test_scan_error_when_no_transition():
