@@ -30,15 +30,24 @@ so the RK4 stages have degrees 1..4 in E, and about a centre E_c every
 step matrix is exactly T_i(E) = sum_{p=0..4} (E - E_c)^p C_{p,i}.  The
 kernel keeps one cache entry, for the grid (m, lam, s, k, r0, h, n) of
 the most recent call, holding a stack of band buffers, one per p, with
-zeros in every slot that no step matrix fills:
+zeros in every slot that no step matrix fills.  A stack is built by one
+of three paths:
 
-- the first call on a grid builds its step matrices directly, as row
-  p = 0 alone of a stack centred at its own energy: that row is T(E_c);
-- the second call in a row on it adds rows p = 1..4 (the stack is then
-  320 bytes per step, 6.4 MB at n = 20000);
-- every later call evaluates sum_p d^p stack[p] with d = E - E_c as one
-  BLAS matrix-vector product over rows p = 1..4, whose output becomes
-  the band once row p = 0 is added to it.
+- row p = 0 alone (_row0): the first call on a grid builds its step
+  matrices directly, as row p = 0 of a stack centred at its own energy:
+  that row is T(E_c);
+- rows p = 1..4 alone: the next call on it at another energy adds them
+  (the stack is then 320 bytes per step, 6.4 MB at n = 20000);
+- all five rows in one pass (_prime): a caller that will shoot a grid
+  at E_c and then at several energies near it installs the whole stack
+  before its first shot, as the quasi-bound estimator does at its fixed
+  radius; the rows share the coefficients at the three radii.
+
+Every path computes each entry by the same sums in the same order, so a
+row is the same bits whichever path built it.  A call at the centre,
+d = E - E_c = 0, reads row p = 0 as it is; every other call evaluates
+sum_p d^p stack[p] as one BLAS matrix-vector product over rows
+p = 1..4, whose output becomes the band once row p = 0 is added to it.
 
 A call far from the centre, |h d| > 1, builds its own row p = 0 at E,
 and so does one whose d^4 is not finite, so that no structural zero of
@@ -72,21 +81,19 @@ _OVERFLOW_CAP = 1e250
 # steps per chunk when building a stack; keeps the temporaries small enough
 # to stay in cache
 _CHUNK = 2048
-# a step's band slots of -T[0, 0], -T[1, 0], -T[0, 1] and -T[1, 1]
-_SLOTS = [2, 3, 5, 6]
 
 # (key, E_c, stack) for the grid of the most recent call, key = (m, lam, s,
 # k, r0, h, n): the grid's read-only stack centred at E_c, its row p = 0
-# alone until the grid is shot twice in a row.  Replaced by one assignment
-# and read once into locals, so a thread never pairs one grid's key with
-# another grid's stack.
+# alone until the grid is shot at a second energy, unless it was primed.
+# Replaced by one assignment and read once into locals, so a thread never
+# pairs one grid's key with another grid's stack.
 _last_grid = (None, None, None)
 
 
-def _rk4_coefficients(m, lam, s, k, Ec, h, r, higher):
-    """-C_0, or with `higher` -C_1..-C_4, of T(E) = sum_p (E - Ec)^p C_p
-    for the steps starting at r, as an array [p, entry, step], entries
-    column by column (00, 10, 01, 11).
+def _rk4_coefficients(m, lam, s, k, Ec, h, r, first, higher):
+    """-C_0 (with `first`) and -C_1..-C_4 (with `higher`) of
+    T(E) = sum_p (E - Ec)^p C_p for the steps starting at r, as an array
+    [p, entry, step], entries column by column (00, 10, 01, 11).
 
     With d = E - Ec, A(x) = [[-a, P + d], [q - d, a]], where a = k/x,
     P = m + Ec - cs*x and q = lam*x + m - Ec, is traceless, so A^2 = D I
@@ -98,64 +105,120 @@ def _rk4_coefficients(m, lam, s, k, Ec, h, r, higher):
         M = Am A1 + A4 Am,   W = I + h/2 (A1 + A4) + h^2/4 A4 A1,
 
     where M = M0 + M1 d - 2 d^2 I and W = W0 + W1 d - h^2/4 d^2 I.
+    Both kinds of row share the values at the three radii, W0 and D0, and
+    each entry is the same sum in the same order whichever rows are
+    built, so rows built in one pass equal rows built apart bit for bit.
     """
     cs = (1.0 - 2.0 * s) * lam
     x = r + h * np.array([[0.0], [0.5], [1.0]])  # rows r, r + h/2, r + h
     (a1, am, a4), (P1, Pm, P4), (q1, qm, q4) = k / x, (m + Ec) - cs * x, lam * x + (m - Ec)
     b, da = a1 + a4, a1 - a4
     hh = 0.25 * h * h
+    g0, w0 = np.empty((2, 4, len(r)))
+    t = np.empty(((1 if first else 0) + (4 if higher else 0), 4, len(r)))
     # A4 A1 = G0 + G1 d - d^2 I; W0, entries column by column
-    g0 = np.stack([a4 * a1 + P4 * q1, a4 * q1 - q4 * a1, P4 * a1 - a4 * P1, a4 * a1 + q4 * P1])
-    w0 = (0.5 * h) * np.stack([-b, q1 + q4, P1 + P4, b]) + hh * g0
+    a41 = a4 * a1
+    np.add(a41, P4 * q1, out=g0[0])
+    np.subtract(a4 * q1, q4 * a1, out=g0[1])
+    np.subtract(P4 * a1, a4 * P1, out=g0[2])
+    np.add(a41, q4 * P1, out=g0[3])
+    np.negative(b, out=w0[0])
+    np.add(q1, q4, out=w0[1])
+    np.add(P1, P4, out=w0[2])
+    w0[3] = b
+    w0 *= 0.5 * h
+    g0 *= hh
+    w0 += g0
     w0[::3] += 1.0
     # -C_p is the d^p part of -I + c (A1 + 4 Am + A4 + h M + h Dm W) with
     # c = -h/6; u0 and u1 are c h D0 and c h D1
     c = -h / 6.0
     ch = c * h
     u0 = ch * (am * am + Pm * qm)
-    if not higher:
-        m0 = np.stack([am * b + Pm * q1 + P4 * qm, am * (q1 - q4) - qm * da,
-                       am * (P4 - P1) + Pm * da, am * b + qm * P1 + q4 * Pm])
+    if first:
+        t0, m0 = t[0], g0  # M0 in g0's place
+        amb = am * b
+        np.add(amb + Pm * q1, P4 * qm, out=m0[0])
+        np.subtract(am * (q1 - q4), qm * da, out=m0[1])
+        np.add(am * (P4 - P1), Pm * da, out=m0[2])
+        np.add(amb + qm * P1, q4 * Pm, out=m0[3])
         a4m = b + 4.0 * am
-        t = c * np.stack([-a4m, q1 + 4.0 * qm + q4, P1 + 4.0 * Pm + P4, a4m]) + ch * m0 + u0 * w0
-        t[::3] -= 1.0
-        return t[None]
-    u1 = ch * (qm - Pm)
-    m1 = np.stack([(q1 - Pm) + (qm - P4), da, da, (qm - P1) + (q4 - Pm)])
-    w1 = hh * np.stack([q1 - P4, da, da, q4 - P1])
-    w1[1] -= h
-    w1[2] += h
-    t = np.zeros((4,) + w0.shape)
-    np.add(ch * m1 + u0 * w1, u1 * w0, out=t[0])
-    t[0, 1] -= 6.0 * c
-    t[0, 2] += 6.0 * c
-    np.subtract(u1 * w1, ch * w0, out=t[1])
-    t[1, ::3] -= 2.0 * ch + hh * u0
-    np.multiply(w1, -ch, out=t[2])
-    t[2, ::3] -= hh * u1
-    t[3, ::3] = hh * ch
+        np.negative(a4m, out=t0[0])
+        np.add(q1 + 4.0 * qm, q4, out=t0[1])
+        np.add(P1 + 4.0 * Pm, P4, out=t0[2])
+        t0[3] = a4m
+        t0 *= c
+        m0 *= ch
+        t0 += m0
+        t0 += u0 * w0
+        t0[::3] -= 1.0
+    if higher:
+        t1, t2, t3, t4 = t[-4:]
+        u1 = ch * (qm - Pm)
+        w1 = g0  # W1 in g0's place
+        np.subtract(q1, P4, out=w1[0])
+        w1[1] = da
+        w1[2] = da
+        np.subtract(q4, P1, out=w1[3])
+        w1 *= hh
+        w1[1] -= h
+        w1[2] += h
+        # t1 starts as M1
+        np.add(q1 - Pm, qm - P4, out=t1[0])
+        t1[1] = da
+        t1[2] = da
+        np.add(qm - P1, q4 - Pm, out=t1[3])
+        t1 *= ch
+        t1 += u0 * w1
+        t1 += u1 * w0
+        t1[1] -= 6.0 * c
+        t1[2] += 6.0 * c
+        np.multiply(u1, w1, out=t2)
+        t2 -= ch * w0
+        t2[::3] -= 2.0 * ch + hh * u0
+        np.multiply(w1, -ch, out=t3)
+        t3[::3] -= hh * u1
+        t4[::3] = hh * ch
+        t4[1:3] = 0.0
     return t
 
 
-def _stack(m, lam, s, k, Ec, r0, h, n, higher, out):
-    """Writes the rows p = 0 (or with `higher` p = 1..4) of the stack
-    centred at Ec into the band slots of out[p, i, :], a zeroed (rows,
-    n + 1, 8) view, _CHUNK steps at a time so that the temporaries stay
-    small; row p = 0 gets the unit diagonal too."""
-    if not higher:
+def _stack(m, lam, s, k, Ec, r0, h, n, first, higher, out):
+    """Writes the rows p = 0 (with `first`) and p = 1..4 (with `higher`)
+    of the stack centred at Ec into the band slots of out[p, i, :], a
+    zeroed (rows, n + 1, 8) view, _CHUNK steps at a time so that the
+    temporaries stay small; row p = 0 gets the unit diagonal too."""
+    if first:
         out[0, :, ::4] = 1.0
     for i0 in range(0, n, _CHUNK):
         i1 = min(n, i0 + _CHUNK)
         t = _rk4_coefficients(m, lam, s, k, Ec, h, r0 + h * np.arange(i0, i1, dtype=float),
-                              higher)
-        out[:, i0:i1, _SLOTS] = t.transpose(0, 2, 1)
+                              first, higher)
+        # -T[:, 0] goes to slots 2 and 3 of a step, -T[:, 1] to slots 5 and 6
+        out[:, i0:i1, 2:4] = t[:, :2].transpose(0, 2, 1)
+        out[:, i0:i1, 5:7] = t[:, 2:].transpose(0, 2, 1)
 
 
 def _row0(m, lam, s, k, E, r0, h, n):
     """The band buffer of T(E), as row p = 0 of a stack centred at E."""
     ab = np.zeros((1, n + 1, 8))
-    _stack(m, lam, s, k, E, r0, h, n, False, ab)
+    _stack(m, lam, s, k, E, r0, h, n, True, False, ab)
     return ab.reshape(1, -1)
+
+
+def _prime(m, lam, s, k, Ec, r0, h, n):
+    """Builds the grid's full stack centred at Ec, rows p = 0..4 in one
+    pass, and installs it as the cached grid, for a caller that shoots
+    the grid at Ec and then at several energies near it: its first shot
+    reads row p = 0 as it is, and no shot builds the other rows apart."""
+    global _last_grid
+    # as in _transfer_matrices, the old grid's stack is freed first
+    _last_grid = (None, None, None)
+    full = np.zeros((5, n + 1, 8))
+    _stack(m, lam, s, k, Ec, r0, h, n, True, True, full)
+    full = full.reshape(5, -1)
+    full.flags.writeable = False
+    _last_grid = ((m, lam, s, k, r0, h, n), Ec, full)
 
 
 def _transfer_matrices(m, lam, s, k, E, r0, h, n):
@@ -174,13 +237,15 @@ def _transfer_matrices(m, lam, s, k, E, r0, h, n):
         _last_grid = (key, E, row)
         return row
     d = E - Ec
+    if d == 0.0:
+        return stack[0]
     d2 = d * d
     if not (abs(h * d) <= 1.0 and math.isfinite(d2 * d2)):
         return _row0(m, lam, s, k, E, r0, h, n)
     if len(stack) == 1:
         full = np.zeros((5, stack.shape[1]))
         full[0] = stack[0]
-        _stack(m, lam, s, k, Ec, r0, h, n, True, full[1:].reshape(4, n + 1, 8))
+        _stack(m, lam, s, k, Ec, r0, h, n, False, True, full[1:].reshape(4, n + 1, 8))
         full.flags.writeable = False
         _last_grid, stack = (key, Ec, full), full
     # row p = 0 goes in last, so that each band entry near 1 is rounded

@@ -26,7 +26,11 @@ same bracket as the cold bisection: a guess changes only which energies
 are shot.  The node scan goes on past the top of its window, in steps
 of the same spacing, while the energies' turning points r1 lie on the
 grid.  The estimator reads only u at the Dirichlet point, and for scan
-shots its sign changes, so its shots build no RadialSolution.
+shots its sign changes, so its shots build no RadialSolution.  Its scan
+looks for the first count above 0 and shoots its first energy only when
+the search closes next to it; and before the first shot at its fixed
+Dirichlet point it has the kernel build that grid's whole coefficient
+stack in one pass (see _kernels).
 
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff.  find_bound_state therefore keeps
@@ -41,7 +45,7 @@ import math
 
 import numpy as np
 
-from ._kernels import rk4_path
+from ._kernels import _prime, rk4_path
 from .errors import BracketError, ConsistencyError, ScanError
 from .model import (
     PotentialMix,
@@ -450,8 +454,14 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
        of the WKB level (see _wkb_start), unless the grid the level's
        energy is shot on has a step over a quarter of the Airy length
        there, when it bisects cold in 7 or 8 shots.  When the start
-       holds, the scan takes 3 shots: energy 0 and the two energies
-       across the start;
+       holds, the scan takes 2 shots, the two energies across the start.
+       The search looks for the first count above 0: a probe above
+       energy 0 that counts 0 shows that energy 0 counts 0 as well,
+       since the count does not fall, and the search's closing lower end
+       is such a probe unless the bracket's lower end is energy 0 itself.
+       Only then is energy 0 shot: when u(r_mid) is exactly 0 there it
+       is the root, and when it counts c > 0 sign changes the scan is
+       searched again for the first count above c;
     2. r_mid is fixed at the Dirichlet point of the bracket's midpoint; if
        u(r_mid) has one sign at both ends, the bracket is widened one scan
        step at a time toward the end with the smaller |u| until it does
@@ -459,11 +469,16 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     3. Brent's method converges on u(r_mid) to 1e-11*m, one rk4_path shot
        per evaluation.
 
+    Stages 2 and 3 shoot one grid, ending at r_mid, first at the
+    bracket's lower end and then near it, so its whole coefficient stack
+    is built in one pass, centred there, before the first of them.
+
     Every shot goes through _dirichlet_u, which returns u(r_mid), and
     for scan shots the sign-change count.
-    Raises ScanError when the scan finds no sign change, when the widening
-    leaves the scan window without one, or when a shot in the bracket
-    overflows before r_mid (it then has no finite residual).
+    Raises ScanError when the scan step is too small to move an energy
+    near m, as for a huge m, when the scan finds no sign change, when the
+    widening leaves the scan window without one, or when a shot in the
+    bracket overflows before r_mid (it then has no finite residual).
 
     This is an estimate; re-solving with midpoint_scale 0.9 and 1.1 gives
     its truncation-sensitivity spread.  n and r_min are taken from
@@ -489,29 +504,40 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
 
     def scan_u(i):
         """u and sign changes of the shot at scan energy i, each energy
-        to its own Dirichlet point; kept in `scan`."""
-        e = energies[i]
-        scan[i] = _dirichlet_u(m, mix, k, e, grid_at(dirichlet_radius(e)), count=True)
+        to its own Dirichlet point; each energy is shot once, and kept in
+        `scan`."""
+        if i not in scan:
+            e = energies[i]
+            scan[i] = _dirichlet_u(m, mix, k, e, grid_at(dirichlet_radius(e)), count=True)
         return scan[i]
 
-    def endpoint_u(e, r_mid):
-        return _dirichlet_u(m, mix, k, e, grid_at(r_mid))[0]
+    def wkb_start(nodes):
+        return _wkb_start(m, mix, k, nodes, width / steps,
+                          lambda e: grid_at(dirichlet_radius(e)).h)
 
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
+    if m + width / (2.0 * steps) == m:
+        raise ScanError(f"the scan step {width / steps} is below the resolution "
+                        f"of energies near m = {m}")
     energies = [m + width / (2.0 * steps)] + [m + width * i / steps for i in range(1, steps + 1)]
     scan = {}
-    f0, changes0 = scan_u(0)
-    if f0 == 0.0:
-        return energies[0]
     # the spread estimates share the central estimate's key, and almost
     # always its index: start there; else at the WKB level
     key = (m, mix.lam, mix.s, k, grid_hint.r_min, grid_hint.n)
     last_key, start = _last_scan
     if last_key != key:
-        start = _wkb_start(m, mix, k, changes0, width / steps,
-                           lambda e: grid_at(dirichlet_radius(e)).h)
-    i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, len(energies), start)
+        start = wkb_start(0)
+    i = _first_above(lambda i: scan_u(i)[1] > 0, 0, len(energies), start)
+    # the closing lower end, a probe that counted 0, shows that energy 0
+    # counts 0 too, unless it is energy 0 itself (see stage 1 above)
+    if i == 1:
+        f0, changes0 = scan_u(0)
+        if f0 == 0.0:
+            return energies[0]
+        if changes0 > 0:
+            i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, len(energies),
+                             wkb_start(changes0))
     _last_scan = (key, i)
     if i == len(energies):
         raise ScanError(
@@ -526,7 +552,15 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     # energy, so its sign change need not hold at r_mid
     lo, hi = bracket
     r_mid = dirichlet_radius(0.5 * (lo + hi))
-    f_lo, f_hi = endpoint_u(lo, r_mid), endpoint_u(hi, r_mid)
+    fixed = grid_at(r_mid)
+
+    def endpoint_u(e):
+        return _dirichlet_u(m, mix, k, e, fixed)[0]
+
+    # every shot from here on is on the fixed grid, near lo: its whole
+    # stack, centred at lo, is built in one pass
+    _prime(m, mix.lam, mix.s, int(k), lo, fixed.r_min, fixed.h, fixed.n)
+    f_lo, f_hi = endpoint_u(lo), endpoint_u(hi)
     step = width / steps
     while f_lo * f_hi > 0:
         down = abs(f_lo) <= abs(f_hi)
@@ -535,7 +569,7 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
             raise ScanError(
                 f"no Dirichlet sign change at r_mid = {r_mid} within the scan "
                 f"window ({m}, {m + width}) around ({bracket[0]}, {bracket[1]})")
-        f = endpoint_u(e, r_mid)
+        f = endpoint_u(e)
         # on a sign change keep only the step across which it happens
         if down:
             if f * f_lo <= 0:
@@ -551,7 +585,7 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     ends = {lo: f_lo, hi: f_hi}
 
     def residual(e):
-        f = ends[e] if e in ends else endpoint_u(e, r_mid)
+        f = ends[e] if e in ends else endpoint_u(e)
         if not math.isfinite(f):
             raise ScanError(
                 f"the shot at E = {e} overflows before the Dirichlet point "

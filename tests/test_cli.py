@@ -473,6 +473,20 @@ def test_huge_mass_coarse_grid_fails_in_the_scan(capsys):
     assert "tail shape is identical" not in err
 
 
+@pytest.mark.parametrize("m, message", [
+    # the scan's first energy rounds to m: the estimator's own guard
+    ("1e16", "the scan step"),
+    # resolved energies, but no sign change in the window
+    ("1e12", "no Dirichlet sign change"),
+], ids=["unresolved", "no-sign-change"])
+def test_huge_mass_lifetime_fails_with_a_scan_error(m, message, capsys):
+    code, out, err = run_cli(capsys, "lifetime", "--m", m, "--s", "0.25", "--n", "500")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert "turning points" not in err
+
+
 @pytest.mark.parametrize("command", ["solve", "profile"])
 def test_turning_point_in_the_last_step_solves(command, tmp_path, capsys):
     # r1 = 3.2994 lies in the grid's last step; the level is the box's

@@ -2,7 +2,8 @@
 stack centred at that shot's energy, follows a plain per-step RK4 loop over
 seeded draws of the whole parameter domain, outward and inward,
 overflowing shots included, and on coarse steps far from the centre, where
-a shot past |h| |E - E_c| = 1 builds its own step matrices."""
+a shot past |h| |E - E_c| = 1 builds its own step matrices; and the
+one-pass build of a grid's whole stack equals its rows built apart."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from test_shooting import _reference_rk4
 
 from diraclinear import _kernels
-from diraclinear._kernels import rk4_path, warm_up
+from diraclinear._kernels import _prime, _row0, _stack, rk4_path, warm_up
 
 SCALES = st.floats(0.5, 2.0)
 
@@ -100,3 +101,19 @@ def test_shots_within_unit_reach_take_the_cached_stack(monkeypatch):
         assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, 1e-6, -1e-12), ref) <= 1e-12
     assert built == [centre, centre + 1.1 / h]
     assert len(_kernels._last_grid[2]) == 5  # rows p = 0..4, centred at the first shot
+
+
+@given(m=SCALES, lam=SCALES, s=st.floats(0.0, 1.0), k=st.sampled_from((-2, -1, 1, 2)),
+       centre=st.floats(0.0, 10.0), n=st.sampled_from((7, 100, 2048, 2049, 5000)),
+       inward=st.booleans(), step=st.floats(0.002, 0.05), start=st.floats(1e-3, 1.0))
+def test_one_pass_stack_equals_its_rows_built_apart(m, lam, s, k, centre, n, inward, step,
+                                                      start):
+    # 2048 and 2049 steps end a chunk exactly and one step past it
+    r0, h = (start + n * step, -step) if inward else (start, step)
+    _prime(m, lam, s, k, centre, r0, h, n)
+    key, Ec, stack = _kernels._last_grid
+    assert (key, Ec) == ((m, lam, s, k, r0, h, n), centre)
+    higher = np.zeros((4, n + 1, 8))
+    _stack(m, lam, s, k, centre, r0, h, n, False, True, higher)
+    np.testing.assert_array_equal(stack[0], _row0(m, lam, s, k, centre, r0, h, n)[0])
+    np.testing.assert_array_equal(stack[1:], higher.reshape(4, -1))

@@ -1,4 +1,5 @@
-"""RK4 kernel: the one-grid cache of the centred band-layout stack."""
+"""RK4 kernel: the one-grid cache of the centred band-layout stack, and a
+grid primed with its whole stack in one pass."""
 
 import math
 import sys
@@ -9,7 +10,7 @@ import pytest
 from test_shooting import _reference_rk4
 
 from diraclinear import _kernels
-from diraclinear._kernels import _CHUNK, _row0, _transfer_matrices, rk4_path
+from diraclinear._kernels import _CHUNK, _prime, _row0, _transfer_matrices, rk4_path
 
 # grid keys (m, lam, s, k, r0, h, n); no n is a multiple of _CHUNK, so every
 # case ends in a partial chunk
@@ -140,6 +141,48 @@ def test_shot_at_the_centre_from_the_full_stack_is_the_first_shot(grid):
         np.testing.assert_array_equal(got, ref)
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_primed_grid_shoots_as_an_unprimed_one(grid, monkeypatch):
+    m, lam, s, k, r0, h, n = grid
+    _kernels.warm_up()  # the cache holds another grid
+    first, second = _shot(grid, 1.3), _shot(grid, 2.1)  # builds row p = 0, then the rest
+    unprimed = _kernels._last_grid[2]
+    _kernels.warm_up()
+    _prime(m, lam, s, k, 1.3, r0, h, n)
+    key, Ec, stack = _kernels._last_grid
+    assert (key, Ec) == (grid, 1.3)
+    np.testing.assert_array_equal(stack, unprimed)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 2] = 0.0
+
+    # the primed grid's shots build nothing; the first, at the centre,
+    # reads row p = 0 as it is: the direct build
+    row = _row0(m, lam, s, k, 1.3, r0, h, n)[0]
+    monkeypatch.setattr(_kernels, "_stack", None)
+    band = _band(grid, 1.3)
+    np.testing.assert_array_equal(band, row)
+    assert not band.flags.writeable
+    for got, ref in zip(_shot(grid, 1.3), first):
+        np.testing.assert_array_equal(got, ref)
+    # the next shot is the unprimed grid's second shot
+    for got, ref in zip(_shot(grid, 2.1), second):
+        np.testing.assert_array_equal(got, ref)
+    assert _kernels._last_grid[2] is stack
+
+
+def test_a_shot_at_the_centre_builds_nothing_more(monkeypatch):
+    grid = GRIDS[3]
+    _kernels.warm_up()
+    first = _shot(grid, 1.4)
+    row = _kernels._last_grid[2]
+    monkeypatch.setattr(_kernels, "_stack", None)
+    # the same energy again on an unprimed grid: row p = 0 is the band
+    for got, ref in zip(_shot(grid, 1.4), first):
+        np.testing.assert_array_equal(got, ref)
+    assert _kernels._last_grid[2] is row
+
+
 def test_cached_shots_on_a_long_grid_follow_the_per_step_reference():
     # 5000 steps accumulate each step's rounding: 5e-15 to 1.2e-14 here, as
     # at the direct build, but 1.1e-13 to 1.4e-13 when row p = 0 went into
@@ -229,10 +272,11 @@ def _deviation(got, ref):
                np.max(np.abs(v[fin] - vr[fin]) / scale))
 
 
-def _threads_match_serial(jobs):
+def _threads_match_serial(jobs, prime=False):
     """Runs each job, a grid and its energies, in its own thread with a tiny
     switch interval, and returns the largest deviation of its shots from
-    the same shots made serially beforehand."""
+    the same shots made serially beforehand.  With `prime` each thread
+    first primes its grid's whole stack at its first energy."""
     serial = [[_shot(g, E) for E in energies] for g, energies in jobs]
     _kernels.warm_up()  # leaves another grid cached: the threads build every stack
     worst, errors = [], []
@@ -240,6 +284,9 @@ def _threads_match_serial(jobs):
     def worker(job, refs):
         g, energies = job
         try:
+            if prime:
+                m, lam, s, k, r0, h, n = g
+                _prime(m, lam, s, k, energies[0], r0, h, n)
             worst.append(max(_deviation(_shot(g, E), ref) for E, ref in zip(energies, refs)))
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
@@ -279,3 +326,13 @@ def test_threads_shooting_one_grid_match_serial():
     for _ in range(5):
         jobs = [(grid, energies), (grid, energies[::-1]), (grid, np.roll(energies, 6))]
         assert _threads_match_serial(jobs) <= 1e-12
+
+
+def test_threads_priming_one_grid_match_serial():
+    # as above, but each thread first installs the grid's whole stack,
+    # centred at its own first energy, while the others shoot
+    grid = GRIDS[2]
+    energies = np.linspace(1.1, 2.4, 12)
+    for _ in range(5):
+        jobs = [(grid, energies), (grid, energies[::-1]), (grid, np.roll(energies, 6))]
+        assert _threads_match_serial(jobs, prime=True) <= 1e-12

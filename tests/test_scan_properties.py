@@ -6,7 +6,9 @@ references written here that shoot one integrate_radial per energy and
 walk the scan up to its first transition, as the scans did before they
 were bisected; and they pin the scans started at the WKB level's index,
 or at any wild index, and the estimator's scan started from the last
-scan's index, to the scans started cold.
+scan's index, to the scans started cold; and they pin the estimator's
+scan on a count raised by a constant, which takes the path that shoots
+energy 0 and searches above its count, to the plain one.
 """
 
 import math
@@ -248,3 +250,56 @@ def test_node_scan_brackets_the_airy_level(m, lam, nodes, decay, n):
         shooting.integrate_radial = integrate_radial
     assert lo < e < hi
     assert all(E <= m + 10.0 * math.sqrt(lam) or (E - m) / lam <= rmax for E in shot)
+
+
+@given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
+       c=st.integers(1, 4))
+def test_raised_sign_change_counts_never_change_an_estimate(m, lam, s, k, n, c):
+    # every scan count raised by c: the search for a count above 0 closes
+    # at index 1, energy 0 is shot, counts c or more, and the scan is
+    # searched again above that count, to the same bracket
+    mix = PotentialMix(lam, s)
+    hint = RadialGrid(25e-6, 25.0, n)
+    scales = (1.0, 0.9, 1.1)
+    shooting._last_scan = (None, None)
+    plain = [repr(_outcome(estimate_quasibound_energy, m, mix, k, hint, x)) for x in scales]
+    real = shooting._dirichlet_u
+
+    def raised(m, mix, k, e, grid, count=False):
+        f, changes = real(m, mix, k, e, grid, count)
+        return f, (changes + c if count else changes)
+
+    shooting._last_scan = (None, None)
+    shooting._dirichlet_u = raised
+    try:
+        got = [repr(_outcome(estimate_quasibound_energy, m, mix, k, hint, x)) for x in scales]
+    finally:
+        shooting._dirichlet_u = real
+    assert got == plain
+
+
+@given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
+       midpoint_scale=st.sampled_from((0.9, 1.0, 1.1)), warm=st.booleans())
+def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
+                                                              midpoint_scale, warm):
+    mix = PotentialMix(lam, s)
+    hint = RadialGrid(25e-6, 25.0, n)
+    e0 = m + 10.0 * math.sqrt(lam) / 192
+    if not warm:
+        shooting._last_scan = (None, None)
+    scanned = []
+    real = shooting._dirichlet_u
+
+    def recording(m, mix, k, e, grid, count=False):
+        if count:
+            scanned.append(e)
+        return real(m, mix, k, e, grid, count)
+
+    shooting._dirichlet_u = recording
+    try:
+        _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale)
+    finally:
+        shooting._dirichlet_u = real
+    i = shooting._last_scan[1]
+    assert len(scanned) == len(set(scanned))  # each scan energy is shot once
+    assert (e0 in scanned) == (i == 1)

@@ -21,6 +21,7 @@ from diraclinear import (
     shooting,
     suggest_bracket,
 )
+from diraclinear import _kernels
 from diraclinear._kernels import rk4_path
 from diraclinear.cli import main
 
@@ -459,12 +460,56 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
     # the scan's radius moves with the energy; every shot after it ends at
     # the one fixed Dirichlet radius of the last shot
     assert ends.index(ends[-1]) <= math.ceil(math.log2(97)) + 2
-    # the spread estimates start at the central estimate's index: energy 0,
-    # then the two scan energies across the transition
+    # the spread estimates start at the central estimate's index and shoot
+    # only the two scan energies across the transition: the lower one
+    # counting no sign change shows that energy 0 counts none either
     for scale in (0.9, 1.1):
         ends.clear()
         estimate_quasibound_energy(M, VECTOR, -1, grid, midpoint_scale=scale)
-        assert ends.index(ends[-1]) <= 3
+        assert ends.index(ends[-1]) <= 2
+
+
+@pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
+def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
+    # a row p = 0 per scan shot, each on a grid of its own; at the fixed
+    # radius one five-row stack, built in one pass before its first shot,
+    # and no rows p = 1..4 built apart
+    builds = []
+    real = _kernels._stack
+
+    def recording(*args):
+        builds.append(args[-3:-1])  # (first, higher)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_stack", recording)
+    shots = _record_shots(monkeypatch)
+    monkeypatch.setattr(shooting, "_last_scan", (None, None))
+    for m, mix in ((M, VECTOR), (0.8, PotentialMix(0.6, 0.25)), (1.2, PotentialMix(0.4, 0.45))):
+        for scale in (1.0, 0.9, 1.1):
+            builds.clear()
+            shots.clear()
+            estimate_quasibound_energy(m, mix, -1, grid, midpoint_scale=scale)
+            r_mid = shots[-1][1].r_max
+            scan = sum(g.r_max != r_mid for _, g in shots)
+            assert len(shots) > scan + 2
+            assert sorted(builds) == [(True, False)] * scan + [(True, True)]
+            assert builds[-1] == (True, True)
+
+
+def test_scan_ending_on_a_node_at_energy_0_returns_it(monkeypatch):
+    # with every scan count raised by 1 the search closes at index 1 and
+    # shoots energy 0; when u(r_mid) is exactly 0 there, that is the root
+    e0 = M + 10.0 * math.sqrt(LAM) / 192
+    real = shooting._dirichlet_u
+
+    def node_at_e0(m, mix, k, e, grid, count=False):
+        f, changes = real(m, mix, k, e, grid, count)
+        return ((0.0 if e == e0 else f), changes + 1) if count else (f, changes)
+
+    monkeypatch.setattr(shooting, "_dirichlet_u", node_at_e0)
+    shots = _record_shots(monkeypatch)
+    assert estimate_quasibound_energy(M, VECTOR, -1, QB_GRID) == e0
+    assert shots[-1][0] == e0
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.9, 1.1])
@@ -563,6 +608,14 @@ def test_quasibound_overflow_near_root_raises(monkeypatch):
     monkeypatch.setattr(shooting, "_dirichlet_u", overflowing_near_root)
     with pytest.raises(ScanError, match="overflows"):
         estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
+
+
+def test_quasibound_scan_below_the_resolution_near_m_raises(monkeypatch):
+    # m + width / 192 rounds to m: no scan energy lies above m
+    shots = _record_shots(monkeypatch)
+    with pytest.raises(ScanError, match="below the resolution of energies near m"):
+        estimate_quasibound_energy(1e16, VECTOR, -1, QB_GRID)
+    assert shots == []
 
 
 def test_quasibound_rejects_bound_mix():
