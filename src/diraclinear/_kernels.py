@@ -40,8 +40,14 @@ of three paths:
   (the stack is then 320 bytes per step, 6.4 MB at n = 20000);
 - all five rows in one pass (_prime): a caller that will shoot a grid
   at E_c and then at several energies near it installs the whole stack
-  before its first shot, as the quasi-bound estimator does at its fixed
-  radius; the rows share the coefficients at the three radii.
+  before its first shot; the rows share the coefficients at the three
+  radii.  Three callers prime: suggest_bracket at its first probe,
+  find_bound_state at its bracket's lower end (a no-op after
+  suggest_bracket, which leaves the grid cached), and the quasi-bound
+  estimator at its fixed radius.  Priming the cached grid does nothing,
+  so a centre never moves once set.  What stays lazy: the estimator's
+  scan shots, each on a grid of its own, the inward tail shot, and any
+  direct integrate_radial or rk4_path call.
 
 Every path computes each entry by the same sums in the same order, so a
 row is the same bits whichever path built it.  A call at the centre,
@@ -210,15 +216,21 @@ def _prime(m, lam, s, k, Ec, r0, h, n):
     """Builds the grid's full stack centred at Ec, rows p = 0..4 in one
     pass, and installs it as the cached grid, for a caller that shoots
     the grid at Ec and then at several energies near it: its first shot
-    reads row p = 0 as it is, and no shot builds the other rows apart."""
+    reads row p = 0 as it is, and no shot builds the other rows apart.
+    A no-op when the grid is the cached one already, so that no centre
+    moves: the grid's shots keep the bits its first shot gave them."""
     global _last_grid
+    key = (m, lam, s, k, r0, h, n)
+    if _last_grid[0] == key:
+        return
     # as in _transfer_matrices, the old grid's stack is freed first
     _last_grid = (None, None, None)
     full = np.zeros((5, n + 1, 8))
-    _stack(m, lam, s, k, Ec, r0, h, n, True, True, full)
+    with np.errstate(all="ignore"):
+        _stack(m, lam, s, k, Ec, r0, h, n, True, True, full)
     full = full.reshape(5, -1)
     full.flags.writeable = False
-    _last_grid = ((m, lam, s, k, r0, h, n), Ec, full)
+    _last_grid = (key, Ec, full)
 
 
 def _transfer_matrices(m, lam, s, k, E, r0, h, n):

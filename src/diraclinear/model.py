@@ -109,11 +109,20 @@ class RadialGrid:
 
     def radii(self) -> np.ndarray:
         """r_min + h*i for i = 0..n with the last entry r_max: what
-        np.linspace(r_min, r_max, n + 1) computes, without its overhead."""
-        r = np.arange(self.n + 1, dtype=float)
-        r *= self.h
-        r += self.r_min
-        r[-1] = self.r_max
+        np.linspace(r_min, r_max, n + 1) computes, without its overhead.
+
+        Computed on the first call and kept: every call returns the same
+        read-only array, which every RadialSolution on the grid shares."""
+        r = self.__dict__.get("_radii")
+        if r is None:
+            r = np.arange(self.n + 1, dtype=float)
+            r *= self.h
+            r += self.r_min
+            r[-1] = self.r_max
+            r.flags.writeable = False
+            # the dataclass is frozen: a cache, not a field, so it is set
+            # past __setattr__ and takes no part in ==, hash or repr
+            self.__dict__["_radii"] = r
         return r
 
 
@@ -125,7 +134,9 @@ class RadialSolution:
     endpoints.  A diverged flag marks outward integrations whose growing
     tail overflowed before reaching r_max (tail entries are NaN beyond the
     divergence point); divergence_sign records the sign of u there, which
-    is the datum an eigenvalue bisection needs.
+    is the datum an eigenvalue bisection needs.  r is the grid's radii(),
+    one read-only array shared by every solution on the grid: copy it
+    before changing it.
     """
 
     r: np.ndarray
@@ -173,7 +184,8 @@ def turning_points(m: float, E: float, mix: PotentialMix) -> TurningPoints:
     r1 = (E-m)/lambda always; r2 = (E+m)/lambda and
     r3 = (E+m)/((1-2s)*lambda) exist only while the net continuum shift
     rises (s < 1/2).  For s >= 1/2 the negative-energy continuum is never
-    lifted to E and r2, r3 are absent.
+    lifted to E and r2, r3 are absent.  Raises ValueError, naming m and E,
+    when E is so far above m that r1 and r2 round to the same value.
     """
     if not (m > 0):
         raise ValueError("mass must be positive")
@@ -183,6 +195,10 @@ def turning_points(m: float, E: float, mix: PotentialMix) -> TurningPoints:
     if mix.s >= 0.5:
         return TurningPoints(r1=r1)
     r2 = (E + m) / mix.lam
+    if not r1 < r2:
+        raise ValueError(
+            f"E = {E} is too far above m = {m} to separate the turning points: "
+            f"r1 = (E - m)/lambda and r2 = (E + m)/lambda both round to {r1}")
     r3 = (E + m) / ((1.0 - 2.0 * mix.s) * mix.lam)
     return TurningPoints(r1=r1, r2=r2, r3=r3)
 

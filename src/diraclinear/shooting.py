@@ -28,9 +28,11 @@ of the same spacing, while the energies' turning points r1 lie on the
 grid.  The estimator reads only u at the Dirichlet point, and for scan
 shots its sign changes, so its shots build no RadialSolution.  Its scan
 looks for the first count above 0 and shoots its first energy only when
-the search closes next to it; and before the first shot at its fixed
-Dirichlet point it has the kernel build that grid's whole coefficient
-stack in one pass (see _kernels).
+the search closes next to it.  A grid shot at several energies has the
+kernel build its whole coefficient stack in one pass before its first
+shot (see _kernels): suggest_bracket's grid, at its first probe, which
+find_bound_state then finds cached, and the estimator's grid at its
+fixed Dirichlet point.
 
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff.  find_bound_state therefore keeps
@@ -189,7 +191,11 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     level, is returned as it is, normalized.  A state whose node count is
     not `nodes` (a raw shot's node on a grid point, its sign picked by
     rounding) gives way to the state at the bracket's lower end, 1e-8
-    below.  Raises
+    below.  Every shot is on the one grid: a grid that is not the
+    kernel's cached one (find_bound_state called without suggest_bracket)
+    has its whole coefficient stack built in one pass, centred at the
+    bracket's lower end, before the first shot (see _kernels).  The
+    solution's r is the grid's shared, read-only radii().  Raises
     ConsistencyError when the outward shot overflows before r1 or the
     inward one before reaching it.
     """
@@ -201,6 +207,8 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
 
+    # the first shot is at lo; a no-op on the grid suggest_bracket shot
+    _prime(m, mix.lam, mix.s, int(k), lo, grid.r_min, grid.h, grid.n)
     n_lo = integrate_radial(m, mix, k, lo, grid).node_count
     n_hi = integrate_radial(m, mix, k, hi, grid).node_count
     if n_lo == n_hi:
@@ -372,7 +380,10 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     in steps of the same spacing, through energies whose turning point
     r1 = (E - m)/lambda lies within r_max, galloping from the top and
     bisecting the last step (see _first_above).  All shots are on the one
-    grid, so they share its cached coefficients (see _kernels).
+    grid, so they share its cached coefficients (see _kernels): the first
+    probe builds the grid's whole stack in one pass, centred at its own
+    energy, unless the grid is cached already, and leaves the grid cached
+    for find_bound_state.
 
     Raises ScanError when there is no such transition; its message names
     the r_max that the next scan energy needs when the scan went past the
@@ -392,7 +403,10 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
         return (energy(j) - m) / mix.lam
 
     def above(j):
-        return integrate_radial(m, mix, k, energy(j), grid).node_count > nodes
+        e = energy(j)
+        # the first probe primes the grid; every later one finds it cached
+        _prime(m, mix.lam, mix.s, int(k), e, grid.r_min, grid.h, grid.n)
+        return integrate_radial(m, mix, k, e, grid).node_count > nodes
 
     top = steps  # the last scan energy that may be shot
     i = _first_above(above, -1, top + 1,
@@ -476,7 +490,9 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     Every shot goes through _dirichlet_u, which returns u(r_mid), and
     for scan shots the sign-change count.
     Raises ScanError when the scan step is too small to move an energy
-    near m, as for a huge m, when the scan finds no sign change, when the
+    near m, as for a huge m, when even the first scan energy E is so far
+    above m, as for a huge lambda, that E - m and E + m round to the same
+    value, when the scan finds no sign change, when the
     widening leaves the scan window without one, or when a shot in the
     bracket overflows before r_mid (it then has no finite residual).
 
@@ -502,12 +518,15 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
         r_min = min(grid_hint.r_min, 1e-6 * r_mid)
         return RadialGrid(r_min=r_min, r_max=r_mid, n=grid_hint.n)
 
+    def energy(i):
+        return m + width / (2.0 * steps) if i == 0 else m + width * i / steps
+
     def scan_u(i):
         """u and sign changes of the shot at scan energy i, each energy
         to its own Dirichlet point; each energy is shot once, and kept in
         `scan`."""
         if i not in scan:
-            e = energies[i]
+            e = energy(i)
             scan[i] = _dirichlet_u(m, mix, k, e, grid_at(dirichlet_radius(e)), count=True)
         return scan[i]
 
@@ -517,10 +536,15 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
 
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
-    if m + width / (2.0 * steps) == m:
+    e0 = energy(0)
+    if e0 == m:
         raise ScanError(f"the scan step {width / steps} is below the resolution "
                         f"of energies near m = {m}")
-    energies = [m + width / (2.0 * steps)] + [m + width * i / steps for i in range(1, steps + 1)]
+    if e0 - m == e0 + m:
+        raise ScanError(
+            f"lambda = {mix.lam} puts every scan energy E in (m, m + 10*sqrt(lambda)) "
+            f"= ({m}, {m + width}) so far above m that E - m and E + m round to "
+            f"the same value; there are no turning points to scan")
     scan = {}
     # the spread estimates share the central estimate's key, and almost
     # always its index: start there; else at the WKB level
@@ -528,25 +552,25 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     last_key, start = _last_scan
     if last_key != key:
         start = wkb_start(0)
-    i = _first_above(lambda i: scan_u(i)[1] > 0, 0, len(energies), start)
+    i = _first_above(lambda i: scan_u(i)[1] > 0, 0, steps + 1, start)
     # the closing lower end, a probe that counted 0, shows that energy 0
     # counts 0 too, unless it is energy 0 itself (see stage 1 above)
     if i == 1:
         f0, changes0 = scan_u(0)
         if f0 == 0.0:
-            return energies[0]
+            return energy(0)
         if changes0 > 0:
-            i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, len(energies),
+            i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, steps + 1,
                              wkb_start(changes0))
     _last_scan = (key, i)
-    if i == len(energies):
+    if i == steps + 1:
         raise ScanError(
             f"no Dirichlet sign change in the scan window "
             f"({m}, {m + width}); no quasi-bound level found")
     if scan[i - 1][0] == 0.0:
         # the shot below the crossing ends on a node: a root on the scan grid
-        return energies[i - 1]
-    bracket = (energies[i - 1], energies[i])
+        return energy(i - 1)
+    bracket = (energy(i - 1), energy(i))
 
     # converge at one fixed radius; the scan's radius moved with the
     # energy, so its sign change need not hold at r_mid

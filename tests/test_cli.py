@@ -435,7 +435,12 @@ def test_unwritable_output_is_reported(argv, tmp_path, capsys):
     # an extreme equal-mix point: the quartic solve has no bracket top to
     # overflow, so the run reports both levels
     (["solve", "--m", "1e-300", "--lambda", "1e12", "--n", "500"], 0),
-], ids=["adjacent-doubles", "huge-mass", "huge-mass-sweep", "huge-slope", "analytic-bracket"])
+    # E - m and E + m round to the same double: in every scan energy, and
+    # in a given energy
+    (["lifetime", "--lambda", "1e40", "--s", "0.25", "--n", "500"], 1),
+    (["lifetime", "--s", "0.25", "--energy", "5e20"], 1),
+], ids=["adjacent-doubles", "huge-mass", "huge-mass-sweep", "huge-slope", "analytic-bracket",
+        "huge-slope-lifetime", "huge-energy-lifetime"])
 def test_extreme_settings_end(argv, expected, tmp_path):
     # each of these ran forever before it was fixed, so it runs in a
     # process of its own under a timeout
@@ -485,6 +490,14 @@ def test_huge_mass_lifetime_fails_with_a_scan_error(m, message, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
     assert "turning points" not in err
+
+
+def test_huge_slope_lifetime_names_lambda(capsys):
+    # every scan energy E is so far above m that E - m and E + m round alike
+    code, out, err = run_cli(capsys, "lifetime", "--lambda", "1e40", "--s", "0.25", "--n", "500")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "lambda = 1e+40" in err and "r1 < r2 <= r3" not in err
 
 
 @pytest.mark.parametrize("command", ["solve", "profile"])

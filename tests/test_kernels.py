@@ -171,6 +171,17 @@ def test_primed_grid_shoots_as_an_unprimed_one(grid, monkeypatch):
     assert _kernels._last_grid[2] is stack
 
 
+def test_priming_the_cached_grid_moves_no_centre(monkeypatch):
+    grid = GRIDS[3]
+    m, lam, s, k, r0, h, n = grid
+    _kernels.warm_up()
+    _shot(grid, 1.4)  # the lazy path: row p = 0, centred at 1.4
+    cached = _kernels._last_grid
+    monkeypatch.setattr(_kernels, "_stack", None)
+    _prime(m, lam, s, k, 2.0, r0, h, n)
+    assert _kernels._last_grid is cached
+
+
 def test_a_shot_at_the_centre_builds_nothing_more(monkeypatch):
     grid = GRIDS[3]
     _kernels.warm_up()

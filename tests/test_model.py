@@ -72,6 +72,14 @@ def test_turning_points_require_binding_energy():
         turning_points(1.0, 0.5, PotentialMix(0.2, 0.0))
 
 
+def test_turning_points_too_close_to_tell_apart_name_m_and_e():
+    # E - m and E + m round to the same double
+    with pytest.raises(ValueError, match=r"E = 5e\+20 is too far above m = 1.0"):
+        turning_points(1.0, 5e20, PotentialMix(0.2, 0.25))
+    # strictly bound: there is no r2 to tell r1 from
+    assert turning_points(1.0, 5e20, PotentialMix(0.2, 0.5)).r2 is None
+
+
 def test_r1_independent_of_scalar_fraction():
     for s in (0.0, 0.2, 0.5, 0.8, 1.0):
         tp = turning_points(1.3, 2.1, PotentialMix(0.37, s))
@@ -131,6 +139,13 @@ def test_radial_grid_points():
     assert len(r) == 101
     assert r[0] == 1e-4 and r[-1] == 10.0
     assert grid.h == pytest.approx((10.0 - 1e-4) / 100)
+
+
+def test_radial_grid_radii_cache_takes_no_part_in_equality():
+    grid = RadialGrid(r_min=1e-4, r_max=10.0, n=100)
+    grid.radii()
+    twin = RadialGrid(r_min=1e-4, r_max=10.0, n=100)
+    assert twin == grid and hash(twin) == hash(grid) and repr(twin) == repr(grid)
 
 
 @settings(max_examples=100)

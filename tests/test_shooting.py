@@ -469,19 +469,26 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
         assert ends.index(ends[-1]) <= 2
 
 
+def _record_builds(monkeypatch):
+    """Route the kernel's stack builds, _kernels._stack, through a recorder
+    of (E_c, h, first, higher), one entry per build."""
+    builds = []
+    real = _kernels._stack
+
+    def recording(m, lam, s, k, Ec, r0, h, n, first, higher, out):
+        builds.append((Ec, h, first, higher))
+        return real(m, lam, s, k, Ec, r0, h, n, first, higher, out)
+
+    monkeypatch.setattr(_kernels, "_stack", recording)
+    return builds
+
+
 @pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
 def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
     # a row p = 0 per scan shot, each on a grid of its own; at the fixed
     # radius one five-row stack, built in one pass before its first shot,
     # and no rows p = 1..4 built apart
-    builds = []
-    real = _kernels._stack
-
-    def recording(*args):
-        builds.append(args[-3:-1])  # (first, higher)
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "_stack", recording)
+    builds = _record_builds(monkeypatch)
     shots = _record_shots(monkeypatch)
     monkeypatch.setattr(shooting, "_last_scan", (None, None))
     for m, mix in ((M, VECTOR), (0.8, PotentialMix(0.6, 0.25)), (1.2, PotentialMix(0.4, 0.45))):
@@ -492,8 +499,45 @@ def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
             r_mid = shots[-1][1].r_max
             scan = sum(g.r_max != r_mid for _, g in shots)
             assert len(shots) > scan + 2
-            assert sorted(builds) == [(True, False)] * scan + [(True, True)]
-            assert builds[-1] == (True, True)
+            kinds = [b[2:] for b in builds]  # (first, higher)
+            assert sorted(kinds) == [(True, False)] * scan + [(True, True)]
+            assert kinds[-1] == (True, True)
+
+
+def test_a_bound_solve_builds_its_grids_stack_once(monkeypatch):
+    grid = RadialGrid(r_min=12e-6, r_max=12.0, n=4000)
+    _kernels.warm_up()  # the cache holds another grid
+    builds = _record_builds(monkeypatch)
+    energies = []
+    real = shooting.rk4_path
+
+    def recording(m, lam, s, k, E, r0, h, n, u0, v0):
+        energies.append(E)
+        return real(m, lam, s, k, E, r0, h, n, u0, v0)
+
+    monkeypatch.setattr(shooting, "rk4_path", recording)
+    bracket = suggest_bracket(M, EQUAL, -1, grid)
+    sol = find_bound_state(M, EQUAL, -1, bracket, grid)
+    # one five-row pass, centred at the first probe's energy, where the
+    # lazy path centres it; then the inward tail's own row p = 0
+    assert builds == [(energies[0], grid.h, True, True), (sol.E, -grid.h, True, False)]
+
+    # find_bound_state on a grid that is not cached primes it at lo
+    builds.clear()
+    again = find_bound_state(M, EQUAL, -1, bracket, grid)
+    assert builds == [(bracket[0], grid.h, True, True), (sol.E, -grid.h, True, False)]
+    assert again.E == sol.E
+
+
+def test_shots_on_one_grid_share_its_read_only_radii():
+    grid = RadialGrid(r_min=12e-6, r_max=12.0, n=1000)
+    a = integrate_radial(M, EQUAL, -1, 1.5, grid)
+    b = integrate_radial(M, EQUAL, -1, 1.6, grid)
+    assert a.r is b.r is grid.radii()
+    with pytest.raises(ValueError, match="read-only"):
+        a.r[0] = 0.0
+    sol = find_bound_state(M, EQUAL, -1, (1.5, 1.7), grid)
+    assert sol.r is a.r
 
 
 def test_scan_ending_on_a_node_at_energy_0_returns_it(monkeypatch):
