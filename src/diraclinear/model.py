@@ -9,6 +9,7 @@ S(r) = s*lambda*r, with scalar fraction 0 <= s <= 1.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,17 +150,31 @@ class RadialSolution:
     grid: RadialGrid | None = field(default=None, repr=False)
 
 
+# the signs' scale in count_nodes: 2^-60 |u| summed over any array that
+# fits in memory stays finite, and the squares 2^-120 sum exactly
+_SIGN_SCALE = 2.0 ** -60
+_SIGN_SCALE2 = _SIGN_SCALE * _SIGN_SCALE
+
+
 def count_nodes(u: np.ndarray, end: bool = False) -> int:
     """Strict sign changes of u over its interior (endpoints excluded, or
-    with `end` set only the first), skipping zero and non-finite entries."""
+    with `end` set only the first), skipping zero and non-finite entries.
+
+    The common case, a shot with no zero and no non-finite entry, takes
+    three dot products over the signs s, scaled by 2^-60, and no other
+    temporary: s.s counts the entries of sign +-1 (a zero adds 0, a NaN
+    makes it NaN), s.u is finite only when every entry is (the scale
+    keeps it from overflowing, so it warns of nothing), and the sum of
+    s_i s_(i+1), one less than the entries minus twice the changes, gives
+    the count.  Any other array keeps only its nonzero finite entries and
+    compares neighbouring signs."""
     interior = u[1:] if end else u[1:-1]
     s = np.sign(interior)
-    keep = np.isfinite(interior)
-    # the common case keeps every entry: every sign is +-1 (no entry is
-    # zero or NaN) and every entry is finite
-    if not (np.dot(s, s) == s.size and keep.all()):
-        keep &= s != 0
-        s = s[keep]
+    s *= _SIGN_SCALE
+    size = s.size
+    if size > 1 and np.dot(s, s) == size * _SIGN_SCALE2 and math.isfinite(np.dot(s, interior)):
+        return (size - 1 - int(np.dot(s[1:], s[:-1]) / _SIGN_SCALE2)) // 2
+    s = s[(s != 0) & np.isfinite(interior)]
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 

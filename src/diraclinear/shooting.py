@@ -19,14 +19,16 @@ level confirm the central estimate's index in two shots; every other
 scan at the index of the WKB level (_wkb_level, pure arithmetic, no
 shot), which on the benchmark's requests is the transition's index or
 one off, so the search takes 2 shots, or 4 when the guess is one step
-high, in place of a cold bisection's 7 or 8.  The count is monotone only on a grid that resolves the Airy
-length, so a grid whose step exceeds a quarter of it at the guessed
-level gets no guess, and its scan bisects cold.  Any start gives the
-same bracket as the cold bisection: a guess changes only which energies
-are shot.  The node scan goes on past the top of its window, in steps
-of the same spacing, while the energies' turning points r1 lie on the
-grid.  The estimator reads only u at the Dirichlet point, and for scan
-shots its sign changes, so its shots build no RadialSolution.  Its scan
+high, in place of a cold bisection's 7 or 8.  The count is monotone only
+on a grid that resolves the Airy length, so suggest_bracket refuses a
+grid whose step exceeds a quarter of it at the WKB level, with a
+ScanError naming the n that resolves it, before any shot; the Dirichlet
+scan's grid gets no guess there, and its scan bisects cold.  Any start
+gives the same bracket as the cold bisection: a guess changes only which
+energies are shot.  The node scan goes on past the top of its window, in
+steps of the same spacing, while the energies' turning points r1 lie on
+the grid.  The estimator reads only u at the Dirichlet point, and for
+scan shots its sign changes, so its shots build no RadialSolution.  Its scan
 looks for the first count above 0 and shoots its first energy only when
 the search closes next to it.  A grid shot at several energies has the
 kernel build its whole coefficient stack in one pass before its first
@@ -66,7 +68,7 @@ def _launch(m, mix, k, E, r_min):
     Raises ValueError on a non-finite E, when r_min^(|k| + 1) overflows,
     and when r_min^|k| underflows so that both values vanish and the shot
     would be identically zero."""
-    if not np.isfinite(E):
+    if not math.isfinite(E):
         raise ValueError("E must be finite")
     kk = abs(k)
     p0 = E + m - (1.0 - 2.0 * mix.s) * mix.lam * r_min
@@ -98,7 +100,8 @@ def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
     records the sign of u there for use by eigenvalue bisections.  Raises
     ValueError when r_min^|k| underflows, so that both launch values are 0.
     """
-    QuantumNumbers(k)
+    if type(k) is not int or k == 0:  # a plain nonzero int needs no check
+        QuantumNumbers(k)
     u0, v0 = _launch(m, mix, k, E, grid.r_min)
     u, v, stop, sign = rk4_path(m, mix.lam, mix.s, int(k), E,
                                 grid.r_min, grid.h, grid.n, u0, v0)
@@ -325,25 +328,57 @@ def _wkb_level(m, lam, s, k, nodes):
     return e if math.isfinite(e) else None
 
 
-def _wkb_start(m, mix, k, nodes, step, grid_step):
+def _quarter_airy(m, lam, e):
+    """A quarter of the Airy length (lambda (m + E))^(-1/3) at energy e:
+    the largest grid step on which a scan near e may trust the node count
+    to be monotone in E.  Two cube roots, so that no product overflows."""
+    return 0.25 * lam ** (-1.0 / 3.0) * (m + e) ** (-1.0 / 3.0)
+
+
+def _wkb_start(m, mix, k, nodes, step, grid_step, e=None):
     """Where a scan of the energies m + j*step, j >= 1, starts: the index
-    of the first one above _wkb_level's level.  None, for a cold
-    bisection, when there is no level, or when grid_step(E), the step of
-    the grid a shot at the level's energy E runs on, exceeds a quarter of
-    the Airy length (lambda (m + E))^(-1/3): on such grids the node count
-    need not be monotone in E, and a start could change the bracket (at
-    m = 1e12 on a 100-step grid an unguarded start turned the scan's
-    ScanError into a level 500 times the Airy binding).  An index outside
-    the scan is no start either (see _first_above)."""
-    e = _wkb_level(m, mix.lam, mix.s, k, nodes)
+    of the first one above _wkb_level's level, or above e when the caller
+    has that level already.  None, for a cold bisection, when there is no
+    level, or when grid_step(E), the step of the grid a shot at the
+    level's energy E runs on, exceeds a quarter of the Airy length
+    (lambda (m + E))^(-1/3): on such grids the node count need not be
+    monotone in E, and a start could change the bracket (at m = 1e12 on a
+    100-step grid an unguarded start turned the scan's ScanError into a
+    level 500 times the Airy binding).  An index outside the scan is no
+    start either (see _first_above)."""
     if e is None:
-        return None
+        e = _wkb_level(m, mix.lam, mix.s, k, nodes)
+        if e is None:
+            return None
     try:
-        if not abs(grid_step(e)) <= 0.25 * (mix.lam * (m + e)) ** (-1.0 / 3.0):
+        if not abs(grid_step(e)) <= _quarter_airy(m, mix.lam, e):
             return None
         return math.floor((e - m) / step) + 1
     except (ArithmeticError, ValueError):
         return None
+
+
+def _require_resolved(m, mix, nodes, e, grid):
+    """Raises ScanError, naming the n that resolves it, when the step of
+    grid exceeds a quarter of the Airy length at e, the WKB level of the
+    `nodes`-node state: there the node count need not rise with E, and a
+    scan can return the level of a state that the grid cannot hold (at
+    lambda = 1e12 on a 500-step grid, 5e4 times the Airy level)."""
+    quarter = _quarter_airy(m, mix.lam, e)
+    if grid.h <= quarter:
+        return
+    span = grid.r_max - grid.r_min
+    if span < 2.0 ** 52 * quarter:
+        n = math.ceil(span / quarter)
+        while not span / n <= quarter:  # as RadialGrid.h rounds it
+            n += 1
+        fix = f"a grid of {n} steps (--n {n}) resolves it"
+    else:
+        fix = "no grid of fewer than 2^52 steps resolves it"
+    raise ScanError(
+        f"the grid step {grid.h} exceeds a quarter of the Airy length "
+        f"(lambda (m + E))^(-1/3) = {4.0 * quarter} at the WKB level E = {e} of "
+        f"the {nodes}-node state, so the node count need not rise with E; {fix}")
 
 
 def _dirichlet_u(m, mix, k, e, grid, count=False):
@@ -369,27 +404,29 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
 
     The bracket is the pair of adjacent scan energies across which the
     node count first exceeds `nodes`, found by searching the scan on the
-    node count, which does not fall as E rises.  The search starts at the
-    first scan energy above the WKB level of the `nodes`-node state (see
-    _wkb_start) and confirms it in 2 shots when the guess is right, and
-    in 4 when it is one step high; a grid too coarse for the guess, whose
-    step exceeds a quarter of the Airy length there, is bisected cold.
-    Either way the bracket is the cold bisection's, and the end energies
-    are shot only when the search closes next to them.  When the count is still
-    at or below `nodes` at the top of the window, the scan goes on upward
-    in steps of the same spacing, through energies whose turning point
-    r1 = (E - m)/lambda lies within r_max, galloping from the top and
-    bisecting the last step (see _first_above).  All shots are on the one
-    grid, so they share its cached coefficients (see _kernels): the first
-    probe builds the grid's whole stack in one pass, centred at its own
-    energy, unless the grid is cached already, and leaves the grid cached
-    for find_bound_state.
+    node count, which does not fall as E rises on a grid that resolves
+    the Airy length.  A grid whose step exceeds a quarter of the Airy
+    length (lambda (m + E))^(-1/3) at the WKB level E of the `nodes`-node
+    state is refused before any shot (see _require_resolved).  The search
+    starts at the first scan energy above that level (see _wkb_start)
+    and confirms it in 2 shots when the guess is right, and in 4 when it
+    is one step high.  The bracket is the cold bisection's whatever the
+    start, and the end energies are shot only when the search closes
+    next to them.  When the count is still at or below `nodes` at the top
+    of the window, the scan goes on upward in steps of the same spacing,
+    through energies whose turning point r1 = (E - m)/lambda lies within
+    r_max, galloping from the top and bisecting the last step (see
+    _first_above).  All shots are on the one grid, so they share its
+    cached coefficients (see _kernels): the first probe builds the grid's
+    whole stack in one pass, centred at its own energy, unless the grid
+    is cached already, and leaves the grid cached for find_bound_state.
 
     Raises ScanError when there is no such transition; its message names
     the r_max that the next scan energy needs when the scan went past the
     window.  Also raises ScanError when the scan step is too small to move
-    an energy near m, as for a huge m, and when more than 2^52 scan
-    energies lie past the window."""
+    an energy near m, as for a huge m, when the grid does not resolve the
+    Airy length at the level (its message names the n that does), and
+    when more than 2^52 scan energies lie past the window."""
     QuantumNumbers(k)
     width = 10.0 * math.sqrt(mix.lam)
     if m + width / steps == m:
@@ -408,9 +445,12 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
         _prime(m, mix.lam, mix.s, int(k), e, grid.r_min, grid.h, grid.n)
         return integrate_radial(m, mix, k, e, grid).node_count > nodes
 
+    level = _wkb_level(m, mix.lam, mix.s, k, nodes)
+    if level is not None:
+        _require_resolved(m, mix, nodes, level, grid)
     top = steps  # the last scan energy that may be shot
     i = _first_above(above, -1, top + 1,
-                     _wkb_start(m, mix, k, nodes, width / steps, lambda e: grid.h))
+                     _wkb_start(m, mix, k, nodes, width / steps, lambda e: grid.h, level))
     if i > top:
         # past the window: up to the last energy whose r1 lies on the grid
         estimate = grid.r_max * mix.lam * steps / width

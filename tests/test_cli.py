@@ -424,17 +424,18 @@ def test_unwritable_output_is_reported(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # the bisection closes on two adjacent doubles 1.5e-5 apart
-    (["solve", "--lambda", "1e12", "--n", "500"], 0),
+    # the grid step is about 6e4 Airy lengths: refused before any shot
+    # (the scan's bisection once closed on adjacent doubles there)
+    (["solve", "--lambda", "1e12", "--n", "500"], 1),
     # every scan energy rounds to m
     (["solve", "--m", "1e300"], 1),
     (["sweep", "--param", "m", "--range", "1", "1e300", "--steps", "2",
       "--out", "{tmp}/x.csv"], 1),
     # past the scan window the energy indices exceed 2^52
     (["solve", "--lambda", "1e300", "--n", "100"], 1),
-    # an extreme equal-mix point: the quartic solve has no bracket top to
-    # overflow, so the run reports both levels
-    (["solve", "--m", "1e-300", "--lambda", "1e12", "--n", "500"], 0),
+    # an extreme equal-mix point on the same unresolved grid: refused
+    # before any shot, where it reported a level 5e4 times the Airy one
+    (["solve", "--m", "1e-300", "--lambda", "1e12", "--n", "500"], 1),
     # E - m and E + m round to the same double: in every scan energy, and
     # in a given energy
     (["lifetime", "--lambda", "1e40", "--s", "0.25", "--n", "500"], 1),
@@ -467,11 +468,22 @@ def test_extreme_settings_report_one_error_line(argv, expected, tmp_path, capsys
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["solve", "--lambda", "1e12", "--n", "500"], 123419396),
+    (["solve", "--m", "1e-300", "--lambda", "1e12", "--n", "500"], 123419363),
+], ids=["adjacent-doubles", "analytic-bracket"])
+def test_unresolved_grid_names_the_n_that_resolves_it(argv, n, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"(--n {n})" in err and "Airy length" in err
+
+
 def test_huge_mass_coarse_grid_fails_in_the_scan(capsys):
     # at h E ~ 2.5e11 the node counts once depended on the shot before, so
     # the solve re-shot the scan's bracket and refuted it with a
-    # BracketError; the scan and the solve now count alike, and the run
-    # fails in the scan, with its own error
+    # BracketError; the grid's step is about 1800 Airy lengths, and the
+    # scan now refuses it before any shot
     code, out, err = run_cli(capsys, "solve", "--m", "1e12", "--n", "100")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -2,14 +2,18 @@
 stack centred at that shot's energy, follows a plain per-step RK4 loop over
 seeded draws of the whole parameter domain, outward and inward,
 overflowing shots included, and on coarse steps far from the centre, where
-a shot past |h| |E - E_c| = 1 builds its own step matrices; and the
-one-pass build of a grid's whole stack equals its rows built apart."""
+a shot past |h| |E - E_c| = 1 builds its own step matrices; the one-pass
+build of a grid's whole stack equals its rows built apart; and on
+synthetic bands whose paths grow past the sum-of-squares test's 1.34e154
+and the 1e250 cap, rk4_path stops where the exact max/min rule does."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtbtrs
 from test_shooting import _reference_rk4
 
 from diraclinear import _kernels
@@ -104,11 +108,12 @@ def test_shots_within_unit_reach_take_the_cached_stack(monkeypatch):
 
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 1.0), k=st.sampled_from((-2, -1, 1, 2)),
-       centre=st.floats(0.0, 10.0), n=st.sampled_from((7, 100, 2048, 2049, 5000)),
+       centre=st.floats(0.0, 10.0),
+       n=st.sampled_from((7, 100, _kernels._CHUNK, _kernels._CHUNK + 1, 5000)),
        inward=st.booleans(), step=st.floats(0.002, 0.05), start=st.floats(1e-3, 1.0))
 def test_one_pass_stack_equals_its_rows_built_apart(m, lam, s, k, centre, n, inward, step,
                                                       start):
-    # 2048 and 2049 steps end a chunk exactly and one step past it
+    # _CHUNK and _CHUNK + 1 steps end a chunk exactly and one step past it
     r0, h = (start + n * step, -step) if inward else (start, step)
     # priming the cached grid is a no-op, and a draw may repeat the last
     # draw's grid at another centre: cache another grid first
@@ -120,3 +125,45 @@ def test_one_pass_stack_equals_its_rows_built_apart(m, lam, s, k, centre, n, inw
     _stack(m, lam, s, k, centre, r0, h, n, False, True, higher)
     np.testing.assert_array_equal(stack[0], _row0(m, lam, s, k, centre, r0, h, n)[0])
     np.testing.assert_array_equal(stack[1:], higher.reshape(4, -1))
+
+
+_GROWTH = st.tuples(st.floats(-50.0, 330.0), st.sampled_from((1.0, -1.0)))
+_LAUNCH = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@given(n=st.integers(1, 300), gu=_GROWTH, gv=_GROWTH, u0=_LAUNCH, v0=_LAUNCH)
+# u passes 1.34e154, where x.x overflows, but stays below the cap
+@example(n=50, gu=(200.0, 1.0), gv=(0.0, 1.0), u0=1.0, v0=1.0)
+# v crosses the cap while u stays small, and u changes sign every step
+@example(n=40, gu=(0.0, -1.0), gv=(300.0, 1.0), u0=-2.0, v0=1.0)
+def test_synthetic_band_paths_stop_where_the_max_min_rule_does(n, gu, gv, u0, v0):
+    # every step matrix is diag(gu, gv), |g| = 10^(decades / n): the path
+    # grows by up to 330 decades, past 1.34e154, the cap and the largest
+    # double, as a growing tail does
+    (du, su), (dv, sv) = gu, gv
+    ab = np.zeros((n + 1, 8))
+    ab[:, 0] = ab[:, 4] = 1.0
+    ab[:n, 2] = -su * 10.0 ** (du / n)  # -T00
+    ab[:n, 6] = -sv * 10.0 ** (dv / n)  # -T11
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_transfer_matrices", lambda *args: ab.reshape(-1))
+        u, v, stop, sign = rk4_path(1.0, 1.0, 0.5, -1, 1.5, 0.1, 0.01, n, u0, v0)
+
+    # the exact rule on the same solve: the first entry past the cap, or
+    # not finite, ends the path; its u's sign, or the last finite u's
+    x = np.zeros(2 * n + 2)
+    x[:2] = u0, v0
+    with np.errstate(all="ignore"):
+        x = dtbtrs(ab.reshape(-1, 4).T, x, uplo="L", diag="U")[0].reshape(-1, 2)
+    cap = _kernels._OVERFLOW_CAP
+    bad = [i for i in range(1, n + 1) if not (abs(x[i, 0]) <= cap and abs(x[i, 1]) <= cap)]
+    if not bad:
+        assert (stop, sign) == (n, 0.0)
+        np.testing.assert_array_equal(np.stack([u, v], axis=1), x)
+        return
+    i = bad[0]
+    un, uu = x[i, 0], x[i - 1, 0]
+    want = np.sign(un) if np.isfinite(un) and un != 0.0 else np.sign(uu)
+    assert (stop, sign) == (i - 1, want)
+    np.testing.assert_array_equal(np.stack([u, v], axis=1)[:i], x[:i])
+    assert np.isnan(u[i:]).all() and np.isnan(v[i:]).all()

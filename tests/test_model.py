@@ -161,6 +161,7 @@ def test_radial_grid_points_are_linspace_bit_for_bit(r_min, width, n):
 
 def test_count_nodes():
     assert count_nodes(np.array([0.0, 1.0, 2.0, 1.0, 0.5, 0.1])) == 0
+    assert count_nodes(np.array([0.0, 1e308, 1e308, -1e308, 0.0])) == 1
     assert count_nodes(np.array([0.0, 1.0, -1.0, 1.0, 0.0])) == 2
     assert count_nodes(np.array([0.0, 1.0, 0.0, 1.0, 0.0])) == 0
     assert count_nodes(np.array([0.0, 1.0, np.nan, np.nan, np.nan])) == 0
@@ -175,9 +176,19 @@ def _two_pass_nodes(u):
     return int(np.count_nonzero(s[1:] * s[:-1] < 0))
 
 
+# all-nonzero finite interiors take count_nodes' dot-product path: with
+# entries near the largest double the sums of |u| would overflow unscaled
+_HUGE = st.sampled_from((1.79e308, -1.79e308, 1e308, -1e308))
+_NONZERO = st.one_of(_HUGE, st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+_ANY = st.one_of(st.sampled_from((0.0, -0.0, np.nan, np.inf, -np.inf)),
+                 st.floats(allow_nan=False))
+
+
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=200)
-@given(values=st.lists(st.one_of(st.sampled_from((0.0, -0.0, np.nan, np.inf, -np.inf)),
-                                 st.floats(allow_nan=False)), max_size=40),
+@given(values=st.one_of(st.lists(_ANY, max_size=40),
+                        st.tuples(_ANY, st.lists(_NONZERO, max_size=40), _ANY).map(
+                            lambda t: [t[0], *t[1], t[2]])),
        strided=st.booleans())
 def test_count_nodes_matches_its_definition(values, strided):
     u = np.array(values, dtype=float)

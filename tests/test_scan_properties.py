@@ -111,7 +111,11 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
 
 
 def _per_shot_bracket(m, mix, k, grid, nodes, steps=64):
-    """suggest_bracket with one integrate_radial per scan energy."""
+    """suggest_bracket with one integrate_radial per scan energy, after
+    the same refusal of a grid too coarse for the Airy length."""
+    level = shooting._wkb_level(m, mix.lam, mix.s, k, nodes)
+    if level is not None:
+        shooting._require_resolved(m, mix, nodes, level, grid)
     width = 10.0 * math.sqrt(mix.lam)
     energies = [m + width / (4.0 * steps)] + (m + width * np.arange(1, steps + 1) / steps).tolist()
     counts = [integrate_radial(m, mix, k, e, grid).node_count for e in energies]

@@ -674,8 +674,8 @@ def test_quasibound_rejects_bound_mix():
 def test_unresolved_grids_get_no_wkb_start(m, lam, n):
     # test_extreme_settings_end's equal-mix settings, and solve --m 1e12
     # --n 100: the grid step exceeds a quarter of the Airy length at the
-    # level, so the node count need not be monotone and the scan bisects
-    # cold, keeping its answer (its ScanError at m = 1e12)
+    # level, so the node count need not be monotone; the Dirichlet scan
+    # bisects such grids cold, and suggest_bracket refuses them
     grid = RadialGrid(1e-6 * 25.0, 25.0, n)
     step = 10.0 * math.sqrt(lam) / 64
     assert shooting._wkb_start(m, PotentialMix(lam, 0.5), -1, 0, step, lambda e: grid.h) is None
