@@ -32,26 +32,26 @@ Only E changes between the shots of an eigenvalue search.  The
 coefficient matrix is A(r; E) = A0(r) + E J with J = [[0, 1], [-1, 0]],
 so the RK4 stages have degrees 1..4 in E, and about a centre E_c every
 step matrix is exactly T_i(E) = sum_{p=0..4} (E - E_c)^p C_{p,i}.  The
-kernel keeps one cache entry, for the grid (m, lam, s, k, r0, h, n) of
-the most recent call, holding a stack of band buffers, one per p, with
-zeros in every slot that no step matrix fills.  A stack is built by one
-of three paths:
+kernel keeps one cache entry, for a grid (m, lam, s, k, r0, h, n) that a
+solver will shoot at several energies, holding a stack of band buffers,
+one per p, with zeros in every slot that no step matrix fills (320 bytes
+per step, 6.4 MB at n = 20000).  There are two build paths:
 
-- row p = 0 alone (_row0): the first call on a grid builds its step
+- all five rows in one pass (_prime): the only way a stack enters the
+  cache.  A caller that will shoot a grid at E_c and then at several
+  energies near it installs the whole stack before its first shot; the
+  rows share the coefficients at the three radii.  Three callers prime:
+  suggest_bracket at its first probe, find_bound_state at its bracket's
+  lower end (a no-op after suggest_bracket, which leaves the grid
+  cached), and the quasi-bound estimator at its fixed radius.  Priming
+  the cached grid does nothing, so a centre never moves once set;
+- row p = 0 alone (_row0): a shot on any other grid builds its step
   matrices directly, as row p = 0 of a stack centred at its own energy:
-  that row is T(E_c);
-- rows p = 1..4 alone: the next call on it at another energy adds them
-  (the stack is then 320 bytes per step, 6.4 MB at n = 20000);
-- all five rows in one pass (_prime): a caller that will shoot a grid
-  at E_c and then at several energies near it installs the whole stack
-  before its first shot; the rows share the coefficients at the three
-  radii.  Three callers prime: suggest_bracket at its first probe,
-  find_bound_state at its bracket's lower end (a no-op after
-  suggest_bracket, which leaves the grid cached), and the quasi-bound
-  estimator at its fixed radius.  Priming the cached grid does nothing,
-  so a centre never moves once set.  What stays lazy: the estimator's
-  scan shots, each on a grid of its own, the inward tail shot, and any
-  direct integrate_radial or rk4_path call.
+  that row is T(E).  Such a shot drops the cached stack, before it builds
+  its row, and caches nothing: the estimator's scan shots, each on a grid
+  of its own, the inward tail shot, and any direct integrate_radial or
+  rk4_path call.  An unprimed grid shot at several energies builds its
+  row at each of them.
 
 A build computes the step matrices _CHUNK = 1024 steps at a time, for
 every row it builds, and writes each of the four entries of all rows
@@ -62,10 +62,10 @@ allocator reuses the heap pages it holds: with 2048-step chunks it handed
 their pages back and faulted them in again on every build, about 500
 minor page faults per 4000-step solve (ru_minflt), against about 3 now.
 
-Every path computes each entry by the same sums in the same order, so a
-row is the same bits whichever path built it.  A call at the centre,
-d = E - E_c = 0, reads row p = 0 as it is; every other call evaluates
-sum_p d^p stack[p] as one BLAS matrix-vector product over rows
+Both paths compute each entry of row p = 0 by the same sums in the same
+order, so it is the same bits whichever path built it.  A call at the
+centre, d = E - E_c = 0, reads row p = 0 as it is; every other call
+evaluates sum_p d^p stack[p] as one BLAS matrix-vector product over rows
 p = 1..4, whose output becomes the band once row p = 0 is added to it.
 
 A call far from the centre, |h d| > 1, builds its own row p = 0 at E,
@@ -78,10 +78,10 @@ matrices on the same draw), but 1.7e-12 at 4 to 5 and 3.3e-10 at 10 to
 11, where its own step matrices stay within 2.1e-13.  The solvers' shots
 stay far inside |h d| < 1 (at most 0.05 on the benchmark's requests), so
 the fallback catches only coarse grids, such as a small --n over a large
---rmax.  A shot's last bits depend on the centre, that is on the grid's
-first shot.  Each shot is one
-rk4_path call; the energy scans shoot one energy at a time, so a
-node-count scan on one grid shares that grid's stack.
+--rmax.  A shot's last bits depend on the centre, the energy its grid
+was primed at.  Each shot is one rk4_path call; the energy scans shoot
+one energy at a time, so a node-count scan on one grid shares that
+grid's stack.
 """
 
 from __future__ import annotations
@@ -100,16 +100,15 @@ _OVERFLOW_CAP = 1e250
 # steps per chunk when building a stack (see the module docstring)
 _CHUNK = 1024
 
-# (key, E_c, stack) for the grid of the most recent call, key = (m, lam, s,
-# k, r0, h, n): the grid's read-only stack centred at E_c, its row p = 0
-# alone until the grid is shot at a second energy, unless it was primed.
-# Replaced by one assignment and read once into locals, so a thread never
-# pairs one grid's key with another grid's stack.
+# (key, E_c, stack) for the most recently primed grid, key = (m, lam, s, k,
+# r0, h, n): its read-only five-row stack centred at E_c; emptied by a shot
+# on another grid.  Replaced by one assignment and read once into locals, so
+# a thread never pairs one grid's key with another grid's stack.
 _last_grid = (None, None, None)
 
 
-def _rk4_coefficients(m, lam, s, k, Ec, h, r, first, higher):
-    """-C_0 (with `first`) and -C_1..-C_4 (with `higher`) of
+def _rk4_coefficients(m, lam, s, k, Ec, h, r, higher):
+    """-C_0 and, with `higher`, -C_1..-C_4 of
     T(E) = sum_p (E - Ec)^p C_p for the steps starting at r, as an array
     [p, entry, step], entries column by column (00, 10, 01, 11).
 
@@ -123,9 +122,9 @@ def _rk4_coefficients(m, lam, s, k, Ec, h, r, first, higher):
         M = Am A1 + A4 Am,   W = I + h/2 (A1 + A4) + h^2/4 A4 A1,
 
     where M = M0 + M1 d - 2 d^2 I and W = W0 + W1 d - h^2/4 d^2 I.
-    Both kinds of row share the values at the three radii, W0 and D0, and
-    each entry is the same sum in the same order whichever rows are
-    built, so rows built in one pass equal rows built apart bit for bit.
+    All rows share the values at the three radii, W0 and D0, and each
+    entry of -C_0 is the same sum in the same order with or without
+    `higher`, so row p = 0 is the same bits either way.
     """
     cs = (1.0 - 2.0 * s) * lam
     x = r + h * np.array([[0.0], [0.5], [1.0]])  # rows r, r + h/2, r + h
@@ -133,7 +132,7 @@ def _rk4_coefficients(m, lam, s, k, Ec, h, r, first, higher):
     b, da = a1 + a4, a1 - a4
     hh = 0.25 * h * h
     g0, w0 = np.empty((2, 4, len(r)))
-    t = np.empty(((1 if first else 0) + (4 if higher else 0), 4, len(r)))
+    t = np.empty((5 if higher else 1, 4, len(r)))
     # A4 A1 = G0 + G1 d - d^2 I; W0, entries column by column
     a41 = a4 * a1
     np.add(a41, P4 * q1, out=g0[0])
@@ -153,25 +152,24 @@ def _rk4_coefficients(m, lam, s, k, Ec, h, r, first, higher):
     c = -h / 6.0
     ch = c * h
     u0 = ch * (am * am + Pm * qm)
-    if first:
-        t0, m0 = t[0], g0  # M0 in g0's place
-        amb = am * b
-        np.add(amb + Pm * q1, P4 * qm, out=m0[0])
-        np.subtract(am * (q1 - q4), qm * da, out=m0[1])
-        np.add(am * (P4 - P1), Pm * da, out=m0[2])
-        np.add(amb + qm * P1, q4 * Pm, out=m0[3])
-        a4m = b + 4.0 * am
-        np.negative(a4m, out=t0[0])
-        np.add(q1 + 4.0 * qm, q4, out=t0[1])
-        np.add(P1 + 4.0 * Pm, P4, out=t0[2])
-        t0[3] = a4m
-        t0 *= c
-        m0 *= ch
-        t0 += m0
-        t0 += u0 * w0
-        t0[::3] -= 1.0
+    t0, m0 = t[0], g0  # M0 in g0's place
+    amb = am * b
+    np.add(amb + Pm * q1, P4 * qm, out=m0[0])
+    np.subtract(am * (q1 - q4), qm * da, out=m0[1])
+    np.add(am * (P4 - P1), Pm * da, out=m0[2])
+    np.add(amb + qm * P1, q4 * Pm, out=m0[3])
+    a4m = b + 4.0 * am
+    np.negative(a4m, out=t0[0])
+    np.add(q1 + 4.0 * qm, q4, out=t0[1])
+    np.add(P1 + 4.0 * Pm, P4, out=t0[2])
+    t0[3] = a4m
+    t0 *= c
+    m0 *= ch
+    t0 += m0
+    t0 += u0 * w0
+    t0[::3] -= 1.0
     if higher:
-        t1, t2, t3, t4 = t[-4:]
+        t1, t2, t3, t4 = t[1:]
         u1 = ch * (qm - Pm)
         w1 = g0  # W1 in g0's place
         np.subtract(q1, P4, out=w1[0])
@@ -201,17 +199,16 @@ def _rk4_coefficients(m, lam, s, k, Ec, h, r, first, higher):
     return t
 
 
-def _stack(m, lam, s, k, Ec, r0, h, n, first, higher, out):
-    """Writes the rows p = 0 (with `first`) and p = 1..4 (with `higher`)
-    of the stack centred at Ec into the band slots of out[p, i, :], a
-    zeroed (rows, n + 1, 8) view, _CHUNK steps at a time so that the
-    temporaries stay small; row p = 0 gets the unit diagonal too."""
-    if first:
-        out[0, :, ::4] = 1.0
+def _stack(m, lam, s, k, Ec, r0, h, n, higher, out):
+    """Writes row p = 0 and, with `higher`, rows p = 1..4 of the stack
+    centred at Ec into the band slots of out[p, i, :], a zeroed (rows,
+    n + 1, 8) view, _CHUNK steps at a time so that the temporaries stay
+    small; row p = 0 gets the unit diagonal too."""
+    out[0, :, ::4] = 1.0
     for i0 in range(0, n, _CHUNK):
         i1 = min(n, i0 + _CHUNK)
         t = _rk4_coefficients(m, lam, s, k, Ec, h, r0 + h * np.arange(i0, i1, dtype=float),
-                              first, higher)
+                              higher)
         # -T[:, 0] goes to slots 2 and 3 of a step, -T[:, 1] to slots 5 and
         # 6: each entry, of every row, straight into its slot
         out[:, i0:i1, 2] = t[:, 0]
@@ -223,7 +220,7 @@ def _stack(m, lam, s, k, Ec, r0, h, n, first, higher, out):
 def _row0(m, lam, s, k, E, r0, h, n):
     """The band buffer of T(E), as row p = 0 of a stack centred at E."""
     ab = np.zeros((1, n + 1, 8))
-    _stack(m, lam, s, k, E, r0, h, n, True, False, ab)
+    _stack(m, lam, s, k, E, r0, h, n, False, ab)
     return ab.reshape(1, -1)
 
 
@@ -231,7 +228,7 @@ def _prime(m, lam, s, k, Ec, r0, h, n):
     """Builds the grid's full stack centred at Ec, rows p = 0..4 in one
     pass, and installs it as the cached grid, for a caller that shoots
     the grid at Ec and then at several energies near it: its first shot
-    reads row p = 0 as it is, and no shot builds the other rows apart.
+    reads row p = 0 as it is.  The only writer of a stack into the cache.
     A no-op when the grid is the cached one already, so that no centre
     moves: the grid's shots keep the bits its first shot gave them."""
     global _last_grid
@@ -242,7 +239,7 @@ def _prime(m, lam, s, k, Ec, r0, h, n):
     _last_grid = (None, None, None)
     full = np.zeros((5, n + 1, 8))
     with np.errstate(all="ignore"):
-        _stack(m, lam, s, k, Ec, r0, h, n, True, True, full)
+        _stack(m, lam, s, k, Ec, r0, h, n, True, full)
     full = full.reshape(5, -1)
     full.flags.writeable = False
     _last_grid = (key, Ec, full)
@@ -259,22 +256,13 @@ def _transfer_matrices(m, lam, s, k, E, r0, h, n):
         # drops the local reference too, so the old grid's stack is freed
         # before this grid's row is built
         _last_grid, stack = (None, None, None), None
-        row = _row0(m, lam, s, k, E, r0, h, n)
-        row.flags.writeable = False
-        _last_grid = (key, E, row)
-        return row
+        return _row0(m, lam, s, k, E, r0, h, n)
     d = E - Ec
     if d == 0.0:
         return stack[0]
     d2 = d * d
     if not (abs(h * d) <= 1.0 and math.isfinite(d2 * d2)):
         return _row0(m, lam, s, k, E, r0, h, n)
-    if len(stack) == 1:
-        full = np.zeros((5, stack.shape[1]))
-        full[0] = stack[0]
-        _stack(m, lam, s, k, Ec, r0, h, n, False, True, full[1:].reshape(4, n + 1, 8))
-        full.flags.writeable = False
-        _last_grid, stack = (key, Ec, full), full
     # row p = 0 goes in last, so that each band entry near 1 is rounded
     # once: adding the small terms to it one by one rounds it up to four
     # times, and a 5000-step path drifts to 1e-13 of its size, against 1e-14

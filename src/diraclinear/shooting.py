@@ -16,20 +16,20 @@ transition would.  Each starts at a guess of the transition's index (see
 _first_above): the Dirichlet scan at the index of the last scan of the
 same problem and grid hint, so the 0.9 and 1.1 spread estimates of a
 level confirm the central estimate's index in two shots; every other
-scan at the index of the WKB level (_wkb_level, pure arithmetic, no
-shot), which on the benchmark's requests is the transition's index or
-one off, so the search takes 2 shots, or 4 when the guess is one step
-high, in place of a cold bisection's 7 or 8.  The count is monotone only
-on a grid that resolves the Airy length, so suggest_bracket refuses a
-grid whose step exceeds a quarter of it at the WKB level, with a
-ScanError naming the n that resolves it, before any shot; the Dirichlet
-scan's grid gets no guess there, and its scan bisects cold.  Any start
-gives the same bracket as the cold bisection: a guess changes only which
-energies are shot.  The node scan goes on past the top of its window, in
-steps of the same spacing, while the energies' turning points r1 lie on
-the grid.  The estimator reads only u at the Dirichlet point, and for
-scan shots its sign changes, so its shots build no RadialSolution.  Its scan
-looks for the first count above 0 and shoots its first energy only when
+scan at the index of the WKB level (_wkb_level and _scan_index, pure
+arithmetic, no shot), which on the benchmark's requests is the
+transition's index or one off, so the search takes 2 shots, or 4 when
+the guess is one step high, in place of a cold bisection's 7 or 8.  The
+node count is monotone only on a grid that resolves the Airy length, so
+suggest_bracket refuses a grid whose step exceeds a quarter of it at the
+WKB level, with a ScanError naming the n that resolves it, before any
+shot (_require_resolved).  The Dirichlet scan has no such guard and
+starts at the WKB index on every grid.  Any start gives the same bracket
+as the cold bisection: a guess changes only which energies are shot.
+The node scan goes on past the top of its window, in steps of the same
+spacing, while the energies' turning points r1 lie on the grid.  The
+estimator reads only u at the Dirichlet point, and for scan shots its
+sign changes, so its shots build no RadialSolution.  Its scan looks for the first count above 0 and shoots its first energy only when
 the search closes next to it.  A grid shot at several energies has the
 kernel build its whole coefficient stack in one pass before its first
 shot (see _kernels): suggest_bracket's grid, at its first probe, which
@@ -328,43 +328,28 @@ def _wkb_level(m, lam, s, k, nodes):
     return e if math.isfinite(e) else None
 
 
-def _quarter_airy(m, lam, e):
-    """A quarter of the Airy length (lambda (m + E))^(-1/3) at energy e:
-    the largest grid step on which a scan near e may trust the node count
-    to be monotone in E.  Two cube roots, so that no product overflows."""
-    return 0.25 * lam ** (-1.0 / 3.0) * (m + e) ** (-1.0 / 3.0)
-
-
-def _wkb_start(m, mix, k, nodes, step, grid_step, e=None):
-    """Where a scan of the energies m + j*step, j >= 1, starts: the index
-    of the first one above _wkb_level's level, or above e when the caller
-    has that level already.  None, for a cold bisection, when there is no
-    level, or when grid_step(E), the step of the grid a shot at the
-    level's energy E runs on, exceeds a quarter of the Airy length
-    (lambda (m + E))^(-1/3): on such grids the node count need not be
-    monotone in E, and a start could change the bracket (at m = 1e12 on a
-    100-step grid an unguarded start turned the scan's ScanError into a
-    level 500 times the Airy binding).  An index outside the scan is no
-    start either (see _first_above)."""
-    if e is None:
-        e = _wkb_level(m, mix.lam, mix.s, k, nodes)
-        if e is None:
-            return None
+def _scan_index(level, m, step):
+    """Where a scan of the energies m + j*step, j >= 1, starts its search:
+    the index of the first one above `level`, or None, for a cold
+    bisection, when there is no level or the index is not a finite
+    number.  An index outside the scan is no start either (see
+    _first_above)."""
+    if level is None:
+        return None
     try:
-        if not abs(grid_step(e)) <= _quarter_airy(m, mix.lam, e):
-            return None
-        return math.floor((e - m) / step) + 1
+        return math.floor((level - m) / step) + 1
     except (ArithmeticError, ValueError):
         return None
 
 
 def _require_resolved(m, mix, nodes, e, grid):
     """Raises ScanError, naming the n that resolves it, when the step of
-    grid exceeds a quarter of the Airy length at e, the WKB level of the
-    `nodes`-node state: there the node count need not rise with E, and a
-    scan can return the level of a state that the grid cannot hold (at
-    lambda = 1e12 on a 500-step grid, 5e4 times the Airy level)."""
-    quarter = _quarter_airy(m, mix.lam, e)
+    grid exceeds a quarter of the Airy length (lambda (m + E))^(-1/3) at
+    e, the WKB level of the `nodes`-node state: there the node count need
+    not rise with E, and a scan can return the level of a state that the
+    grid cannot hold (at lambda = 1e12 on a 500-step grid, 5e4 times the
+    Airy level).  Two cube roots, so that no product overflows."""
+    quarter = 0.25 * mix.lam ** (-1.0 / 3.0) * (m + e) ** (-1.0 / 3.0)
     if grid.h <= quarter:
         return
     span = grid.r_max - grid.r_min
@@ -408,7 +393,7 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     the Airy length.  A grid whose step exceeds a quarter of the Airy
     length (lambda (m + E))^(-1/3) at the WKB level E of the `nodes`-node
     state is refused before any shot (see _require_resolved).  The search
-    starts at the first scan energy above that level (see _wkb_start)
+    starts at the first scan energy above that level (see _scan_index)
     and confirms it in 2 shots when the guess is right, and in 4 when it
     is one step high.  The bracket is the cold bisection's whatever the
     start, and the end energies are shot only when the search closes
@@ -449,8 +434,7 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     if level is not None:
         _require_resolved(m, mix, nodes, level, grid)
     top = steps  # the last scan energy that may be shot
-    i = _first_above(above, -1, top + 1,
-                     _wkb_start(m, mix, k, nodes, width / steps, lambda e: grid.h, level))
+    i = _first_above(above, -1, top + 1, _scan_index(level, m, width / steps))
     if i > top:
         # past the window: up to the last energy whose r1 lies on the grid
         estimate = grid.r_max * mix.lam * steps / width
@@ -505,10 +489,9 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
        from (see _first_above).  When the previous scan had the same m,
        lambda, s, k and grid_hint r_min and n (its midpoint_scale may
        differ), the search starts at that scan's index; else at the index
-       of the WKB level (see _wkb_start), unless the grid the level's
-       energy is shot on has a step over a quarter of the Airy length
-       there, when it bisects cold in 7 or 8 shots.  When the start
-       holds, the scan takes 2 shots, the two energies across the start.
+       of the WKB level (see _scan_index), whatever the step of the grid
+       the level's energy is shot on.  When the start holds, the scan
+       takes 2 shots, the two energies across the start.
        The search looks for the first count above 0: a probe above
        energy 0 that counts 0 shows that energy 0 counts 0 as well,
        since the count does not fall, and the search's closing lower end
@@ -570,15 +553,12 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
             scan[i] = _dirichlet_u(m, mix, k, e, grid_at(dirichlet_radius(e)), count=True)
         return scan[i]
 
-    def wkb_start(nodes):
-        return _wkb_start(m, mix, k, nodes, width / steps,
-                          lambda e: grid_at(dirichlet_radius(e)).h)
-
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
+    step = width / steps
     e0 = energy(0)
     if e0 == m:
-        raise ScanError(f"the scan step {width / steps} is below the resolution "
+        raise ScanError(f"the scan step {step} is below the resolution "
                         f"of energies near m = {m}")
     if e0 - m == e0 + m:
         raise ScanError(
@@ -591,7 +571,7 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     key = (m, mix.lam, mix.s, k, grid_hint.r_min, grid_hint.n)
     last_key, start = _last_scan
     if last_key != key:
-        start = wkb_start(0)
+        start = _scan_index(_wkb_level(m, mix.lam, mix.s, k, 0), m, step)
     i = _first_above(lambda i: scan_u(i)[1] > 0, 0, steps + 1, start)
     # the closing lower end, a probe that counted 0, shows that energy 0
     # counts 0 too, unless it is energy 0 itself (see stage 1 above)
@@ -601,7 +581,7 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
             return energy(0)
         if changes0 > 0:
             i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, steps + 1,
-                             wkb_start(changes0))
+                             _scan_index(_wkb_level(m, mix.lam, mix.s, k, changes0), m, step))
     _last_scan = (key, i)
     if i == steps + 1:
         raise ScanError(
@@ -625,7 +605,6 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     # stack, centred at lo, is built in one pass
     _prime(m, mix.lam, mix.s, int(k), lo, fixed.r_min, fixed.h, fixed.n)
     f_lo, f_hi = endpoint_u(lo), endpoint_u(hi)
-    step = width / steps
     while f_lo * f_hi > 0:
         down = abs(f_lo) <= abs(f_hi)
         e = lo - step if down else hi + step

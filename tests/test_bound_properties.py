@@ -1,8 +1,7 @@
 """Bound eigenstate properties over seeded draws of the whole s >= 1/2
 domain: the requested node count, unit norm, a tail that decays past
 the turning point r1 without changing sign, the scaling law
-E(c*m, c^2*lambda) = c*E(m, lambda) on the shooting path, and the same
-E, u and v bits whether or not the solve primes its grid's stack; and at
+E(c*m, c^2*lambda) = c*E(m, lambda) on the shooting path; and at
 s = 1/2, that every level suggest_bracket's resolution guard lets
 through is the Airy level, and that the n its refusal names is let
 through.
@@ -23,7 +22,6 @@ from diraclinear import (
     PotentialMix,
     RadialGrid,
     ScanError,
-    _kernels,
     equal_mix_energy,
     find_bound_state,
     shooting,
@@ -84,31 +82,6 @@ def test_bound_energy_obeys_the_scaling_law(m, lam, c, s, k, nodes, reach, n):
     base = solve(m, lam, RadialGrid(1e-6 * rmax, rmax, n))
     scaled = solve(c * m, c * c * lam, RadialGrid(1e-6 * rmax / c, rmax / c, n))
     assert abs(scaled - c * base) <= (1.0 + c) * 1e-8
-
-
-@given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=st.sampled_from((-1, 1, -2)),
-       nodes=st.sampled_from((0, 1)), reach=st.floats(4.0, 30.0), n=st.integers(100, 4000))
-def test_primed_solves_are_the_lazy_solves_bit_for_bit(m, lam, s, k, nodes, reach, n):
-    # suggest_bracket primes its grid's whole stack at its first probe and
-    # find_bound_state at its bracket's lower end; without priming, the
-    # grid's first shot builds row p = 0 and its second the other rows,
-    # centred at the same energy, so every shot has the same bits
-    mix = PotentialMix(lam, s)
-    grid = _resolved_grid(m, mix, k, nodes, reach / math.sqrt(lam), n)
-
-    def solves():
-        _kernels._last_grid = (None, None, None)
-        bracket = suggest_bracket(m, mix, k, grid, nodes=nodes)
-        full = find_bound_state(m, mix, k, bracket, grid, nodes=nodes)
-        _kernels._last_grid = (None, None, None)
-        alone = find_bound_state(m, mix, k, bracket, grid, nodes=nodes)
-        return [(sol.E, sol.u.tobytes(), sol.v.tobytes()) for sol in (full, alone)]
-
-    primed = solves()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shooting, "_prime", lambda *args: None)
-        lazy = solves()
-    assert primed == lazy
 
 
 @given(m=st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x),

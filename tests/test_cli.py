@@ -504,6 +504,18 @@ def test_huge_mass_lifetime_fails_with_a_scan_error(m, message, capsys):
     assert "turning points" not in err
 
 
+def test_coarse_lifetime_grid_keeps_its_accurate_estimate(capsys):
+    # the node scan's guard, a step over a quarter of the Airy length at
+    # the WKB level, would refuse this estimator grid and name --n 113;
+    # yet its estimate is 3.5e-9 from the n = 20000 one, 4.7982984387, so
+    # the estimator's threshold must come from an accuracy property
+    code, out, err = run_cli(capsys, "lifetime", "--k", "-30", "--s", "0.25", "--n", "100")
+    assert code == 0 and err == ""
+    assert "energy_gev: 4.7982984351" in out
+    energy = float(out.split("energy_gev: ")[1].split()[0])
+    assert abs(energy - 4.7982984387) <= 1e-8
+
+
 def test_huge_slope_lifetime_names_lambda(capsys):
     # every scan energy E is so far above m that E - m and E + m round alike
     code, out, err = run_cli(capsys, "lifetime", "--lambda", "1e40", "--s", "0.25", "--n", "500")

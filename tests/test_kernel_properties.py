@@ -1,11 +1,11 @@
-"""RK4 kernel property: rk4_path, on a grid's first shot and on its cached
-stack centred at that shot's energy, follows a plain per-step RK4 loop over
-seeded draws of the whole parameter domain, outward and inward,
+"""RK4 kernel property: rk4_path, on an unprimed grid's shot and on a
+grid's stack primed at that shot's energy, follows a plain per-step RK4
+loop over seeded draws of the whole parameter domain, outward and inward,
 overflowing shots included, and on coarse steps far from the centre, where
 a shot past |h| |E - E_c| = 1 builds its own step matrices; the one-pass
-build of a grid's whole stack equals its rows built apart; and on
-synthetic bands whose paths grow past the sum-of-squares test's 1.34e154
-and the 1e250 cap, rk4_path stops where the exact max/min rule does."""
+build's row p = 0 equals that row built apart; and on synthetic bands
+whose paths grow past the sum-of-squares test's 1.34e154 and the 1e250
+cap, rk4_path stops where the exact max/min rule does."""
 
 import math
 
@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dtbtrs
 from test_shooting import _reference_rk4
 
 from diraclinear import _kernels
-from diraclinear._kernels import _prime, _row0, _stack, rk4_path, warm_up
+from diraclinear._kernels import _prime, _row0, rk4_path, warm_up
 
 SCALES = st.floats(0.5, 2.0)
 
@@ -52,10 +52,12 @@ def test_paths_follow_the_per_step_reference(m, lam, s, k, level, n, inward, ste
     launch = (1e-6, -1e-12)
     refs = [_reference_rk4(m, lam, s, k, e, r0, h, n, *launch) for e in energies]
 
-    # the first call on a grid builds its row p = 0 at its own energy, the
-    # centre E_c; the shots after it evaluate the grid's stack in E - E_c
+    # an unprimed shot builds its row p = 0 at its own energy; once the
+    # grid is primed there, at the centre E_c, its shots evaluate the
+    # stack in E - E_c
     warm_up()  # leaves another grid in the cache
     assert _deviation(rk4_path(m, lam, s, k, energies[0], r0, h, n, *launch), refs[0]) <= 1e-12
+    _prime(m, lam, s, k, energies[0], r0, h, n)
     for e, ref in zip(energies, refs):
         assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, *launch), ref) <= 1e-12
 
@@ -81,16 +83,20 @@ def test_coarse_steps_far_from_the_centre_follow_the_per_step_reference(
     centre = energy - reach / step
     launch = (1e-6, -1e-12)
     warm_up()  # leaves another grid in the cache
-    for e in (centre, energy):  # the first builds row p = 0, the second the rest
+    for e in (centre, energy):  # the first is unprimed; then the grid is primed
+        if e == energy:
+            _prime(m, lam, s, k, centre, r0, h, n)
         ref = _reference_rk4(m, lam, s, k, e, r0, h, n, *launch)
         assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, *launch), ref) <= 1e-12
 
 
 def test_shots_within_unit_reach_take_the_cached_stack(monkeypatch):
-    # a grid's first shot builds row p = 0 at its energy, the centre; a shot
-    # at |h| |E - E_c| = 0.9 evaluates the stack, one at 1.1 builds its own
+    # on a grid primed at the centre, a shot at |h| |E - E_c| = 0.9
+    # evaluates the stack, one at 1.1 builds its own row p = 0
     m, lam, s, k, r0, h, n = 1.0, 1.0, 0.7, -1, 0.25, 0.5, 30
+    centre = 2.0
     warm_up()  # leaves another grid in the cache
+    _prime(m, lam, s, k, centre, r0, h, n)
     built = []
     real = _kernels._row0
 
@@ -99,12 +105,11 @@ def test_shots_within_unit_reach_take_the_cached_stack(monkeypatch):
         return real(m, lam, s, k, E, *grid)
 
     monkeypatch.setattr(_kernels, "_row0", recording)
-    centre = 2.0
     for e in (centre, centre + 0.9 / h, centre - 0.9 / h, centre + 1.1 / h):
         ref = _reference_rk4(m, lam, s, k, e, r0, h, n, 1e-6, -1e-12)
         assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, 1e-6, -1e-12), ref) <= 1e-12
-    assert built == [centre, centre + 1.1 / h]
-    assert len(_kernels._last_grid[2]) == 5  # rows p = 0..4, centred at the first shot
+    assert built == [centre + 1.1 / h]
+    assert _kernels._last_grid[:2] == ((m, lam, s, k, r0, h, n), centre)
 
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 1.0), k=st.sampled_from((-2, -1, 1, 2)),
@@ -121,10 +126,9 @@ def test_one_pass_stack_equals_its_rows_built_apart(m, lam, s, k, centre, n, inw
     _prime(m, lam, s, k, centre, r0, h, n)
     key, Ec, stack = _kernels._last_grid
     assert (key, Ec) == ((m, lam, s, k, r0, h, n), centre)
-    higher = np.zeros((4, n + 1, 8))
-    _stack(m, lam, s, k, centre, r0, h, n, False, True, higher)
+    assert stack.shape == (5, 8 * (n + 1))
+    # row p = 0 is the same bits whether or not rows p = 1..4 share its pass
     np.testing.assert_array_equal(stack[0], _row0(m, lam, s, k, centre, r0, h, n)[0])
-    np.testing.assert_array_equal(stack[1:], higher.reshape(4, -1))
 
 
 _GROWTH = st.tuples(st.floats(-50.0, 330.0), st.sampled_from((1.0, -1.0)))

@@ -1,5 +1,6 @@
-"""RK4 kernel: the one-grid cache of the centred band-layout stack, and a
-grid primed with its whole stack in one pass."""
+"""RK4 kernel: the one-grid cache of the centred band-layout stack, which
+only priming a grid with its whole stack in one pass fills, and unprimed
+shots, which build their own row p = 0 and cache nothing."""
 
 import math
 import sys
@@ -93,8 +94,13 @@ def _shot(grid, E):
 def _warm(grid, Ec):
     """Leaves the grid's full stack, centred at Ec, in the cache."""
     _kernels.warm_up()  # shoots another grid first
-    _band(grid, Ec)
-    _band(grid, Ec)
+    m, lam, s, k, r0, h, n = grid
+    _prime(m, lam, s, k, Ec, r0, h, n)
+
+
+def _assert_same_shot(got, ref):
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
@@ -126,72 +132,82 @@ def test_first_call_on_a_grid_is_the_direct_build(grid):
     t = _band(grid, 1.5)
     np.testing.assert_array_equal(t, _row0(m, lam, s, k, 1.5, r0, h, n))
     assert _normwise(_steps(t, n), _direct(grid, 1.5)) <= 1e-15
-    key, Ec, stack = _kernels._last_grid
-    assert (key, Ec) == (grid, 1.5) and stack is t
-    assert stack.shape == (1, 8 * (n + 1)) and not stack.flags.writeable
+    assert t.shape == (1, 8 * (n + 1))
+    # the other grid's stack is dropped, and nothing takes its place
+    assert _kernels._last_grid == (None, None, None)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_unprimed_grid_shot_twice_builds_its_row_at_each_energy(grid):
+    # only _prime writes the cache: each shot on an unprimed grid is the
+    # path through its own row p = 0, built at its own energy
+    m, lam, s, k, r0, h, n = grid
+    _warm(GRIDS[(GRIDS.index(grid) + 1) % len(GRIDS)], 1.5)  # the cache holds another grid
+    for E in (1.3, 2.1):
+        got = _shot(grid, E)
+        assert _kernels._last_grid == (None, None, None)
+        with np.errstate(all="ignore"):
+            ref = _kernels._path(_row0(m, lam, s, k, E, r0, h, n), n, 1e-6, -1e-12)
+        _assert_same_shot(got, ref)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_shot_at_the_centre_from_the_full_stack_is_the_first_shot(grid):
+    m, lam, s, k, r0, h, n = grid
     _kernels.warm_up()  # the cache holds another grid
-    first = _shot(grid, 1.3)
-    _shot(grid, 2.1)  # adds rows p = 1..4
+    first = _shot(grid, 1.3)  # unprimed: its own row p = 0
+    _prime(m, lam, s, k, 1.3, r0, h, n)
+    _shot(grid, 2.1)  # evaluates rows p = 1..4
     assert len(_kernels._last_grid[2]) == 5
-    for got, ref in zip(_shot(grid, 1.3), first):
-        np.testing.assert_array_equal(got, ref)
+    _assert_same_shot(_shot(grid, 1.3), first)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_primed_grid_shoots_as_an_unprimed_one(grid, monkeypatch):
+    # at its centre: the primed stack's row p = 0 is the unprimed shot's row
     m, lam, s, k, r0, h, n = grid
     _kernels.warm_up()  # the cache holds another grid
-    first, second = _shot(grid, 1.3), _shot(grid, 2.1)  # builds row p = 0, then the rest
-    unprimed = _kernels._last_grid[2]
-    _kernels.warm_up()
+    first = _shot(grid, 1.3)
     _prime(m, lam, s, k, 1.3, r0, h, n)
     key, Ec, stack = _kernels._last_grid
     assert (key, Ec) == (grid, 1.3)
-    np.testing.assert_array_equal(stack, unprimed)
+    assert stack.shape == (5, 8 * (n + 1))
+    row = _row0(m, lam, s, k, 1.3, r0, h, n)[0]
+    np.testing.assert_array_equal(stack[0], row)
     assert not stack.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 2] = 0.0
 
     # the primed grid's shots build nothing; the first, at the centre,
     # reads row p = 0 as it is: the direct build
-    row = _row0(m, lam, s, k, 1.3, r0, h, n)[0]
     monkeypatch.setattr(_kernels, "_stack", None)
     band = _band(grid, 1.3)
     np.testing.assert_array_equal(band, row)
     assert not band.flags.writeable
-    for got, ref in zip(_shot(grid, 1.3), first):
-        np.testing.assert_array_equal(got, ref)
-    # the next shot is the unprimed grid's second shot
-    for got, ref in zip(_shot(grid, 2.1), second):
-        np.testing.assert_array_equal(got, ref)
+    _assert_same_shot(_shot(grid, 1.3), first)
+    _shot(grid, 2.1)
     assert _kernels._last_grid[2] is stack
 
 
 def test_priming_the_cached_grid_moves_no_centre(monkeypatch):
     grid = GRIDS[3]
-    m, lam, s, k, r0, h, n = grid
-    _kernels.warm_up()
-    _shot(grid, 1.4)  # the lazy path: row p = 0, centred at 1.4
+    _warm(grid, 1.4)
     cached = _kernels._last_grid
     monkeypatch.setattr(_kernels, "_stack", None)
+    m, lam, s, k, r0, h, n = grid
     _prime(m, lam, s, k, 2.0, r0, h, n)
     assert _kernels._last_grid is cached
 
 
 def test_a_shot_at_the_centre_builds_nothing_more(monkeypatch):
     grid = GRIDS[3]
-    _kernels.warm_up()
+    _warm(grid, 1.4)
     first = _shot(grid, 1.4)
-    row = _kernels._last_grid[2]
+    stack = _kernels._last_grid[2]
     monkeypatch.setattr(_kernels, "_stack", None)
-    # the same energy again on an unprimed grid: row p = 0 is the band
-    for got, ref in zip(_shot(grid, 1.4), first):
-        np.testing.assert_array_equal(got, ref)
-    assert _kernels._last_grid[2] is row
+    # the same energy again on the primed grid: row p = 0 is the band
+    _assert_same_shot(_shot(grid, 1.4), first)
+    assert _kernels._last_grid[2] is stack
 
 
 def test_cached_shots_on_a_long_grid_follow_the_per_step_reference():
@@ -215,6 +231,9 @@ def test_alternating_grids_never_share_coefficients():
         for grid_seq in ([a, a, a, b, b, b, a, a, a], [a, b, a, b, a, a, b, b, b, a]):
             for i, grid in enumerate(grid_seq):
                 E = 1.2 + 0.1 * i
+                # as the solvers do: a no-op when the grid is cached
+                m, lam, s, k, r0, h, n = grid
+                _prime(m, lam, s, k, E, r0, h, n)
                 t = _steps(_band(grid, E), grid[-1])
                 ref = _direct(grid, E)
                 assert t.shape == ref.shape
@@ -248,9 +267,9 @@ def test_far_off_energy_keeps_the_path_contract(E):
 
 def test_a_grid_shot_again_reuses_its_coefficients():
     a = GRIDS[3]
-    _warm(GRIDS[0], 1.5)  # the cache holds another grid
+    _warm(a, 1.2)
     _shot(a, 1.2)
-    u = _shot(a, 1.7)[0]  # the second shot in a row adds rows p = 1..4
+    u = _shot(a, 1.7)[0]
     key, Ec, stack = _kernels._last_grid
     assert (key, Ec) == (a, 1.2) and stack.shape[0] == 5
 
@@ -266,7 +285,7 @@ def test_a_grid_shot_again_reuses_its_coefficients():
     m, lam, s, k, r0, h, n = a
     b = a[:5] + (1.01 * h,) + a[6:]
     np.testing.assert_array_equal(_band(b, 1.7), _row0(m, lam, s, k, 1.7, r0, b[5], n))
-    assert _kernels._last_grid[:2] == (b, 1.7)
+    assert _kernels._last_grid == (None, None, None)
 
 
 def _deviation(got, ref):
@@ -328,10 +347,9 @@ def test_threads_shooting_different_grids_match_serial():
 
 
 def test_threads_shooting_one_grid_match_serial():
-    # three threads race to build and publish the grid's row p = 0 and
-    # its rows p = 1..4, each centred at the energy its own first shot had;
-    # a three-chunk build is long enough for another thread to shoot
-    # while it runs, so a stack published before it is filled would show
+    # three threads race on one unprimed grid: each shot builds its own
+    # row p = 0 and drops the cache; a three-chunk build is long enough
+    # for another thread to shoot while it runs
     grid = GRIDS[2]
     energies = np.linspace(1.1, 2.4, 12)
     for _ in range(5):

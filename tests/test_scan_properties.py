@@ -4,11 +4,13 @@ suggest_bracket and estimate_quasibound_energy bisect their scan energies
 on a sign-change count.  These properties pin both, bit for bit, to
 references written here that shoot one integrate_radial per energy and
 walk the scan up to its first transition, as the scans did before they
-were bisected; and they pin the scans started at the WKB level's index,
-or at any wild index, and the estimator's scan started from the last
-scan's index, to the scans started cold; and they pin the estimator's
-scan on a count raised by a constant, which takes the path that shoots
-energy 0 and searches above its count, to the plain one.
+were bisected; and they pin the scans started at the WKB level's index
+(_scan_index), or at any wild index, and the estimator's scan started
+from the last scan's index, to the scans started cold, the estimator's
+also on grids too coarse for the Airy length, where the node scan
+refuses to run; and they pin the estimator's scan on a count raised by a
+constant, which takes the path that shoots energy 0 and searches above
+its count, to the plain one.
 """
 
 import math
@@ -29,6 +31,7 @@ from diraclinear import (
     shooting,
     suggest_bracket,
 )
+from diraclinear._kernels import _prime
 from diraclinear.model import turning_points
 
 SCALES = st.floats(0.5, 2.0)
@@ -47,15 +50,18 @@ def _outcome(fn, *args, **kwargs):
 def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
     """estimate_quasibound_energy with one integrate_radial per shot: every
     one of the 97 scan energies shot to its own Dirichlet point, the walk
-    to the first sign change, then the fixed-radius widening and Brent."""
+    to the first sign change, then the fixed-radius widening and Brent on
+    a grid primed at the bracket's lower end, as the estimator primes it."""
     def dirichlet_radius(e):
         tp = turning_points(m, e, mix)
         cap = tp.r1 + 10.0 / (mix.lam * (m + e)) ** (1.0 / 3.0)
         return midpoint_scale * min(0.5 * (tp.r1 + tp.r3), cap)
 
+    def grid_at(r_mid):
+        return RadialGrid(r_min=min(grid_hint.r_min, 1e-6 * r_mid), r_max=r_mid, n=grid_hint.n)
+
     def endpoint_u(e, r_mid):
-        r_min = min(grid_hint.r_min, 1e-6 * r_mid)
-        sol = integrate_radial(m, mix, k, e, RadialGrid(r_min=r_min, r_max=r_mid, n=grid_hint.n))
+        sol = integrate_radial(m, mix, k, e, grid_at(r_mid))
         if sol.diverged:
             return math.inf * sol.divergence_sign
         return float(sol.u[-1])
@@ -78,6 +84,8 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
 
     lo, hi = bracket
     r_mid = dirichlet_radius(0.5 * (lo + hi))
+    fixed = grid_at(r_mid)
+    _prime(m, mix.lam, mix.s, k, lo, fixed.r_min, fixed.h, fixed.n)
     f_lo, f_hi = endpoint_u(lo, r_mid), endpoint_u(hi, r_mid)
     step = width / steps
     while f_lo * f_hi > 0:
@@ -180,12 +188,12 @@ def test_first_above_with_any_start_equals_bisection(lo, size, turn, start):
 def _starting_at(start, fn, *args):
     """fn's outcome with every scan's WKB start replaced by `start`
     (None: a cold bisection)."""
-    real = shooting._wkb_start
-    shooting._wkb_start = lambda *_: start
+    real = shooting._scan_index
+    shooting._scan_index = lambda *_: start
     try:
         return _outcome(fn, *args)
     finally:
-        shooting._wkb_start = real
+        shooting._scan_index = real
 
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS)
@@ -205,6 +213,27 @@ def test_warm_scan_estimates_equal_cold_ones(m, lam, s, k, n):
     assert warm == cold
 
 
+@given(m=st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x),
+       lam=st.floats(-3.0, 3.0).map(lambda x: 10.0 ** x), s=st.floats(0.0, 0.49),
+       k=st.integers(-60, 60).filter(bool), n=st.integers(100, 500),
+       midpoint_scale=st.sampled_from((0.9, 1.0, 1.1)))
+def test_the_wkb_start_never_changes_an_estimate(m, lam, s, k, n, midpoint_scale):
+    # the estimator starts at the WKB level's index on every grid, also on
+    # one whose step exceeds a quarter of the Airy length there, which the
+    # node scan refuses: a start changes only which energies are shot, so
+    # the estimate is the cold bisection's, unless the cold search fails
+    # at an energy that the start never shoots
+    mix = PotentialMix(lam, s)
+    hint = RadialGrid(25e-6, 25.0, n)
+    shooting._last_scan = (None, None)
+    try:
+        cold = _starting_at(None, estimate_quasibound_energy, m, mix, k, hint, midpoint_scale)
+    except ValueError:  # a launch that underflows, say
+        return
+    shooting._last_scan = (None, None)
+    assert _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale) == cold
+
+
 @given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=st.sampled_from((-2, -1, 1)),
        nodes=st.integers(0, 3), n=st.sampled_from((1000, 4000)))
 def test_guessed_node_scans_equal_cold_ones(m, lam, s, k, nodes, n):
@@ -213,7 +242,9 @@ def test_guessed_node_scans_equal_cold_ones(m, lam, s, k, nodes, n):
     mix = PotentialMix(lam, s)
     rmax = 10.0 / math.sqrt(lam)
     grid = RadialGrid(1e-6 * rmax, rmax, n)
-    guess = shooting._wkb_start(m, mix, k, nodes, 10.0 * math.sqrt(lam) / 64, lambda e: grid.h)
+    level = shooting._wkb_level(m, lam, s, k, nodes)
+    shooting._require_resolved(m, mix, nodes, level, grid)
+    guess = shooting._scan_index(level, m, 10.0 * math.sqrt(lam) / 64)
     assert guess is not None
     cold = _starting_at(None, suggest_bracket, m, mix, k, grid, nodes)
     assert _outcome(suggest_bracket, m, mix, k, grid, nodes) == cold
@@ -224,10 +255,10 @@ def test_guessed_node_scans_equal_cold_ones(m, lam, s, k, nodes, n):
 @given(m=SCALES, lam=SCALES, nodes=st.integers(0, 40))
 def test_wkb_start_is_within_one_step_of_the_airy_level(m, lam, nodes):
     # the node scan's energies are m + j*step; its transition is the first
-    # one above the level; grid_step 0 stands for a fine grid
+    # one above the level
     step = 10.0 * math.sqrt(lam) / 64
     first_above = math.floor((equal_mix_energy(m, lam, nodes + 1) - m) / step) + 1
-    start = shooting._wkb_start(m, PotentialMix(lam, 0.5), -1, nodes, step, lambda e: 0.0)
+    start = shooting._scan_index(shooting._wkb_level(m, lam, 0.5, -1, nodes), m, step)
     assert abs(start - first_above) <= 1
 
 

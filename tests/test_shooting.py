@@ -449,7 +449,7 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
     suggest_bracket(M, EQUAL, -1, grid)
     assert len(ends) <= 4
     # with no start the scans bisect
-    monkeypatch.setattr(shooting, "_wkb_start", lambda *args: None)
+    monkeypatch.setattr(shooting, "_scan_index", lambda *args: None)
     ends.clear()
     suggest_bracket(M, EQUAL, -1, grid)
     assert len(ends) <= math.ceil(math.log2(64 + 1)) + 2
@@ -471,13 +471,14 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
 
 def _record_builds(monkeypatch):
     """Route the kernel's stack builds, _kernels._stack, through a recorder
-    of (E_c, h, first, higher), one entry per build."""
+    of (E_c, h, higher), one entry per build: row p = 0 alone, or all five
+    rows when `higher` is set."""
     builds = []
     real = _kernels._stack
 
-    def recording(m, lam, s, k, Ec, r0, h, n, first, higher, out):
-        builds.append((Ec, h, first, higher))
-        return real(m, lam, s, k, Ec, r0, h, n, first, higher, out)
+    def recording(m, lam, s, k, Ec, r0, h, n, higher, out):
+        builds.append((Ec, h, higher))
+        return real(m, lam, s, k, Ec, r0, h, n, higher, out)
 
     monkeypatch.setattr(_kernels, "_stack", recording)
     return builds
@@ -486,8 +487,7 @@ def _record_builds(monkeypatch):
 @pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
 def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
     # a row p = 0 per scan shot, each on a grid of its own; at the fixed
-    # radius one five-row stack, built in one pass before its first shot,
-    # and no rows p = 1..4 built apart
+    # radius one five-row stack, built in one pass before its first shot
     builds = _record_builds(monkeypatch)
     shots = _record_shots(monkeypatch)
     monkeypatch.setattr(shooting, "_last_scan", (None, None))
@@ -499,9 +499,8 @@ def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
             r_mid = shots[-1][1].r_max
             scan = sum(g.r_max != r_mid for _, g in shots)
             assert len(shots) > scan + 2
-            kinds = [b[2:] for b in builds]  # (first, higher)
-            assert sorted(kinds) == [(True, False)] * scan + [(True, True)]
-            assert kinds[-1] == (True, True)
+            kinds = [b[2] for b in builds]  # higher
+            assert kinds == [False] * scan + [True]
 
 
 def test_a_bound_solve_builds_its_grids_stack_once(monkeypatch):
@@ -518,14 +517,14 @@ def test_a_bound_solve_builds_its_grids_stack_once(monkeypatch):
     monkeypatch.setattr(shooting, "rk4_path", recording)
     bracket = suggest_bracket(M, EQUAL, -1, grid)
     sol = find_bound_state(M, EQUAL, -1, bracket, grid)
-    # one five-row pass, centred at the first probe's energy, where the
-    # lazy path centres it; then the inward tail's own row p = 0
-    assert builds == [(energies[0], grid.h, True, True), (sol.E, -grid.h, True, False)]
+    # one five-row pass, centred at the first probe's energy; then the
+    # inward tail's own row p = 0
+    assert builds == [(energies[0], grid.h, True), (sol.E, -grid.h, False)]
 
     # find_bound_state on a grid that is not cached primes it at lo
     builds.clear()
     again = find_bound_state(M, EQUAL, -1, bracket, grid)
-    assert builds == [(bracket[0], grid.h, True, True), (sol.E, -grid.h, True, False)]
+    assert builds == [(bracket[0], grid.h, True), (sol.E, -grid.h, False)]
     assert again.E == sol.E
 
 
@@ -560,8 +559,8 @@ def test_scan_ending_on_a_node_at_energy_0_returns_it(monkeypatch):
 def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale):
     monkeypatch.setattr(shooting, "_last_scan", (None, None))
     m, mix = 0.7358847923680774, PotentialMix(0.7062867500442369, 0.3)
-    guess = shooting._wkb_start
-    monkeypatch.setattr(shooting, "_wkb_start", lambda *args: None)
+    guess = shooting._scan_index
+    monkeypatch.setattr(shooting, "_scan_index", lambda *args: None)
     cold = repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale))  # a bisection
     key, i = shooting._last_scan
     hints = [i + off for off in range(-3, 4)] + [0, 97]
@@ -570,10 +569,10 @@ def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale):
         assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold, start
     # a scan with no hint for its key starts at the WKB start, here wild
     for start in hints:
-        monkeypatch.setattr(shooting, "_wkb_start", lambda *args, start=start: start)
+        monkeypatch.setattr(shooting, "_scan_index", lambda *args, start=start: start)
         shooting._last_scan = (None, None)
         assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold, start
-    monkeypatch.setattr(shooting, "_wkb_start", guess)
+    monkeypatch.setattr(shooting, "_scan_index", guess)
     shooting._last_scan = (None, None)
     assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold
     # another problem's key and index, left by the call before
@@ -671,14 +670,24 @@ def test_quasibound_rejects_bound_mix():
     (1.0, 1e12, 500), (1e300, 0.2, 20000), (1.0, 1e300, 100), (1e-300, 1e12, 500),
     (1e12, 0.2, 100),
 ], ids=["adjacent-doubles", "huge-mass", "huge-slope", "analytic-bracket", "huge-mass-n100"])
-def test_unresolved_grids_get_no_wkb_start(m, lam, n):
+def test_unresolved_grids_get_no_wkb_start(monkeypatch, m, lam, n):
     # test_extreme_settings_end's equal-mix settings, and solve --m 1e12
     # --n 100: the grid step exceeds a quarter of the Airy length at the
-    # level, so the node count need not be monotone; the Dirichlet scan
-    # bisects such grids cold, and suggest_bracket refuses them
-    grid = RadialGrid(1e-6 * 25.0, 25.0, n)
-    step = 10.0 * math.sqrt(lam) / 64
-    assert shooting._wkb_start(m, PotentialMix(lam, 0.5), -1, 0, step, lambda e: grid.h) is None
+    # level, or the scan step does not move an energy near m, so the node
+    # count need not be monotone; suggest_bracket refuses such grids
+    # before its scan starts anywhere, and shoots nothing
+    starts = []
+    real = shooting._scan_index
+
+    def recording(*args):
+        starts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shooting, "_scan_index", recording)
+    monkeypatch.setattr(shooting, "integrate_radial", None)
+    with pytest.raises(ScanError):
+        suggest_bracket(m, PotentialMix(lam, 0.5), -1, RadialGrid(1e-6 * 25.0, 25.0, n))
+    assert starts == []
 
 
 @pytest.mark.parametrize("m, lam, s", [
