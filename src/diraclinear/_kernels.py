@@ -32,26 +32,14 @@ Only E changes between the shots of an eigenvalue search.  The
 coefficient matrix is A(r; E) = A0(r) + E J with J = [[0, 1], [-1, 0]],
 so the RK4 stages have degrees 1..4 in E, and about a centre E_c every
 step matrix is exactly T_i(E) = sum_{p=0..4} (E - E_c)^p C_{p,i}.  The
-kernel keeps one cache entry, for a grid (m, lam, s, k, r0, h, n) that a
-solver will shoot at several energies, holding a stack of band buffers,
-one per p, with zeros in every slot that no step matrix fills (320 bytes
-per step, 6.4 MB at n = 20000).  There are two build paths:
-
-- all five rows in one pass (_prime): the only way a stack enters the
-  cache.  A caller that will shoot a grid at E_c and then at several
-  energies near it installs the whole stack before its first shot; the
-  rows share the coefficients at the three radii.  Three callers prime:
-  suggest_bracket at its first probe, find_bound_state at its bracket's
-  lower end (a no-op after suggest_bracket, which leaves the grid
-  cached), and the quasi-bound estimator at its fixed radius.  Priming
-  the cached grid does nothing, so a centre never moves once set;
-- row p = 0 alone (_row0): a shot on any other grid builds its step
-  matrices directly, as row p = 0 of a stack centred at its own energy:
-  that row is T(E).  Such a shot drops the cached stack, before it builds
-  its row, and caches nothing: the estimator's scan shots, each on a grid
-  of its own, the inward tail shot, and any direct integrate_radial or
-  rk4_path call.  An unprimed grid shot at several energies builds its
-  row at each of them.
+kernel keeps no state: a caller that will shoot a grid at E_c and then
+near it builds the grid's stack with _prime, all five rows in one pass
+that shares the coefficients at the three radii, one band buffer per p
+with zeros in every slot that no step matrix fills (320 bytes per step,
+6.4 MB at n = 20000), and passes the pair (E_c, stack) it returns to
+each rk4_path call on that grid (the solvers keep the pair on the grid;
+see shooting).  A shot given no pair builds its step matrices directly
+(_row0), as row p = 0 of a stack centred at its own energy: T(E).
 
 A build computes the step matrices _CHUNK = 1024 steps at a time, for
 every row it builds, and writes each of the four entries of all rows
@@ -78,10 +66,8 @@ matrices on the same draw), but 1.7e-12 at 4 to 5 and 3.3e-10 at 10 to
 11, where its own step matrices stay within 2.1e-13.  The solvers' shots
 stay far inside |h d| < 1 (at most 0.05 on the benchmark's requests), so
 the fallback catches only coarse grids, such as a small --n over a large
---rmax.  A shot's last bits depend on the centre, the energy its grid
-was primed at.  Each shot is one rk4_path call; the energy scans shoot
-one energy at a time, so a node-count scan on one grid shares that
-grid's stack.
+--rmax.  A shot's result depends only on its arguments; its last bits
+depend on the centre of the pair it is given, if any.
 """
 
 from __future__ import annotations
@@ -99,12 +85,6 @@ NUMBA_AVAILABLE = False
 _OVERFLOW_CAP = 1e250
 # steps per chunk when building a stack (see the module docstring)
 _CHUNK = 1024
-
-# (key, E_c, stack) for the most recently primed grid, key = (m, lam, s, k,
-# r0, h, n): its read-only five-row stack centred at E_c; emptied by a shot
-# on another grid.  Replaced by one assignment and read once into locals, so
-# a thread never pairs one grid's key with another grid's stack.
-_last_grid = (None, None, None)
 
 
 def _rk4_coefficients(m, lam, s, k, Ec, h, r, higher):
@@ -225,38 +205,25 @@ def _row0(m, lam, s, k, E, r0, h, n):
 
 
 def _prime(m, lam, s, k, Ec, r0, h, n):
-    """Builds the grid's full stack centred at Ec, rows p = 0..4 in one
-    pass, and installs it as the cached grid, for a caller that shoots
-    the grid at Ec and then at several energies near it: its first shot
-    reads row p = 0 as it is.  The only writer of a stack into the cache.
-    A no-op when the grid is the cached one already, so that no centre
-    moves: the grid's shots keep the bits its first shot gave them."""
-    global _last_grid
-    key = (m, lam, s, k, r0, h, n)
-    if _last_grid[0] == key:
-        return
-    # as in _transfer_matrices, the old grid's stack is freed first
-    _last_grid = (None, None, None)
+    """(Ec, stack): the grid's full stack centred at Ec, rows p = 0..4
+    built in one pass and read-only, for a caller that shoots the grid at
+    Ec and then at several energies near it: its first shot reads row
+    p = 0 as it is."""
     full = np.zeros((5, n + 1, 8))
     with np.errstate(all="ignore"):
         _stack(m, lam, s, k, Ec, r0, h, n, True, full)
     full = full.reshape(5, -1)
     full.flags.writeable = False
-    _last_grid = (key, Ec, full)
+    return Ec, full
 
 
-def _transfer_matrices(m, lam, s, k, E, r0, h, n):
-    """The band buffer of the n step matrices at energy E, through the
-    one-grid cache (see the module docstring).  The caller must not write
-    it."""
-    global _last_grid
-    key = (m, lam, s, k, r0, h, n)
-    last_key, Ec, stack = _last_grid
-    if last_key != key:
-        # drops the local reference too, so the old grid's stack is freed
-        # before this grid's row is built
-        _last_grid, stack = (None, None, None), None
+def _transfer_matrices(m, lam, s, k, E, r0, h, n, primed=None):
+    """The band buffer of the n step matrices at energy E, from `primed`,
+    _prime's (E_c, stack) for this grid, or built at E when it is None
+    (see the module docstring).  The caller must not write it."""
+    if primed is None:
         return _row0(m, lam, s, k, E, r0, h, n)
+    Ec, stack = primed
     d = E - Ec
     if d == 0.0:
         return stack[0]
@@ -302,16 +269,17 @@ def _path(ab, n, u0, v0):
     return u, v, i, sign
 
 
-def rk4_path(m, lam, s, k, E, r0, h, n, u0, v0):
+def rk4_path(m, lam, s, k, E, r0, h, n, u0, v0, _primed=None):
     """Integrate n RK4 steps from r0 with signed step h.
 
     Returns (u, v, stop, sign): arrays of length n+1 holding the solution
     at r0 + i*h, the index of the last finite entry, and the sign of u at
     the point where |u| or |v| left the representable range (0.0 while the
-    integration stayed finite).  Entries beyond `stop` are NaN.
+    integration stayed finite).  Entries beyond `stop` are NaN.  The
+    private `_primed` is _prime's (E_c, stack) for this grid, or None.
     """
     with np.errstate(all="ignore"):
-        return _path(_transfer_matrices(m, lam, s, k, E, r0, h, n), n, u0, v0)
+        return _path(_transfer_matrices(m, lam, s, k, E, r0, h, n, _primed), n, u0, v0)
 
 
 def warm_up():

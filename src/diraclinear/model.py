@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -92,7 +92,9 @@ class TurningPoints:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid of n steps on [r_min, r_max]."""
+    """Uniform radial grid of n steps on [r_min, r_max].  Like radii(),
+    the solvers keep the state their calls share in its instance dict
+    (see shooting)."""
 
     r_min: float
     r_max: float
@@ -107,6 +109,10 @@ class RadialGrid:
     @property
     def h(self) -> float:
         return (self.r_max - self.r_min) / self.n
+
+    def __getstate__(self):
+        # radii() and the solvers' state are caches, which copies and pickles drop
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def radii(self) -> np.ndarray:
         """r_min + h*i for i = 0..n with the last entry r_max: what
@@ -135,7 +141,7 @@ class RadialSolution:
     endpoints.  A diverged flag marks outward integrations whose growing
     tail overflowed before reaching r_max (tail entries are NaN beyond the
     divergence point); divergence_sign records the sign of u there, which
-    is the datum an eigenvalue bisection needs.  r is the grid's radii(),
+    no solver reads: they bisect on node_count.  r is the grid's radii(),
     one read-only array shared by every solution on the grid: copy it
     before changing it.
     """

@@ -13,11 +13,11 @@ grids of 65 (by default) and 97 energies on a count of sign changes,
 which does not fall as E rises (it counts the turns of the Pruefer
 angle), and return the bracket a walk up the grid to its first
 transition would.  Each starts at a guess of the transition's index (see
-_first_above): the Dirichlet scan at the index of the last scan of the
-same problem and grid hint, so the 0.9 and 1.1 spread estimates of a
-level confirm the central estimate's index in two shots; every other
-scan at the index of the WKB level (_wkb_level and _scan_index, pure
-arithmetic, no shot), which on the benchmark's requests is the
+_first_above): the Dirichlet scan at the index the last scan of the
+same problem left on its grid hint, so the 0.9 and 1.1 spread estimates
+of a level confirm the central estimate's index in two shots; every
+other scan at the index of the WKB level (_wkb_level and _scan_index,
+pure arithmetic, no shot), which on the benchmark's requests is the
 transition's index or one off, so the search takes 2 shots, or 4 when
 the guess is one step high, in place of a cold bisection's 7 or 8.  The
 node count is monotone only on a grid that resolves the Airy length, so
@@ -29,12 +29,14 @@ as the cold bisection: a guess changes only which energies are shot.
 The node scan goes on past the top of its window, in steps of the same
 spacing, while the energies' turning points r1 lie on the grid.  The
 estimator reads only u at the Dirichlet point, and for scan shots its
-sign changes, so its shots build no RadialSolution.  Its scan looks for the first count above 0 and shoots its first energy only when
-the search closes next to it.  A grid shot at several energies has the
-kernel build its whole coefficient stack in one pass before its first
-shot (see _kernels): suggest_bracket's grid, at its first probe, which
-find_bound_state then finds cached, and the estimator's grid at its
-fixed Dirichlet point.
+sign changes, so its shots build no RadialSolution.  Its scan looks
+for the first count above 0 and shoots its first energy only when the
+search closes next to it.
+
+No module holds solver state: a grid keeps its coefficient stack (see
+_prime_grid), and a grid hint its Dirichlet scan's last index.
+_splice_tail frees a bound state's stack before its inward shot, and the
+estimator its fixed grid's once Brent's method is done.
 
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff.  find_bound_state therefore keeps
@@ -90,6 +92,36 @@ def _launch(m, mix, k, E, r_min):
     return u0, v0
 
 
+def _held(m, mix, k, grid):
+    """The (E_c, stack) pair grid holds for the problem, or None."""
+    held = grid.__dict__.get("_stack")
+    return held[1] if held is not None and held[0] == (m, mix.lam, mix.s, int(k)) else None
+
+
+def _prime_grid(m, mix, k, E, grid):
+    """Keeps on grid, as radii() keeps its array, the problem's whole
+    stack centred at E (see _kernels), tagged with (m, lambda, s, k); a
+    no-op when grid holds that problem's stack, so that no centre moves.
+    Another problem's stack is freed before the new one is built."""
+    if _held(m, mix, k, grid) is None:
+        _drop_stack(grid)
+        tag = (m, mix.lam, mix.s, int(k))
+        grid.__dict__["_stack"] = tag, _prime(*tag, E, grid.r_min, grid.h, grid.n)
+
+
+def _drop_stack(grid):
+    """Frees the stack grid holds, if any."""
+    grid.__dict__.pop("_stack", None)
+
+
+def _shoot(m, mix, k, E, grid):
+    """rk4_path's result for the outward shot at E on grid, through the
+    stack grid holds for this problem, if any."""
+    u0, v0 = _launch(m, mix, k, E, grid.r_min)
+    return rk4_path(m, mix.lam, mix.s, int(k), E, grid.r_min, grid.h, grid.n, u0, v0,
+                    _primed=_held(m, mix, k, grid))
+
+
 def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
                      grid: RadialGrid) -> RadialSolution:
     """Single outward RK4 shot at energy E on the given uniform grid.
@@ -97,14 +129,12 @@ def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
     Returns the raw (unnormalized) solution.  A growing tail that leaves
     the representable range is not an error: the solution is marked
     diverged, entries past the overflow point are NaN, and divergence_sign
-    records the sign of u there for use by eigenvalue bisections.  Raises
+    records the sign of u there; the solvers go by the node count.  Raises
     ValueError when r_min^|k| underflows, so that both launch values are 0.
     """
     if type(k) is not int or k == 0:  # a plain nonzero int needs no check
         QuantumNumbers(k)
-    u0, v0 = _launch(m, mix, k, E, grid.r_min)
-    u, v, stop, sign = rk4_path(m, mix.lam, mix.s, int(k), E,
-                                grid.r_min, grid.h, grid.n, u0, v0)
+    u, v, stop, sign = _shoot(m, mix, k, E, grid)
     return RadialSolution(
         r=grid.radii(), u=u, v=v, E=E, node_count=count_nodes(u),
         diverged=stop < grid.n, divergence_sign=int(sign), grid=grid,
@@ -150,6 +180,8 @@ def _splice_tail(sol: RadialSolution, m, mix, k):
     efolds = np.cumsum(0.5 * (kap[1:] + kap[:-1]) * np.diff(rr))
     steps = min(int(np.searchsorted(efolds, 500.0)) + 1, n - i1)
     size = 1e-30 / math.hypot(p[steps], kap[steps])
+    # the solve needs the grid's stack no more: free it before this shot's row
+    _drop_stack(sol.grid)
     ub, vb, stop, _ = rk4_path(m, mix.lam, mix.s, int(k), E, rr[steps], -sol.grid.h,
                                steps, size * p[steps], -size * kap[steps])
     if stop < steps:
@@ -194,11 +226,9 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     level, is returned as it is, normalized.  A state whose node count is
     not `nodes` (a raw shot's node on a grid point, its sign picked by
     rounding) gives way to the state at the bracket's lower end, 1e-8
-    below.  Every shot is on the one grid: a grid that is not the
-    kernel's cached one (find_bound_state called without suggest_bracket)
-    has its whole coefficient stack built in one pass, centred at the
-    bracket's lower end, before the first shot (see _kernels).  The
-    solution's r is the grid's shared, read-only radii().  Raises
+    below.  Every shot is on the one grid, primed at the bracket's lower
+    end unless it holds this problem's stack (see _prime_grid), which
+    the inward tail shot frees.  The solution's r is the grid's shared, read-only radii().  Raises
     ConsistencyError when the outward shot overflows before r1 or the
     inward one before reaching it.
     """
@@ -211,7 +241,7 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
         raise ValueError("bracket must satisfy 0 < lo < hi")
 
     # the first shot is at lo; a no-op on the grid suggest_bracket shot
-    _prime(m, mix.lam, mix.s, int(k), lo, grid.r_min, grid.h, grid.n)
+    _prime_grid(m, mix, k, lo, grid)
     n_lo = integrate_radial(m, mix, k, lo, grid).node_count
     n_hi = integrate_radial(m, mix, k, hi, grid).node_count
     if n_lo == n_hi:
@@ -375,9 +405,7 @@ def _dirichlet_u(m, mix, k, e, grid, count=False):
 
     This is every shot of the quasi-bound estimator: one rk4_path call
     with integrate_radial's arguments, building no RadialSolution."""
-    u0, v0 = _launch(m, mix, k, e, grid.r_min)
-    u, _, stop, sign = rk4_path(m, mix.lam, mix.s, int(k), e, grid.r_min, grid.h, grid.n,
-                                u0, v0)
+    u, _, stop, sign = _shoot(m, mix, k, e, grid)
     end = float(u[-1]) if stop == grid.n else math.inf * float(sign)
     return end, count_nodes(u, end=True) if count else None
 
@@ -402,9 +430,9 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     through energies whose turning point r1 = (E - m)/lambda lies within
     r_max, galloping from the top and bisecting the last step (see
     _first_above).  All shots are on the one grid, so they share its
-    cached coefficients (see _kernels): the first probe builds the grid's
-    whole stack in one pass, centred at its own energy, unless the grid
-    is cached already, and leaves the grid cached for find_bound_state.
+    coefficient stack (see _prime_grid): the first probe builds it in one
+    pass, centred at its own energy, unless the grid holds this problem's
+    stack already, and the grid keeps it for find_bound_state.
 
     Raises ScanError when there is no such transition; its message names
     the r_max that the next scan energy needs when the scan went past the
@@ -426,8 +454,8 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
 
     def above(j):
         e = energy(j)
-        # the first probe primes the grid; every later one finds it cached
-        _prime(m, mix.lam, mix.s, int(k), e, grid.r_min, grid.h, grid.n)
+        # the first probe primes the grid; every later one finds its stack
+        _prime_grid(m, mix, k, e, grid)
         return integrate_radial(m, mix, k, e, grid).node_count > nodes
 
     level = _wkb_level(m, mix.lam, mix.s, k, nodes)
@@ -461,13 +489,6 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
         f"= ({m}, {m + width})")
 
 
-# (key, i) of the most recent Dirichlet scan: key = (m, lam, s, k, r_min, n)
-# of its problem and grid hint, and i the scan index it returned.  Replaced
-# by one assignment and read once into a local, so a thread never pairs one
-# problem's key with another problem's index.
-_last_scan = (None, None)
-
-
 def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
                                grid_hint: RadialGrid,
                                midpoint_scale: float = 1.0) -> float:
@@ -486,9 +507,9 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
        energy.  The count does not fall as E rises, so the scan is
        searched on it and returns the bracket a walk up the scan to the
        first sign change of u(r_mid) returns, whatever index it starts
-       from (see _first_above).  When the previous scan had the same m,
-       lambda, s, k and grid_hint r_min and n (its midpoint_scale may
-       differ), the search starts at that scan's index; else at the index
+       from (see _first_above).  It starts at the index that the last
+       scan on grid_hint left there when that scan had the same m,
+       lambda, s and k (its midpoint_scale may differ), else at the index
        of the WKB level (see _scan_index), whatever the step of the grid
        the level's energy is shot on.  When the start holds, the scan
        takes 2 shots, the two energies across the start.
@@ -508,7 +529,8 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
 
     Stages 2 and 3 shoot one grid, ending at r_mid, first at the
     bracket's lower end and then near it, so its whole coefficient stack
-    is built in one pass, centred there, before the first of them.
+    is built in one pass, centred there, before the first of them, and
+    freed when they end.
 
     Every shot goes through _dirichlet_u, which returns u(r_mid), and
     for scan shots the sign-change count.
@@ -523,7 +545,6 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     its truncation-sensitivity spread.  n and r_min are taken from
     grid_hint; the outer radius is the Dirichlet point itself.
     """
-    global _last_scan
     from scipy.optimize import brentq
 
     if mix.s >= 0.5:
@@ -566,11 +587,11 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
             f"= ({m}, {m + width}) so far above m that E - m and E + m round to "
             f"the same value; there are no turning points to scan")
     scan = {}
-    # the spread estimates share the central estimate's key, and almost
-    # always its index: start there; else at the WKB level
-    key = (m, mix.lam, mix.s, k, grid_hint.r_min, grid_hint.n)
-    last_key, start = _last_scan
-    if last_key != key:
+    # the spread estimates share the central estimate's grid hint, and
+    # almost always its index: start there; else at the WKB level
+    tag = (m, mix.lam, mix.s, k)
+    hint_tag, start = grid_hint.__dict__.get("_scan", (None, None))
+    if hint_tag != tag:
         start = _scan_index(_wkb_level(m, mix.lam, mix.s, k, 0), m, step)
     i = _first_above(lambda i: scan_u(i)[1] > 0, 0, steps + 1, start)
     # the closing lower end, a probe that counted 0, shows that energy 0
@@ -582,7 +603,7 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
         if changes0 > 0:
             i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, steps + 1,
                              _scan_index(_wkb_level(m, mix.lam, mix.s, k, changes0), m, step))
-    _last_scan = (key, i)
+    grid_hint.__dict__["_scan"] = tag, i
     if i == steps + 1:
         raise ScanError(
             f"no Dirichlet sign change in the scan window "
@@ -603,36 +624,39 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
 
     # every shot from here on is on the fixed grid, near lo: its whole
     # stack, centred at lo, is built in one pass
-    _prime(m, mix.lam, mix.s, int(k), lo, fixed.r_min, fixed.h, fixed.n)
-    f_lo, f_hi = endpoint_u(lo), endpoint_u(hi)
-    while f_lo * f_hi > 0:
-        down = abs(f_lo) <= abs(f_hi)
-        e = lo - step if down else hi + step
-        if not m < e <= m + width:
-            raise ScanError(
-                f"no Dirichlet sign change at r_mid = {r_mid} within the scan "
-                f"window ({m}, {m + width}) around ({bracket[0]}, {bracket[1]})")
-        f = endpoint_u(e)
-        # on a sign change keep only the step across which it happens
-        if down:
-            if f * f_lo <= 0:
-                hi, f_hi = lo, f_lo
-            lo, f_lo = e, f
-        else:
-            if f * f_hi <= 0:
-                lo, f_lo = hi, f_hi
-            hi, f_hi = e, f
+    _prime_grid(m, mix, k, lo, fixed)
+    try:
+        f_lo, f_hi = endpoint_u(lo), endpoint_u(hi)
+        while f_lo * f_hi > 0:
+            down = abs(f_lo) <= abs(f_hi)
+            e = lo - step if down else hi + step
+            if not m < e <= m + width:
+                raise ScanError(
+                    f"no Dirichlet sign change at r_mid = {r_mid} within the scan "
+                    f"window ({m}, {m + width}) around ({bracket[0]}, {bracket[1]})")
+            f = endpoint_u(e)
+            # on a sign change keep only the step across which it happens
+            if down:
+                if f * f_lo <= 0:
+                    hi, f_hi = lo, f_lo
+                lo, f_lo = e, f
+            else:
+                if f * f_hi <= 0:
+                    lo, f_lo = hi, f_hi
+                hi, f_hi = e, f
 
-    # the ends are already shot; an overflowed shot is only a sign, which
-    # Brent's interpolation cannot use
-    ends = {lo: f_lo, hi: f_hi}
+        # the ends are already shot; an overflowed shot is only a sign, which
+        # Brent's interpolation cannot use
+        ends = {lo: f_lo, hi: f_hi}
 
-    def residual(e):
-        f = ends[e] if e in ends else endpoint_u(e)
-        if not math.isfinite(f):
-            raise ScanError(
-                f"the shot at E = {e} overflows before the Dirichlet point "
-                f"r_mid = {r_mid}; no finite residual to converge on")
-        return f
+        def residual(e):
+            f = ends[e] if e in ends else endpoint_u(e)
+            if not math.isfinite(f):
+                raise ScanError(
+                    f"the shot at E = {e} overflows before the Dirichlet point "
+                    f"r_mid = {r_mid}; no finite residual to converge on")
+            return f
 
-    return brentq(residual, lo, hi, xtol=1e-11 * m)
+        return brentq(residual, lo, hi, xtol=1e-11 * m)
+    finally:  # brentq's reference cycle keeps fixed alive until a gc pass
+        _drop_stack(fixed)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import diraclinear
-from diraclinear import _kernels, cli
+from diraclinear import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.special")
@@ -59,8 +59,6 @@ def test_setup_and_a_bound_solve_leave_deferred_subpackages_unloaded(monkeypatch
 def test_deferred_paths_give_in_process_bytes(argv, capsys):
     proc = _run(["-m", "diraclinear.cli", *argv])
     assert proc.returncode == 0, proc.stderr
-    # a fresh process starts with no cached grid; the warm-up grid evicts
-    # this process's last one, so both runs centre their grids alike
-    _kernels.warm_up()
+    # each run builds its own grids, so both centre their stacks alike
     assert cli.main(argv) == 0
     assert proc.stdout == capsys.readouterr().out

@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dtbtrs
 from test_shooting import _reference_rk4
 
 from diraclinear import _kernels
-from diraclinear._kernels import _prime, _row0, rk4_path, warm_up
+from diraclinear._kernels import _prime, _row0, rk4_path
 
 SCALES = st.floats(0.5, 2.0)
 
@@ -52,14 +52,14 @@ def test_paths_follow_the_per_step_reference(m, lam, s, k, level, n, inward, ste
     launch = (1e-6, -1e-12)
     refs = [_reference_rk4(m, lam, s, k, e, r0, h, n, *launch) for e in energies]
 
-    # an unprimed shot builds its row p = 0 at its own energy; once the
-    # grid is primed there, at the centre E_c, its shots evaluate the
+    # an unprimed shot builds its row p = 0 at its own energy; given the
+    # grid's stack primed there, at the centre E_c, its shots evaluate the
     # stack in E - E_c
-    warm_up()  # leaves another grid in the cache
     assert _deviation(rk4_path(m, lam, s, k, energies[0], r0, h, n, *launch), refs[0]) <= 1e-12
-    _prime(m, lam, s, k, energies[0], r0, h, n)
+    primed = _prime(m, lam, s, k, energies[0], r0, h, n)
     for e, ref in zip(energies, refs):
-        assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, *launch), ref) <= 1e-12
+        assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, *launch, _primed=primed),
+                          ref) <= 1e-12
 
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 1.0), k=st.sampled_from((-2, -1, 1, 2)),
@@ -82,12 +82,11 @@ def test_coarse_steps_far_from_the_centre_follow_the_per_step_reference(
     r0, h = (start + n * step, -step) if inward else (start, step)
     centre = energy - reach / step
     launch = (1e-6, -1e-12)
-    warm_up()  # leaves another grid in the cache
-    for e in (centre, energy):  # the first is unprimed; then the grid is primed
-        if e == energy:
-            _prime(m, lam, s, k, centre, r0, h, n)
+    # the first is unprimed; then the grid is primed at the centre
+    for e, primed in ((centre, None), (energy, _prime(m, lam, s, k, centre, r0, h, n))):
         ref = _reference_rk4(m, lam, s, k, e, r0, h, n, *launch)
-        assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, *launch), ref) <= 1e-12
+        assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, *launch, _primed=primed),
+                          ref) <= 1e-12
 
 
 def test_shots_within_unit_reach_take_the_cached_stack(monkeypatch):
@@ -95,8 +94,7 @@ def test_shots_within_unit_reach_take_the_cached_stack(monkeypatch):
     # evaluates the stack, one at 1.1 builds its own row p = 0
     m, lam, s, k, r0, h, n = 1.0, 1.0, 0.7, -1, 0.25, 0.5, 30
     centre = 2.0
-    warm_up()  # leaves another grid in the cache
-    _prime(m, lam, s, k, centre, r0, h, n)
+    primed = _prime(m, lam, s, k, centre, r0, h, n)
     built = []
     real = _kernels._row0
 
@@ -107,9 +105,9 @@ def test_shots_within_unit_reach_take_the_cached_stack(monkeypatch):
     monkeypatch.setattr(_kernels, "_row0", recording)
     for e in (centre, centre + 0.9 / h, centre - 0.9 / h, centre + 1.1 / h):
         ref = _reference_rk4(m, lam, s, k, e, r0, h, n, 1e-6, -1e-12)
-        assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, 1e-6, -1e-12), ref) <= 1e-12
+        assert _deviation(rk4_path(m, lam, s, k, e, r0, h, n, 1e-6, -1e-12, _primed=primed),
+                          ref) <= 1e-12
     assert built == [centre + 1.1 / h]
-    assert _kernels._last_grid[:2] == ((m, lam, s, k, r0, h, n), centre)
 
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 1.0), k=st.sampled_from((-2, -1, 1, 2)),
@@ -120,12 +118,8 @@ def test_one_pass_stack_equals_its_rows_built_apart(m, lam, s, k, centre, n, inw
                                                       start):
     # _CHUNK and _CHUNK + 1 steps end a chunk exactly and one step past it
     r0, h = (start + n * step, -step) if inward else (start, step)
-    # priming the cached grid is a no-op, and a draw may repeat the last
-    # draw's grid at another centre: cache another grid first
-    warm_up()
-    _prime(m, lam, s, k, centre, r0, h, n)
-    key, Ec, stack = _kernels._last_grid
-    assert (key, Ec) == ((m, lam, s, k, r0, h, n), centre)
+    Ec, stack = _prime(m, lam, s, k, centre, r0, h, n)
+    assert Ec == centre
     assert stack.shape == (5, 8 * (n + 1))
     # row p = 0 is the same bits whether or not rows p = 1..4 share its pass
     np.testing.assert_array_equal(stack[0], _row0(m, lam, s, k, centre, r0, h, n)[0])

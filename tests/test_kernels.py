@@ -1,6 +1,7 @@
-"""RK4 kernel: the one-grid cache of the centred band-layout stack, which
-only priming a grid with its whole stack in one pass fills, and unprimed
-shots, which build their own row p = 0 and cache nothing."""
+"""RK4 kernel: the centred band-layout stack that _prime builds in one
+pass and a caller passes to each shot as (E_c, stack), shots given no
+pair, which build their own row p = 0, and the solvers' grid-held stack,
+which only the grid and problem it was primed for read."""
 
 import math
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from test_shooting import _reference_rk4
 
-from diraclinear import _kernels
+from diraclinear import PotentialMix, RadialGrid, _kernels, shooting
 from diraclinear._kernels import _CHUNK, _prime, _row0, _transfer_matrices, rk4_path
 
 # grid keys (m, lam, s, k, r0, h, n); no n is a multiple of _CHUNK, so every
@@ -81,21 +82,20 @@ def _normwise(t, ref):
     return np.max(np.max(np.abs(t - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2)))
 
 
-def _band(grid, E):
+def _band(grid, E, primed=None):
     m, lam, s, k, r0, h, n = grid
-    return _transfer_matrices(m, lam, s, k, E, r0, h, n)
+    return _transfer_matrices(m, lam, s, k, E, r0, h, n, primed)
 
 
-def _shot(grid, E):
+def _shot(grid, E, primed=None):
     m, lam, s, k, r0, h, n = grid
-    return rk4_path(m, lam, s, k, E, r0, h, n, 1e-6, -1e-12)
+    return rk4_path(m, lam, s, k, E, r0, h, n, 1e-6, -1e-12, _primed=primed)
 
 
-def _warm(grid, Ec):
-    """Leaves the grid's full stack, centred at Ec, in the cache."""
-    _kernels.warm_up()  # shoots another grid first
+def _primed(grid, Ec):
+    """The grid's (E_c, stack) pair, its full stack centred at Ec."""
     m, lam, s, k, r0, h, n = grid
-    _prime(m, lam, s, k, Ec, r0, h, n)
+    return _prime(m, lam, s, k, Ec, r0, h, n)
 
 
 def _assert_same_shot(got, ref):
@@ -112,11 +112,11 @@ def test_row_p0_matches_direct_build(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_cached_step_matrices_match_direct_build(grid):
-    _warm(grid, 1.2)
+    primed = _primed(grid, 1.2)
     for E in ENERGIES:
-        assert _normwise(_steps(_band(grid, E), grid[-1]), _direct(grid, E)) <= 1e-15
-    key, Ec, stack = _kernels._last_grid
-    assert key == grid and Ec == 1.2
+        assert _normwise(_steps(_band(grid, E, primed), grid[-1]), _direct(grid, E)) <= 1e-15
+    Ec, stack = primed
+    assert Ec == 1.2
     assert not stack.flags.writeable
     # five band buffers of n + 1 steps, 320 bytes per step
     n = grid[-1]
@@ -126,26 +126,21 @@ def test_cached_step_matrices_match_direct_build(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_first_call_on_a_grid_is_the_direct_build(grid):
-    other = GRIDS[(GRIDS.index(grid) + 1) % len(GRIDS)]
-    _warm(other, 1.5)
+    # a call given no (E_c, stack) pair builds row p = 0 at its own energy
     m, lam, s, k, r0, h, n = grid
     t = _band(grid, 1.5)
     np.testing.assert_array_equal(t, _row0(m, lam, s, k, 1.5, r0, h, n))
     assert _normwise(_steps(t, n), _direct(grid, 1.5)) <= 1e-15
     assert t.shape == (1, 8 * (n + 1))
-    # the other grid's stack is dropped, and nothing takes its place
-    assert _kernels._last_grid == (None, None, None)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_unprimed_grid_shot_twice_builds_its_row_at_each_energy(grid):
-    # only _prime writes the cache: each shot on an unprimed grid is the
-    # path through its own row p = 0, built at its own energy
+    # each shot given no pair is the path through its own row p = 0, built
+    # at its own energy
     m, lam, s, k, r0, h, n = grid
-    _warm(GRIDS[(GRIDS.index(grid) + 1) % len(GRIDS)], 1.5)  # the cache holds another grid
     for E in (1.3, 2.1):
         got = _shot(grid, E)
-        assert _kernels._last_grid == (None, None, None)
         with np.errstate(all="ignore"):
             ref = _kernels._path(_row0(m, lam, s, k, E, r0, h, n), n, 1e-6, -1e-12)
         _assert_same_shot(got, ref)
@@ -153,24 +148,21 @@ def test_unprimed_grid_shot_twice_builds_its_row_at_each_energy(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_shot_at_the_centre_from_the_full_stack_is_the_first_shot(grid):
-    m, lam, s, k, r0, h, n = grid
-    _kernels.warm_up()  # the cache holds another grid
     first = _shot(grid, 1.3)  # unprimed: its own row p = 0
-    _prime(m, lam, s, k, 1.3, r0, h, n)
-    _shot(grid, 2.1)  # evaluates rows p = 1..4
-    assert len(_kernels._last_grid[2]) == 5
-    _assert_same_shot(_shot(grid, 1.3), first)
+    primed = _primed(grid, 1.3)
+    _shot(grid, 2.1, primed)  # evaluates rows p = 1..4
+    assert len(primed[1]) == 5
+    _assert_same_shot(_shot(grid, 1.3, primed), first)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_primed_grid_shoots_as_an_unprimed_one(grid, monkeypatch):
     # at its centre: the primed stack's row p = 0 is the unprimed shot's row
     m, lam, s, k, r0, h, n = grid
-    _kernels.warm_up()  # the cache holds another grid
     first = _shot(grid, 1.3)
-    _prime(m, lam, s, k, 1.3, r0, h, n)
-    key, Ec, stack = _kernels._last_grid
-    assert (key, Ec) == (grid, 1.3)
+    primed = _primed(grid, 1.3)
+    Ec, stack = primed
+    assert Ec == 1.3
     assert stack.shape == (5, 8 * (n + 1))
     row = _row0(m, lam, s, k, 1.3, r0, h, n)[0]
     np.testing.assert_array_equal(stack[0], row)
@@ -181,33 +173,36 @@ def test_primed_grid_shoots_as_an_unprimed_one(grid, monkeypatch):
     # the primed grid's shots build nothing; the first, at the centre,
     # reads row p = 0 as it is: the direct build
     monkeypatch.setattr(_kernels, "_stack", None)
-    band = _band(grid, 1.3)
+    band = _band(grid, 1.3, primed)
     np.testing.assert_array_equal(band, row)
     assert not band.flags.writeable
-    _assert_same_shot(_shot(grid, 1.3), first)
-    _shot(grid, 2.1)
-    assert _kernels._last_grid[2] is stack
+    _assert_same_shot(_shot(grid, 1.3, primed), first)
+    _shot(grid, 2.1, primed)
+
+
+def _solver_grid(grid):
+    """(m, mix, k, RadialGrid) for an outward grid key (m, lam, s, k, r0, h, n)."""
+    m, lam, s, k, r0, h, n = grid
+    return m, PotentialMix(lam, s), k, RadialGrid(r0, r0 + h * n, n)
 
 
 def test_priming_the_cached_grid_moves_no_centre(monkeypatch):
-    grid = GRIDS[3]
-    _warm(grid, 1.4)
-    cached = _kernels._last_grid
+    m, mix, k, grid = _solver_grid(GRIDS[3])
+    shooting._prime_grid(m, mix, k, 1.4, grid)
+    held = grid.__dict__["_stack"]
     monkeypatch.setattr(_kernels, "_stack", None)
-    m, lam, s, k, r0, h, n = grid
-    _prime(m, lam, s, k, 2.0, r0, h, n)
-    assert _kernels._last_grid is cached
+    shooting._prime_grid(m, mix, k, 2.0, grid)
+    assert grid.__dict__["_stack"] is held
+    assert shooting._held(m, mix, k, grid)[0] == 1.4
 
 
 def test_a_shot_at_the_centre_builds_nothing_more(monkeypatch):
     grid = GRIDS[3]
-    _warm(grid, 1.4)
-    first = _shot(grid, 1.4)
-    stack = _kernels._last_grid[2]
+    primed = _primed(grid, 1.4)
+    first = _shot(grid, 1.4, primed)
     monkeypatch.setattr(_kernels, "_stack", None)
     # the same energy again on the primed grid: row p = 0 is the band
-    _assert_same_shot(_shot(grid, 1.4), first)
-    assert _kernels._last_grid[2] is stack
+    _assert_same_shot(_shot(grid, 1.4, primed), first)
 
 
 def test_cached_shots_on_a_long_grid_follow_the_per_step_reference():
@@ -216,30 +211,39 @@ def test_cached_shots_on_a_long_grid_follow_the_per_step_reference():
     # the sum first and the diagonal entries near 1 were rounded four times
     grid = GRIDS[0]
     m, lam, s, k, r0, h, n = grid
-    _warm(grid, 1.1)
+    primed = _primed(grid, 1.1)
     for E in (1.3, 1.8, 2.4):
         ref = _reference_rk4(m, lam, s, k, E, r0, h, n, 1e-6, -1e-12)
-        assert _deviation(_shot(grid, E), ref) <= 5e-14
+        assert _deviation(_shot(grid, E, primed), ref) <= 5e-14
 
 
 def test_alternating_grids_never_share_coefficients():
+    # the solvers keep each stack on its grid, tagged with its problem: a
+    # grid primed for one problem and shot for another, or another grid,
+    # never reads it
     a = GRIDS[0]
-    # each differs from a in one entry of the key
+    # each differs from a in one entry of the key; the first four share
+    # a's RadialGrid, the last three need one of their own
     variants = [a[:i] + (value,) + a[i + 1:] for i, value in
                 enumerate((1.1, 0.25, 0.6, 1, 30e-6, 1.01 * a[5], 4999))]
+    grids = {a: _solver_grid(a)}
     for b in variants:
+        m, mix, k, grid = _solver_grid(b)
+        grids[b] = (m, mix, k, grid if b[4:] != a[4:] else grids[a][3])
         for grid_seq in ([a, a, a, b, b, b, a, a, a], [a, b, a, b, a, a, b, b, b, a]):
-            for i, grid in enumerate(grid_seq):
+            for i, key in enumerate(grid_seq):
                 E = 1.2 + 0.1 * i
-                # as the solvers do: a no-op when the grid is cached
-                m, lam, s, k, r0, h, n = grid
-                _prime(m, lam, s, k, E, r0, h, n)
-                t = _steps(_band(grid, E), grid[-1])
-                ref = _direct(grid, E)
+                m, mix, k, grid = grids[key]
+                shooting._prime_grid(m, mix, k, E, grid)
+                primed = shooting._held(m, mix, k, grid)
+                t = _steps(_transfer_matrices(m, mix.lam, mix.s, k, E, grid.r_min, grid.h,
+                                              grid.n, primed), grid.n)
+                ref = _direct((m, mix.lam, mix.s, k, grid.r_min, grid.h, grid.n), E)
                 assert t.shape == ref.shape
                 assert _normwise(t, ref) <= 1e-15
                 # the other grid's matrices are far off, so reusing them would show
-                ref_other = _direct(b if grid is a else a, E)
+                om, omix, ok, og = grids[b if key is a else a]
+                ref_other = _direct((om, omix.lam, omix.s, ok, og.r_min, og.h, og.n), E)
                 if ref_other.shape == ref.shape:
                     assert _normwise(ref_other, ref) > 1e-9
 
@@ -249,43 +253,40 @@ def test_alternating_grids_never_share_coefficients():
 def test_far_off_energy_keeps_the_path_contract(E):
     grid = GRIDS[3]
     m, lam, s, k, r0, h, n = grid
-    _warm(grid, 1.5)
-    band = _band(grid, E)
+    primed = _primed(grid, 1.5)
+    band = _band(grid, E, primed)
     # the band's unit diagonal and structural zeros survive: with
     # (E - E_c)^4 past the double range the shot builds its own row at E
     _steps(band, n)
     d = E - 1.5
     if not math.isfinite(d * d * d * d):
         np.testing.assert_array_equal(band, _row0(m, lam, s, k, E, r0, h, n))
-    u, v, stop, sign = _shot(grid, E)
+    u, v, stop, sign = _shot(grid, E, primed)
     assert stop < n and sign in (-1.0, 0.0, 1.0)
     for x in (u, v):
         assert np.all(np.isfinite(x[:stop + 1])) and np.all(np.isnan(x[stop + 1:]))
-    # the cached stack is kept for the next shot on the grid
-    assert _kernels._last_grid[:2] == (grid, 1.5)
 
 
 def test_a_grid_shot_again_reuses_its_coefficients():
     a = GRIDS[3]
-    _warm(a, 1.2)
-    _shot(a, 1.2)
-    u = _shot(a, 1.7)[0]
-    key, Ec, stack = _kernels._last_grid
-    assert (key, Ec) == (a, 1.2) and stack.shape[0] == 5
+    primed = _primed(a, 1.2)
+    _shot(a, 1.2, primed)
+    u = _shot(a, 1.7, primed)[0]
+    Ec, stack = primed
+    assert Ec == 1.2 and stack.shape[0] == 5
 
     # the next shot on the grid evaluates the stored stack
     d = 1.7 - 1.2
     d2 = d * d
-    np.testing.assert_array_equal(_band(a, 1.7),
+    np.testing.assert_array_equal(_band(a, 1.7, primed),
                                   np.array([d, d2, d2 * d, d2 * d2]) @ stack[1:] + stack[0])
-    assert _kernels._last_grid[2] is stack
-    np.testing.assert_array_equal(_shot(a, 1.7)[0], u)
+    np.testing.assert_array_equal(_shot(a, 1.7, primed)[0], u)
 
-    # a different grid never does
-    m, lam, s, k, r0, h, n = a
-    b = a[:5] + (1.01 * h,) + a[6:]
-    np.testing.assert_array_equal(_band(b, 1.7), _row0(m, lam, s, k, 1.7, r0, b[5], n))
-    assert _kernels._last_grid == (None, None, None)
+    # a grid equal to the primed one, but not it, holds no stack
+    m, mix, k, grid = _solver_grid(a)
+    shooting._prime_grid(m, mix, k, 1.2, grid)
+    twin = RadialGrid(grid.r_min, grid.r_max, grid.n)
+    assert twin == grid and shooting._held(m, mix, k, twin) is None
 
 
 def _deviation(got, ref):
@@ -304,27 +305,28 @@ def _deviation(got, ref):
 
 def _threads_match_serial(jobs, prime=False):
     """Runs each job, a grid and its energies, in its own thread with a tiny
-    switch interval, and returns the largest deviation of its shots from
-    the same shots made serially beforehand.  With `prime` each thread
-    first primes its grid's whole stack at its first energy."""
-    serial = [[_shot(g, E) for E in energies] for g, energies in jobs]
-    _kernels.warm_up()  # leaves another grid cached: the threads build every stack
-    worst, errors = [], []
-
-    def worker(job, refs):
+    switch interval, and asserts that each of its shots is the same shot
+    made serially beforehand, bit for bit.  With `prime` each job, in its
+    thread and serially, first primes its grid's whole stack at its first
+    energy and shoots through that pair."""
+    def shots(job):
         g, energies = job
+        primed = _primed(g, energies[0]) if prime else None
+        return [_shot(g, E, primed) for E in energies]
+
+    serial = [shots(job) for job in jobs]
+    got, errors = [None] * len(jobs), []
+
+    def worker(i):
         try:
-            if prime:
-                m, lam, s, k, r0, h, n = g
-                _prime(m, lam, s, k, energies[0], r0, h, n)
-            worst.append(max(_deviation(_shot(g, E), ref) for E, ref in zip(energies, refs)))
+            got[i] = shots(jobs[i])
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=job) for job in zip(jobs, serial)]
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
         for t in threads:
             t.start()
         for t in threads:
@@ -333,8 +335,10 @@ def _threads_match_serial(jobs, prime=False):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
-    assert len(worst) == len(jobs)
-    return max(worst)
+    for mine, ref in zip(got, serial):
+        assert len(mine) == len(ref)
+        for a, b in zip(mine, ref):
+            _assert_same_shot(a, b)
 
 
 def test_threads_shooting_different_grids_match_serial():
@@ -343,25 +347,26 @@ def test_threads_shooting_different_grids_match_serial():
              (1.2, 0.4, 1.0, -2, 2e-5, 8.0 / 999, 999),
              (0.9, 0.3, 0.6, 2, 12.0, -8.0 / 1003, 1003)]
     energies = np.linspace(1.1, 2.4, 12)
-    assert _threads_match_serial([(g, energies) for g in grids]) <= 1e-12
+    _threads_match_serial([(g, energies) for g in grids])
+    _threads_match_serial([(g, energies) for g in grids], prime=True)
 
 
 def test_threads_shooting_one_grid_match_serial():
-    # three threads race on one unprimed grid: each shot builds its own
-    # row p = 0 and drops the cache; a three-chunk build is long enough
-    # for another thread to shoot while it runs
+    # three threads shoot one unprimed grid at once: each shot builds its
+    # own row p = 0; a three-chunk build is long enough for another thread
+    # to shoot while it runs
     grid = GRIDS[2]
     energies = np.linspace(1.1, 2.4, 12)
     for _ in range(5):
         jobs = [(grid, energies), (grid, energies[::-1]), (grid, np.roll(energies, 6))]
-        assert _threads_match_serial(jobs) <= 1e-12
+        _threads_match_serial(jobs)
 
 
 def test_threads_priming_one_grid_match_serial():
-    # as above, but each thread first installs the grid's whole stack,
+    # as above, but each thread first builds the grid's whole stack,
     # centred at its own first energy, while the others shoot
     grid = GRIDS[2]
     energies = np.linspace(1.1, 2.4, 12)
     for _ in range(5):
         jobs = [(grid, energies), (grid, energies[::-1]), (grid, np.roll(energies, 6))]
-        assert _threads_match_serial(jobs, prime=True) <= 1e-12
+        _threads_match_serial(jobs, prime=True)

@@ -1,5 +1,8 @@
 """Domain types, potential split, turning points, binding classification."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from diraclinear import (
     TurningPoints,
     classify_binding,
     count_nodes,
+    estimate_quasibound_energy,
     potentials,
+    suggest_bracket,
     turning_points,
 )
 
@@ -144,8 +149,15 @@ def test_radial_grid_points():
 def test_radial_grid_radii_cache_takes_no_part_in_equality():
     grid = RadialGrid(r_min=1e-4, r_max=10.0, n=100)
     grid.radii()
+    # the solvers' stack and Dirichlet scan index sit beside the radii
+    suggest_bracket(1.0, PotentialMix(0.2, 0.5), -1, grid)
+    estimate_quasibound_energy(1.0, PotentialMix(0.2, 0.0), -1, grid)
+    assert {"_radii", "_stack", "_scan"} <= vars(grid).keys()
     twin = RadialGrid(r_min=1e-4, r_max=10.0, n=100)
     assert twin == grid and hash(twin) == hash(grid) and repr(twin) == repr(grid)
+    # copies and pickles carry the fields alone
+    for copied in (copy.copy(grid), copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+        assert copied == grid and vars(copied) == vars(twin)
 
 
 @settings(max_examples=100)

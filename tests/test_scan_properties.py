@@ -31,7 +31,6 @@ from diraclinear import (
     shooting,
     suggest_bracket,
 )
-from diraclinear._kernels import _prime
 from diraclinear.model import turning_points
 
 SCALES = st.floats(0.5, 2.0)
@@ -60,8 +59,8 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
     def grid_at(r_mid):
         return RadialGrid(r_min=min(grid_hint.r_min, 1e-6 * r_mid), r_max=r_mid, n=grid_hint.n)
 
-    def endpoint_u(e, r_mid):
-        sol = integrate_radial(m, mix, k, e, grid_at(r_mid))
+    def endpoint_u(e, grid):
+        sol = integrate_radial(m, mix, k, e, grid)
         if sol.diverged:
             return math.inf * sol.divergence_sign
         return float(sol.u[-1])
@@ -69,7 +68,7 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
     energies = [m + width / (2.0 * steps)] + [m + width * i / steps for i in range(1, steps + 1)]
-    values = [endpoint_u(e, dirichlet_radius(e)) for e in energies]
+    values = [endpoint_u(e, grid_at(dirichlet_radius(e))) for e in energies]
     bracket = None
     for i in range(1, len(energies)):
         if values[i - 1] == 0.0:
@@ -85,8 +84,8 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
     lo, hi = bracket
     r_mid = dirichlet_radius(0.5 * (lo + hi))
     fixed = grid_at(r_mid)
-    _prime(m, mix.lam, mix.s, k, lo, fixed.r_min, fixed.h, fixed.n)
-    f_lo, f_hi = endpoint_u(lo, r_mid), endpoint_u(hi, r_mid)
+    shooting._prime_grid(m, mix, k, lo, fixed)
+    f_lo, f_hi = endpoint_u(lo, fixed), endpoint_u(hi, fixed)
     step = width / steps
     while f_lo * f_hi > 0:
         down = abs(f_lo) <= abs(f_hi)
@@ -95,7 +94,7 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
             raise ScanError(
                 f"no Dirichlet sign change at r_mid = {r_mid} within the scan "
                 f"window ({m}, {m + width}) around ({bracket[0]}, {bracket[1]})")
-        f = endpoint_u(e, r_mid)
+        f = endpoint_u(e, fixed)
         if down:
             if f * f_lo <= 0:
                 hi, f_hi = lo, f_lo
@@ -108,7 +107,7 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
     ends = {lo: f_lo, hi: f_hi}
 
     def residual(e):
-        f = ends[e] if e in ends else endpoint_u(e, r_mid)
+        f = ends[e] if e in ends else endpoint_u(e, fixed)
         if not math.isfinite(f):
             raise ScanError(
                 f"the shot at E = {e} overflows before the Dirichlet point "
@@ -199,15 +198,15 @@ def _starting_at(start, fn, *args):
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS)
 def test_warm_scan_estimates_equal_cold_ones(m, lam, s, k, n):
     mix = PotentialMix(lam, s)
-    hint = RadialGrid(25e-6, 25.0, n)
     scales = (1.0, 0.9, 1.1)
     cold, guessed = [], []
     for c in scales:
-        shooting._last_scan = (None, None)
-        cold.append(_starting_at(None, estimate_quasibound_energy, m, mix, k, hint, c))
-        shooting._last_scan = (None, None)
-        guessed.append(_outcome(estimate_quasibound_energy, m, mix, k, hint, c))
-    shooting._last_scan = (None, None)
+        # each on a fresh grid hint, which holds no scan index
+        cold.append(_starting_at(None, estimate_quasibound_energy, m, mix, k,
+                                 RadialGrid(25e-6, 25.0, n), c))
+        guessed.append(_outcome(estimate_quasibound_energy, m, mix, k,
+                                RadialGrid(25e-6, 25.0, n), c))
+    hint = RadialGrid(25e-6, 25.0, n)
     warm = [_outcome(estimate_quasibound_energy, m, mix, k, hint, c) for c in scales]
     assert guessed == cold  # float equality: the same bits
     assert warm == cold
@@ -224,13 +223,12 @@ def test_the_wkb_start_never_changes_an_estimate(m, lam, s, k, n, midpoint_scale
     # the estimate is the cold bisection's, unless the cold search fails
     # at an energy that the start never shoots
     mix = PotentialMix(lam, s)
-    hint = RadialGrid(25e-6, 25.0, n)
-    shooting._last_scan = (None, None)
     try:
-        cold = _starting_at(None, estimate_quasibound_energy, m, mix, k, hint, midpoint_scale)
+        cold = _starting_at(None, estimate_quasibound_energy, m, mix, k,
+                            RadialGrid(25e-6, 25.0, n), midpoint_scale)
     except ValueError:  # a launch that underflows, say
         return
-    shooting._last_scan = (None, None)
+    hint = RadialGrid(25e-6, 25.0, n)  # holds no scan index: the WKB start
     assert _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale) == cold
 
 
@@ -294,9 +292,8 @@ def test_raised_sign_change_counts_never_change_an_estimate(m, lam, s, k, n, c):
     # at index 1, energy 0 is shot, counts c or more, and the scan is
     # searched again above that count, to the same bracket
     mix = PotentialMix(lam, s)
-    hint = RadialGrid(25e-6, 25.0, n)
     scales = (1.0, 0.9, 1.1)
-    shooting._last_scan = (None, None)
+    hint = RadialGrid(25e-6, 25.0, n)
     plain = [repr(_outcome(estimate_quasibound_energy, m, mix, k, hint, x)) for x in scales]
     real = shooting._dirichlet_u
 
@@ -304,7 +301,7 @@ def test_raised_sign_change_counts_never_change_an_estimate(m, lam, s, k, n, c):
         f, changes = real(m, mix, k, e, grid, count)
         return f, (changes + c if count else changes)
 
-    shooting._last_scan = (None, None)
+    hint = RadialGrid(25e-6, 25.0, n)
     shooting._dirichlet_u = raised
     try:
         got = [repr(_outcome(estimate_quasibound_energy, m, mix, k, hint, x)) for x in scales]
@@ -320,8 +317,8 @@ def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
     mix = PotentialMix(lam, s)
     hint = RadialGrid(25e-6, 25.0, n)
     e0 = m + 10.0 * math.sqrt(lam) / 192
-    if not warm:
-        shooting._last_scan = (None, None)
+    if warm:  # leaves its scan index on the hint
+        _outcome(estimate_quasibound_energy, m, mix, k, hint, 1.0)
     scanned = []
     real = shooting._dirichlet_u
 
@@ -335,6 +332,6 @@ def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
         _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale)
     finally:
         shooting._dirichlet_u = real
-    i = shooting._last_scan[1]
+    i = hint.__dict__.get("_scan", (None, None))[1]
     assert len(scanned) == len(set(scanned))  # each scan energy is shot once
     assert (e0 in scanned) == (i == 1)

@@ -1,8 +1,10 @@
 """RK4 shooting solver: integration, eigenvalue search, quasi-bound estimate."""
 
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -272,9 +274,9 @@ def test_tail_shot_overflow_is_consistency_error(monkeypatch):
     # an inward tail shot that overflows at once must not leave a raw shot
     real = shooting.rk4_path
 
-    def overflowing_inward(m, lam, s, k, E, r0, h, n, u0, v0):
+    def overflowing_inward(m, lam, s, k, E, r0, h, n, u0, v0, _primed=None):
         if h > 0:
-            return real(m, lam, s, k, E, r0, h, n, u0, v0)
+            return real(m, lam, s, k, E, r0, h, n, u0, v0, _primed=_primed)
         u, v = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
         u[0], v[0] = u0, v0
         return u, v, 0, 1.0
@@ -364,6 +366,11 @@ def test_quasibound_truncation_sensitivity_is_small():
 QB_GRID = RadialGrid(r_min=25e-6, r_max=25.0, n=500)
 
 
+def _fresh(grid):
+    """A grid equal to `grid` that holds no stack and no scan hint."""
+    return RadialGrid(grid.r_min, grid.r_max, grid.n)
+
+
 def _record_shots(monkeypatch):
     """Route the estimator's shots, shooting._dirichlet_u, through a
     recorder of (E, grid), one entry per shot."""
@@ -438,9 +445,9 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
     ends = []
     real = shooting.rk4_path
 
-    def recording(m, lam, s, k, E, r0, h, steps, u0, v0):
+    def recording(m, lam, s, k, E, r0, h, steps, u0, v0, _primed=None):
         ends.append(r0 + h * steps)
-        return real(m, lam, s, k, E, r0, h, steps, u0, v0)
+        return real(m, lam, s, k, E, r0, h, steps, u0, v0, _primed=_primed)
 
     monkeypatch.setattr(shooting, "rk4_path", recording)
     grid = RadialGrid(25e-6, 25.0, n)
@@ -454,8 +461,7 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
     suggest_bracket(M, EQUAL, -1, grid)
     assert len(ends) <= math.ceil(math.log2(64 + 1)) + 2
     ends.clear()
-    # a cold scan, whose key misses the hint, bisects
-    monkeypatch.setattr(shooting, "_last_scan", (None, None))
+    # a cold scan, on a grid hint that no scan has left an index on, bisects
     estimate_quasibound_energy(M, VECTOR, -1, grid)
     # the scan's radius moves with the energy; every shot after it ends at
     # the one fixed Dirichlet radius of the last shot
@@ -490,7 +496,6 @@ def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
     # radius one five-row stack, built in one pass before its first shot
     builds = _record_builds(monkeypatch)
     shots = _record_shots(monkeypatch)
-    monkeypatch.setattr(shooting, "_last_scan", (None, None))
     for m, mix in ((M, VECTOR), (0.8, PotentialMix(0.6, 0.25)), (1.2, PotentialMix(0.4, 0.45))):
         for scale in (1.0, 0.9, 1.1):
             builds.clear()
@@ -505,14 +510,13 @@ def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
 
 def test_a_bound_solve_builds_its_grids_stack_once(monkeypatch):
     grid = RadialGrid(r_min=12e-6, r_max=12.0, n=4000)
-    _kernels.warm_up()  # the cache holds another grid
     builds = _record_builds(monkeypatch)
     energies = []
     real = shooting.rk4_path
 
-    def recording(m, lam, s, k, E, r0, h, n, u0, v0):
+    def recording(m, lam, s, k, E, r0, h, n, u0, v0, _primed=None):
         energies.append(E)
-        return real(m, lam, s, k, E, r0, h, n, u0, v0)
+        return real(m, lam, s, k, E, r0, h, n, u0, v0, _primed=_primed)
 
     monkeypatch.setattr(shooting, "rk4_path", recording)
     bracket = suggest_bracket(M, EQUAL, -1, grid)
@@ -521,11 +525,62 @@ def test_a_bound_solve_builds_its_grids_stack_once(monkeypatch):
     # inward tail's own row p = 0
     assert builds == [(energies[0], grid.h, True), (sol.E, -grid.h, False)]
 
-    # find_bound_state on a grid that is not cached primes it at lo
+    # the tail shot freed the grid's stack: find_bound_state primes it
+    # again, at lo
+    assert "_stack" not in grid.__dict__
     builds.clear()
     again = find_bound_state(M, EQUAL, -1, bracket, grid)
     assert builds == [(bracket[0], grid.h, True), (sol.E, -grid.h, False)]
     assert again.E == sol.E
+
+
+def test_two_primed_grids_shot_alternately_build_each_stack_once(monkeypatch):
+    # each grid keeps its own stack: shooting two primed grids in turn
+    # rebuilds neither, and every path is the one each grid gives alone
+    problems = [(M, EQUAL, -1, RadialGrid(12e-6, 12.0, 4000)),
+                (0.8, PotentialMix(0.6, 0.75), 1, RadialGrid(10e-6, 10.0, 3000))]
+    energies = (1.3, 1.5, 1.4, 1.45)
+
+    def shots(m, mix, k, grid):
+        shooting._prime_grid(m, mix, k, energies[0], grid)
+        return [shooting._shoot(m, mix, k, e, grid) for e in energies]
+
+    apart = [shots(m, mix, k, _fresh(grid)) for m, mix, k, grid in problems]
+    builds = _record_builds(monkeypatch)
+    for m, mix, k, grid in problems:
+        shooting._prime_grid(m, mix, k, energies[0], grid)
+    for j, e in enumerate(energies):
+        for (m, mix, k, grid), ref in zip(problems, apart):
+            shooting._prime_grid(m, mix, k, e, grid)  # a no-op: the grid holds its stack
+            for a, b in zip(shooting._shoot(m, mix, k, e, grid), ref[j]):
+                np.testing.assert_array_equal(a, b)
+    assert builds == [(energies[0], grid.h, True) for _, _, _, grid in problems]
+
+
+def test_a_solve_leaves_no_stack_alive(monkeypatch):
+    # with the collector off, reference cycles, such as the one brentq
+    # makes around the estimator's residual, keep what they hold alive:
+    # every five-row stack must still be freed when the call returns
+    stacks = []
+    real = shooting._prime
+
+    def recording(*args):
+        primed = real(*args)
+        stacks.append(weakref.ref(primed[1]))
+        return primed
+
+    monkeypatch.setattr(shooting, "_prime", recording)
+    grid = RadialGrid(12e-6, 12.0, 4000)
+    gc.collect()
+    gc.disable()
+    try:
+        find_bound_state(M, EQUAL, -1, suggest_bracket(M, EQUAL, -1, grid), grid)
+        assert len(stacks) == 1 and stacks[0]() is None
+        for i, scale in enumerate((1.0, 0.9, 1.1)):
+            estimate_quasibound_energy(M, VECTOR, -1, QB_GRID, scale)
+            assert len(stacks) == i + 2 and stacks[-1]() is None
+    finally:
+        gc.enable()
 
 
 def test_shots_on_one_grid_share_its_read_only_radii():
@@ -557,47 +612,46 @@ def test_scan_ending_on_a_node_at_energy_0_returns_it(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1.0, 0.9, 1.1])
 def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale):
-    monkeypatch.setattr(shooting, "_last_scan", (None, None))
     m, mix = 0.7358847923680774, PotentialMix(0.7062867500442369, 0.3)
+    hint = _fresh(QB_GRID)
     guess = shooting._scan_index
     monkeypatch.setattr(shooting, "_scan_index", lambda *args: None)
-    cold = repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale))  # a bisection
-    key, i = shooting._last_scan
+    cold = repr(estimate_quasibound_energy(m, mix, -1, hint, scale))  # a bisection
+    tag, i = hint.__dict__["_scan"]
     hints = [i + off for off in range(-3, 4)] + [0, 97]
     for start in hints:
-        shooting._last_scan = (key, start)
-        assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold, start
-    # a scan with no hint for its key starts at the WKB start, here wild
+        hint.__dict__["_scan"] = (tag, start)
+        assert repr(estimate_quasibound_energy(m, mix, -1, hint, scale)) == cold, start
+    # a scan with no hint for its problem starts at the WKB start, here wild
     for start in hints:
         monkeypatch.setattr(shooting, "_scan_index", lambda *args, start=start: start)
-        shooting._last_scan = (None, None)
-        assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold, start
+        assert repr(estimate_quasibound_energy(m, mix, -1, _fresh(hint), scale)) == cold, start
     monkeypatch.setattr(shooting, "_scan_index", guess)
-    shooting._last_scan = (None, None)
-    assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold
-    # another problem's key and index, left by the call before
-    estimate_quasibound_energy(1.2, VECTOR, -1, QB_GRID, scale)
-    assert shooting._last_scan[0] != key
-    assert repr(estimate_quasibound_energy(m, mix, -1, QB_GRID, scale)) == cold
+    assert repr(estimate_quasibound_energy(m, mix, -1, _fresh(hint), scale)) == cold
+    # another problem's tag and index, left on the grid by the call before
+    estimate_quasibound_energy(1.2, VECTOR, -1, hint, scale)
+    assert hint.__dict__["_scan"][0] != tag
+    assert repr(estimate_quasibound_energy(m, mix, -1, hint, scale)) == cold
 
 
-def test_threads_estimating_different_problems_match_serial(monkeypatch):
+def test_threads_estimating_different_problems_match_serial():
     problems = [(1.0, PotentialMix(0.2, 0.0), -1), (0.8, PotentialMix(0.6, 0.25), 1),
                 (1.2, PotentialMix(0.4, 0.45), -2), (0.6, PotentialMix(0.9, 0.1), 2)]
     scales = (1.0, 0.9, 1.1)
-    monkeypatch.setattr(shooting, "_last_scan", (None, None))
     serial, indices = {}, {}
     for p in problems:
+        hint = _fresh(QB_GRID)
         serial[p] = []
         for c in scales:
-            serial[p].append(estimate_quasibound_energy(*p, QB_GRID, midpoint_scale=c))
-            key, i = shooting._last_scan
-            indices.setdefault(key, set()).add(i)
+            serial[p].append(estimate_quasibound_energy(*p, hint, midpoint_scale=c))
+            tag, i = hint.__dict__["_scan"]
+            indices.setdefault(tag, set()).add(i)
+    shared = _fresh(QB_GRID)
     got, errors = {}, []
 
     def worker(p):
         try:
-            got[p] = [estimate_quasibound_energy(*p, QB_GRID, midpoint_scale=c)
+            got[p] = [estimate_quasibound_energy(*p, shared, midpoint_scale=c)
                       for _ in range(3) for c in scales]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
@@ -615,13 +669,13 @@ def test_threads_estimating_different_problems_match_serial(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert len(got) == len(problems)
-    # threads interleave shots, so a shot's grid may or may not be cached
-    # (see _kernels) and Brent's last iterate may move within its tolerance
+    # each estimate's stack is on a grid of its own and a hint changes only
+    # which energies are shot, so the threads get the serial answers exactly
     for p in problems:
-        assert got[p] == pytest.approx(3 * serial[p], rel=0, abs=1e-10)
-    # the hint left behind pairs one problem's key with that problem's index
-    key, i = shooting._last_scan
-    assert i in indices[key]
+        assert got[p] == 3 * serial[p]
+    # the hint left on the shared grid pairs one problem with its index
+    tag, i = shared.__dict__["_scan"]
+    assert i in indices[tag]
 
 
 def test_quasibound_without_fixed_radius_sign_change_raises(monkeypatch):
