@@ -228,9 +228,9 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     rounding) gives way to the state at the bracket's lower end, 1e-8
     below.  Every shot is on the one grid, primed at the bracket's lower
     end unless it holds this problem's stack (see _prime_grid), which
-    the inward tail shot frees.  The solution's r is the grid's shared, read-only radii().  Raises
-    ConsistencyError when the outward shot overflows before r1 or the
-    inward one before reaching it.
+    the inward tail shot frees.  The solution's r is the grid's shared,
+    read-only radii().  Raises ConsistencyError when the outward shot
+    overflows before r1 or the inward one before reaching it.
     """
     if mix.s < 0.5:
         raise ValueError(
