@@ -8,30 +8,32 @@ estimator for the quasi-bound levels that exist below s = 1/2, converged
 by Brent's method on the Dirichlet residual.
 
 Every shot is one rk4_path call.  The two energy scans, suggest_bracket's
-node scan and the estimator's Dirichlet scan, search their fixed energy
-grids of 65 (by default) and 97 energies on a count of sign changes,
-which does not fall as E rises (it counts the turns of the Pruefer
-angle), and return the bracket a walk up the grid to its first
-transition would.  Each starts at a guess of the transition's index (see
-_first_above): the Dirichlet scan at the index the last scan of the
-same problem left on its grid hint, so the 0.9 and 1.1 spread estimates
-of a level confirm the central estimate's index in two shots; every
-other scan at the index of the WKB level (_wkb_level and _scan_index,
-pure arithmetic, no shot), which on the benchmark's requests is the
-transition's index or one off, so the search takes 2 shots, or 4 when
-the guess is one step high, in place of a cold bisection's 7 or 8.  The
-node count is monotone only on a grid that resolves the Airy length, so
+node scan and the estimator's Dirichlet scan, each search their energies
+once (_first_above) on a count of sign changes, which does not fall as
+E rises (it counts the turns of the Pruefer angle), and return the
+bracket a walk up them to their first transition would.  The Dirichlet
+scan has 97 energies; the node scan 65 (by default) and, past its
+window, those whose turning point r1 lies on the grid.  Each search
+starts at a guess of the transition's index: the Dirichlet scan at the
+index the last scan of the same problem left on its grid hint, so the
+0.9 and 1.1 spread estimates of a level confirm the central estimate's
+index in two shots; every other scan at the index of the WKB level
+(_wkb_level and _scan_index, pure arithmetic, no shot), which on the
+benchmark's requests is the transition's index or one off, so the search
+takes 2 shots, or 4 when the guess is one step high, in place of a cold
+bisection's 7 or 8.  Any start gives the same bracket as the cold
+bisection: a guess changes only which energies are shot.  The node count
+is monotone only on a grid that resolves the Airy length, so
 suggest_bracket refuses a grid whose step exceeds a quarter of it at the
 WKB level, with a ScanError naming the n that resolves it, before any
-shot (_require_resolved).  The Dirichlet scan has no such guard and
-starts at the WKB index on every grid.  Any start gives the same bracket
-as the cold bisection: a guess changes only which energies are shot.
-The node scan goes on past the top of its window, in steps of the same
-spacing, while the energies' turning points r1 lie on the grid.  The
+shot (_require_resolved); the Dirichlet scan has no such guard.  A
+search that closes at the first energy has found a level below it, and
+one that closes on a Dirichlet probe that counts more than one sign
+change has found two levels in one step: either is refused with a
+ScanError saying that the scan step does not resolve the levels
+(_unresolved), since its bracket need not hold the level asked for.  The
 estimator reads only u at the Dirichlet point, and for scan shots its
-sign changes, so its shots build no RadialSolution.  Its scan looks
-for the first count above 0 and shoots its first energy only when the
-search closes next to it.
+sign changes, so its shots build no RadialSolution.
 
 No module holds solver state: a grid keeps its coefficient stack (see
 _prime_grid), and a grid hint its Dirichlet scan's last index.
@@ -396,6 +398,12 @@ def _require_resolved(m, mix, nodes, e, grid):
         f"the {nodes}-node state, so the node count need not rise with E; {fix}")
 
 
+def _unresolved(step, detail):
+    """The ScanError of a scan whose step is too coarse to separate the
+    levels, with `detail` saying where."""
+    return ScanError(f"the scan step {step} does not resolve the levels: {detail}")
+
+
 def _dirichlet_u(m, mix, k, e, grid, count=False):
     """(u, changes) for the outward shot at energy e: u at the outer end of
     the grid, or +-inf, the sign of u where the shot overflowed, if it
@@ -425,21 +433,22 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     and confirms it in 2 shots when the guess is right, and in 4 when it
     is one step high.  The bracket is the cold bisection's whatever the
     start, and the end energies are shot only when the search closes
-    next to them.  When the count is still at or below `nodes` at the top
-    of the window, the scan goes on upward in steps of the same spacing,
-    through energies whose turning point r1 = (E - m)/lambda lies within
-    r_max, galloping from the top and bisecting the last step (see
-    _first_above).  All shots are on the one grid, so they share its
-    coefficient stack (see _prime_grid): the first probe builds it in one
-    pass, centred at its own energy, unless the grid holds this problem's
-    stack already, and the grid keeps it for find_bound_state.
+    next to them.  The scan searches once, over the window and on upward
+    in steps of the same spacing, through the energies whose turning
+    point r1 = (E - m)/lambda lies within r_max (see _first_above).  All
+    shots are on the one grid, so they share its coefficient stack (see
+    _prime_grid): the first probe builds it in one pass, centred at its
+    own energy, unless the grid holds this problem's stack already, and
+    the grid keeps it for find_bound_state.
 
     Raises ScanError when there is no such transition; its message names
     the r_max that the next scan energy needs when the scan went past the
-    window.  Also raises ScanError when the scan step is too small to move
-    an energy near m, as for a huge m, when the grid does not resolve the
-    Airy length at the level (its message names the n that does), and
-    when more than 2^52 scan energies lie past the window."""
+    window.  Also raises ScanError when the first scan energy already
+    lies above the level, so that the scan step does not resolve the
+    levels; when the scan step is too small to move an energy near m, as
+    for a huge m; when the grid does not resolve the Airy length at the
+    level (its message names the n that does); and when more than 2^52
+    scan energies lie past the window."""
     QuantumNumbers(k)
     width = 10.0 * math.sqrt(mix.lam)
     if m + width / steps == m:
@@ -461,23 +470,22 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     level = _wkb_level(m, mix.lam, mix.s, k, nodes)
     if level is not None:
         _require_resolved(m, mix, nodes, level, grid)
-    top = steps  # the last scan energy that may be shot
+    # the last scan energy that may be shot: the last whose r1 lies on the grid
+    estimate = grid.r_max * mix.lam * steps / width
+    if not estimate < 2.0 ** 52:  # past 2^52 the index no longer steps the energy
+        raise ScanError(
+            f"r_max = {grid.r_max} puts more than 2^52 scan energies past "
+            f"(m, m + 10*sqrt(lambda)) = ({m}, {m + width})")
+    top = max(steps, int(estimate))
+    while r1(top + 1) <= grid.r_max:
+        top += 1
+    while top > steps and r1(top) > grid.r_max:
+        top -= 1
     i = _first_above(above, -1, top + 1, _scan_index(level, m, width / steps))
-    if i > top:
-        # past the window: up to the last energy whose r1 lies on the grid
-        estimate = grid.r_max * mix.lam * steps / width
-        if not estimate < 2.0 ** 52:  # past 2^52 the index no longer steps the energy
-            raise ScanError(
-                f"no {nodes}-node eigenvalue transition in (m, m + 10*sqrt(lambda)) "
-                f"= ({m}, {m + width}), and r_max = {grid.r_max} puts more than "
-                f"2^52 scan energies past it")
-        top = max(steps, int(estimate))
-        while r1(top + 1) <= grid.r_max:
-            top += 1
-        while top > steps and r1(top) > grid.r_max:
-            top -= 1
-        i = _first_above(above, steps, top + 1, start=steps + 1)
-    if 0 < i <= top:
+    if i == 0:
+        raise _unresolved(width / steps, f"the {nodes}-node level lies below the "
+                                         f"first scan energy {energy(0)}")
+    if i <= top:
         return energy(i - 1), energy(i)
     if top > steps:
         raise ScanError(
@@ -500,26 +508,21 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     stays meaningful as s -> 1/2 where the geometric midpoint runs away --
     and a root of u(r_mid) = 0 above m is found in three stages:
 
-    1. a 96-point scan of (m, m + 10*sqrt(lambda)), each energy shot to its
+    1. a 97-point scan of (m, m + 10*sqrt(lambda)), each energy shot to its
        own Dirichlet point, brackets the lowest sign change of u(r_mid):
-       the pair of adjacent scan energies across which the shot's sign
-       changes, counted over u[1:], first exceed those of the first scan
-       energy.  The count does not fall as E rises, so the scan is
-       searched on it and returns the bracket a walk up the scan to the
-       first sign change of u(r_mid) returns, whatever index it starts
+       the pair of adjacent scan energies across which the count of the
+       shot's sign changes over u[1:] first exceeds 0.  The count does not
+       fall as E rises, so one search on it, as in the node scan, returns
+       the bracket a walk up the scan returns, whatever index it starts
        from (see _first_above).  It starts at the index that the last
        scan on grid_hint left there when that scan had the same m,
        lambda, s and k (its midpoint_scale may differ), else at the index
-       of the WKB level (see _scan_index), whatever the step of the grid
-       the level's energy is shot on.  When the start holds, the scan
-       takes 2 shots, the two energies across the start.
-       The search looks for the first count above 0: a probe above
-       energy 0 that counts 0 shows that energy 0 counts 0 as well,
-       since the count does not fall, and the search's closing lower end
-       is such a probe unless the bracket's lower end is energy 0 itself.
-       Only then is energy 0 shot: when u(r_mid) is exactly 0 there it
-       is the root, and when it counts c > 0 sign changes the scan is
-       searched again for the first count above c;
+       of the WKB level (see _scan_index), on any grid.  When the start
+       holds, the scan takes 2 shots, the two energies across the start.
+       When the first scan energy already counts a sign change, or the
+       bracket's upper end counts more than one, the bracket may hold
+       more than one level, and the scan is refused; when u(r_mid) is
+       exactly 0 at the lower end, that end is the root;
     2. r_mid is fixed at the Dirichlet point of the bracket's midpoint; if
        u(r_mid) has one sign at both ends, the bracket is widened one scan
        step at a time toward the end with the smaller |u| until it does
@@ -537,9 +540,10 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     Raises ScanError when the scan step is too small to move an energy
     near m, as for a huge m, when even the first scan energy E is so far
     above m, as for a huge lambda, that E - m and E + m round to the same
-    value, when the scan finds no sign change, when the
-    widening leaves the scan window without one, or when a shot in the
-    bracket overflows before r_mid (it then has no finite residual).
+    value, when the scan finds no sign change, when the scan step does
+    not resolve the levels (as above), when the widening leaves the scan
+    window without one, or when a shot in the bracket overflows before
+    r_mid (it then has no finite residual).
 
     This is an estimate; re-solving with midpoint_scale 0.9 and 1.1 gives
     its truncation-sensitivity spread.  n and r_min are taken from
@@ -593,21 +597,19 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     hint_tag, start = grid_hint.__dict__.get("_scan", (None, None))
     if hint_tag != tag:
         start = _scan_index(_wkb_level(m, mix.lam, mix.s, k, 0), m, step)
-    i = _first_above(lambda i: scan_u(i)[1] > 0, 0, steps + 1, start)
-    # the closing lower end, a probe that counted 0, shows that energy 0
-    # counts 0 too, unless it is energy 0 itself (see stage 1 above)
-    if i == 1:
-        f0, changes0 = scan_u(0)
-        if f0 == 0.0:
-            return energy(0)
-        if changes0 > 0:
-            i = _first_above(lambda i: scan_u(i)[1] > changes0, 0, steps + 1,
-                             _scan_index(_wkb_level(m, mix.lam, mix.s, k, changes0), m, step))
+    i = _first_above(lambda i: scan_u(i)[1] > 0, -1, steps + 1, start)
     grid_hint.__dict__["_scan"] = tag, i
     if i == steps + 1:
         raise ScanError(
             f"no Dirichlet sign change in the scan window "
             f"({m}, {m + width}); no quasi-bound level found")
+    # a bracket that may hold more than one level: Brent may converge on any
+    if i == 0:
+        raise _unresolved(step, f"a Dirichlet level lies below the first scan "
+                                f"energy {energy(0)}")
+    if scan[i][1] > 1:
+        raise _unresolved(step, f"({energy(i - 1)}, {energy(i)}) holds "
+                                f"{scan[i][1]} Dirichlet levels")
     if scan[i - 1][0] == 0.0:
         # the shot below the crossing ends on a node: a root on the scan grid
         return energy(i - 1)

@@ -493,15 +493,32 @@ def test_huge_mass_coarse_grid_fails_in_the_scan(capsys):
 @pytest.mark.parametrize("m, message", [
     # the scan's first energy rounds to m: the estimator's own guard
     ("1e16", "the scan step"),
-    # resolved energies, but no sign change in the window
-    ("1e12", "no Dirichlet sign change"),
-], ids=["unresolved", "no-sign-change"])
+    # resolved energies, but the first of them already counts a sign change
+    ("1e12", "does not resolve the levels"),
+], ids=["unresolved", "level-below-the-first-energy"])
 def test_huge_mass_lifetime_fails_with_a_scan_error(m, message, capsys):
     code, out, err = run_cli(capsys, "lifetime", "--m", m, "--s", "0.25", "--n", "500")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
     assert "turning points" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the scan step crosses two Dirichlet levels: the estimate was the
+    # second, binding 0.139 GeV against about 0.023
+    ["lifetime", "--m", "2e4", "--s", "0.25"],
+    # the first scan energy lies above three levels: the estimate was the
+    # 6th level, binding 0.0716 GeV against 0.0186
+    ["lifetime", "--m", "1e6", "--lambda", "1", "--s", "0.25", "--n", "500"],
+    # the ground level lies below the first scan energy
+    ["solve", "--m", "1e6", "--lambda", "1", "--s", "0.5"],
+], ids=["lifetime-two-levels", "lifetime-below-first-energy", "solve-below-first-energy"])
+def test_unresolved_scan_names_its_step(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "the scan step" in err and "does not resolve the levels" in err
 
 
 def test_coarse_lifetime_grid_keeps_its_accurate_estimate(capsys):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from diraclinear.cli import main
 
 # settings that reach the solvers, and up to two of them, or energy,
-# replaced by an edge value
-SANE = {"m": ["1.0", "0.7"], "lambda": ["0.2", "0.5"], "s": ["0.2", "0.5", "0.75", "1"],
+# replaced by an edge value; at m = 2e4 the scan steps resolve no level
+SANE = {"m": ["1.0", "0.7", "2e4"], "lambda": ["0.2", "0.5"], "s": ["0.2", "0.5", "0.75", "1"],
         "k": ["-1", "-2", "1"], "zero_index": ["1", "2"], "rmax": ["20", "25"]}
 EDGES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "1e12", "abc", "", "1.6"]
 SETTINGS = st.tuples(

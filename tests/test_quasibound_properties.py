@@ -6,7 +6,9 @@ moves out, and the second integral runs over a longer range of a positive
 integrand.  The quasi-bound level is continuous at s -> 1/2 from below:
 it approaches the equal-mix Airy level from above, with a gap linear in
 eps = 1/2 - s.  Both run the paths that import scipy on first use: quad
-for gamma, brentq for the level.
+for gamma, brentq for the level.  Over heavy masses, whose bindings are
+small against the scan step, the estimate just below s = 1/2 is the
+Airy ground level or a ScanError, never another level.
 """
 
 from hypothesis import given
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from diraclinear import (
     PotentialMix,
     RadialGrid,
+    ScanError,
     equal_mix_energy,
     estimate_quasibound_energy,
     gamma_mixed,
@@ -51,3 +54,19 @@ def test_quasibound_level_is_continuous_at_equal_mix(m, lam):
     assert coarse > 0 and fine > 0 and limit > 0
     assert 8.0 <= coarse / fine <= 12.0
     assert limit < 1e-5
+
+
+@given(m=st.floats(-1.0, 6.0).map(lambda x: 10.0 ** x),
+       lam=st.floats(-2.0, 1.0).map(lambda x: 10.0 ** x), n=st.sampled_from((500, 2000)))
+def test_heavy_mass_estimate_is_the_ground_level_or_refused(m, lam, n):
+    # a scan step that holds more than one Dirichlet level is refused;
+    # an estimate that is let through is the ground level, 1e-6 below
+    # equal mix
+    airy = equal_mix_energy(m, lam, 1) - m
+    try:
+        e = estimate_quasibound_energy(m, PotentialMix(lam, 0.5 - 1e-6), -1,
+                                       RadialGrid(1e-6, 20.0, n))
+    except ScanError as exc:
+        assert "does not resolve the levels" in str(exc)
+        return
+    assert abs((e - m) - airy) <= 0.01 * airy

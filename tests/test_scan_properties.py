@@ -8,9 +8,9 @@ were bisected; and they pin the scans started at the WKB level's index
 (_scan_index), or at any wild index, and the estimator's scan started
 from the last scan's index, to the scans started cold, the estimator's
 also on grids too coarse for the Airy length, where the node scan
-refuses to run; and they pin the estimator's scan on a count raised by a
-constant, which takes the path that shoots energy 0 and searches above
-its count, to the plain one.
+refuses to run; and they check that the estimator's scan on a count
+raised by a constant, where a level lies below its first energy, is
+refused for a scan step that does not resolve the levels.
 """
 
 import math
@@ -287,14 +287,12 @@ def test_node_scan_brackets_the_airy_level(m, lam, nodes, decay, n):
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
        c=st.integers(1, 4))
-def test_raised_sign_change_counts_never_change_an_estimate(m, lam, s, k, n, c):
-    # every scan count raised by c: the search for a count above 0 closes
-    # at index 1, energy 0 is shot, counts c or more, and the scan is
-    # searched again above that count, to the same bracket
+def test_raised_sign_change_counts_are_refused(m, lam, s, k, n, c):
+    # every scan count raised by c: energy 0 counts c sign changes, so a
+    # level lies below the first scan energy, and every estimate is
+    # refused, naming the scan step
     mix = PotentialMix(lam, s)
     scales = (1.0, 0.9, 1.1)
-    hint = RadialGrid(25e-6, 25.0, n)
-    plain = [repr(_outcome(estimate_quasibound_energy, m, mix, k, hint, x)) for x in scales]
     real = shooting._dirichlet_u
 
     def raised(m, mix, k, e, grid, count=False):
@@ -304,10 +302,13 @@ def test_raised_sign_change_counts_never_change_an_estimate(m, lam, s, k, n, c):
     hint = RadialGrid(25e-6, 25.0, n)
     shooting._dirichlet_u = raised
     try:
-        got = [repr(_outcome(estimate_quasibound_energy, m, mix, k, hint, x)) for x in scales]
+        got = [_outcome(estimate_quasibound_energy, m, mix, k, hint, x) for x in scales]
     finally:
         shooting._dirichlet_u = real
-    assert got == plain
+    step = 10.0 * math.sqrt(lam) / 96
+    refusal = ("ScanError", f"the scan step {step} does not resolve the levels: a "
+               f"Dirichlet level lies below the first scan energy {m + step / 2.0}")
+    assert got == [refusal] * len(scales)
 
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
@@ -332,6 +333,9 @@ def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
         _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale)
     finally:
         shooting._dirichlet_u = real
-    i = hint.__dict__.get("_scan", (None, None))[1]
+    i = hint.__dict__["_scan"][1]
     assert len(scanned) == len(set(scanned))  # each scan energy is shot once
-    assert (e0 in scanned) == (i == 1)
+    # a search that closes at index 0 or 1 has shot energy 0; one that
+    # shot it closed within two steps of it
+    assert i > 1 or e0 in scanned
+    assert e0 not in scanned or i <= 2

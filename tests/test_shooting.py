@@ -467,8 +467,7 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
     # the one fixed Dirichlet radius of the last shot
     assert ends.index(ends[-1]) <= math.ceil(math.log2(97)) + 2
     # the spread estimates start at the central estimate's index and shoot
-    # only the two scan energies across the transition: the lower one
-    # counting no sign change shows that energy 0 counts none either
+    # only the two scan energies across the transition
     for scale in (0.9, 1.1):
         ends.clear()
         estimate_quasibound_energy(M, VECTOR, -1, grid, midpoint_scale=scale)
@@ -595,14 +594,17 @@ def test_shots_on_one_grid_share_its_read_only_radii():
 
 
 def test_scan_ending_on_a_node_at_energy_0_returns_it(monkeypatch):
-    # with every scan count raised by 1 the search closes at index 1 and
-    # shoots energy 0; when u(r_mid) is exactly 0 there, that is the root
+    # energy 0 counts no sign change and u(r_mid) is exactly 0 there, and
+    # every energy above it counts one: the search closes at index 1, and
+    # its lower end, energy 0, is the root
     e0 = M + 10.0 * math.sqrt(LAM) / 192
     real = shooting._dirichlet_u
 
     def node_at_e0(m, mix, k, e, grid, count=False):
         f, changes = real(m, mix, k, e, grid, count)
-        return ((0.0 if e == e0 else f), changes + 1) if count else (f, changes)
+        if not count:
+            return f, changes
+        return (0.0, 0) if e == e0 else (f, 1)
 
     monkeypatch.setattr(shooting, "_dirichlet_u", node_at_e0)
     shots = _record_shots(monkeypatch)
