@@ -7,31 +7,13 @@ still converge to the requested one); and a truncated-domain Dirichlet
 estimator for the quasi-bound levels that exist below s = 1/2, converged
 by Brent's method on the Dirichlet residual.
 
-Every shot is one rk4_path call.  The two energy scans, suggest_bracket's
-node scan and the estimator's Dirichlet scan, each search their energies
-once (_first_above) on a count of sign changes, which does not fall as
-E rises (it counts the turns of the Pruefer angle), and return the
-bracket a walk up them to their first transition would.  The Dirichlet
-scan has 97 energies; the node scan 65 (by default) and, past its
-window, those whose turning point r1 lies on the grid.  Each search
-starts at a guess of the transition's index: the Dirichlet scan at the
-index the last scan of the same problem left on its grid hint, so the
-0.9 and 1.1 spread estimates of a level confirm the central estimate's
-index in two shots; every other scan at the index of the WKB level
-(_wkb_level and _scan_index, pure arithmetic, no shot), which on the
-benchmark's requests is the transition's index or one off, so the search
-takes 2 shots, or 4 when the guess is one step high, in place of a cold
-bisection's 7 or 8.  Any start gives the same bracket as the cold
-bisection: a guess changes only which energies are shot.  The node count
-is monotone only on a grid that resolves the Airy length, so
-suggest_bracket refuses a grid whose step exceeds a quarter of it at the
-WKB level, with a ScanError naming the n that resolves it, before any
-shot (_require_resolved); the Dirichlet scan has no such guard.  A
-search that closes at the first energy has found a level below it, and
-one that closes on a Dirichlet probe that counts more than one sign
-change has found two levels in one step: either is refused with a
-ScanError saying that the scan step does not resolve the levels
-(_unresolved), since its bracket need not hold the level asked for.  The
+Every shot is one rk4_path call.  Both solvers start from an energy
+scan, suggest_bracket's node scan and the estimator's Dirichlet scan, and
+_scan is the one routine that runs both: their energies, the start of
+their one search, and their refusals are described there.  The node
+count rises with E only on a grid that resolves the Airy length, so
+suggest_bracket refuses a coarser grid before any shot
+(_require_resolved); the Dirichlet scan has no such guard.  The
 estimator reads only u at the Dirichlet point, and for scan shots its
 sign changes, so its shots build no RadialSolution.
 
@@ -50,6 +32,7 @@ direction, scaled by a least-squares fit of (u, v) at that point.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -398,12 +381,6 @@ def _require_resolved(m, mix, nodes, e, grid):
         f"the {nodes}-node state, so the node count need not rise with E; {fix}")
 
 
-def _unresolved(step, detail):
-    """The ScanError of a scan whose step is too coarse to separate the
-    levels, with `detail` saying where."""
-    return ScanError(f"the scan step {step} does not resolve the levels: {detail}")
-
-
 def _dirichlet_u(m, mix, k, e, grid, count=False):
     """(u, changes) for the outward shot at energy e: u at the outer end of
     the grid, or +-inf, the sign of u where the shot overflowed, if it
@@ -418,80 +395,114 @@ def _dirichlet_u(m, mix, k, e, grid, count=False):
     return end, count_nodes(u, end=True) if count else None
 
 
-def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
-                    nodes: int = 0, steps: int = 64):
-    """Scan (m, m + 10*sqrt(lambda)) for a bracket around the eigenvalue
-    whose interior node count is `nodes`.
+def _scan(m, width, steps, offset, above, last, what, level=None, start=None):
+    """The search of an energy scan, as both solvers run it: (i, top, energy).
 
-    The bracket is the pair of adjacent scan energies across which the
-    node count first exceeds `nodes`, found by searching the scan on the
-    node count, which does not fall as E rises on a grid that resolves
-    the Airy length.  A grid whose step exceeds a quarter of the Airy
-    length (lambda (m + E))^(-1/3) at the WKB level E of the `nodes`-node
-    state is refused before any shot (see _require_resolved).  The search
-    starts at the first scan energy above that level (see _scan_index)
-    and confirms it in 2 shots when the guess is right, and in 4 when it
-    is one step high.  The bracket is the cold bisection's whatever the
-    start, and the end energies are shot only when the search closes
-    next to them.  The scan searches once, over the window and on upward
-    in steps of the same spacing, through the energies whose turning
-    point r1 = (E - m)/lambda lies within r_max (see _first_above).  All
-    shots are on the one grid, so they share its coefficient stack (see
-    _prime_grid): the first probe builds it in one pass, centred at its
-    own energy, unless the grid holds this problem's stack already, and
-    the grid keeps it for find_bound_state.
+    The scan energies are energy(j) = m + width*j/steps for j >= 1, with
+    width the window 10*sqrt(lambda), and energy(0) = m + offset*width/steps:
+    suggest_bracket puts its first energy a quarter of a step above m, the
+    estimator half a step.  above(E), the caller's probe at energy E, says
+    whether a count of sign changes exceeds a fixed level; the count does
+    not fall as E rises (it counts the turns of the Pruefer angle).
+    last(energy), the caller's, refuses the scan before any shot or returns
+    the last index, top, that the scan may shoot.
 
-    Raises ScanError when there is no such transition; its message names
-    the r_max that the next scan energy needs when the scan went past the
-    window.  Also raises ScanError when the first scan energy already
-    lies above the level, so that the scan step does not resolve the
-    levels; when the scan step is too small to move an energy near m, as
-    for a huge m; when the grid does not resolve the Airy length at the
-    level (its message names the n that does); and when more than 2^52
-    scan energies lie past the window."""
-    QuantumNumbers(k)
-    width = 10.0 * math.sqrt(mix.lam)
-    if m + width / steps == m:
-        raise ScanError(f"the scan step {width / steps} is below the resolution "
-                        f"of energies near m = {m}")
+    i is the least index in 0..top whose probe is above, or top + 1 when
+    none is, the bracket (energy(i - 1), energy(i)) that a walk up the
+    energies to their first transition would return, found by one search
+    (_first_above).  The search starts at `start`, else at the index of the
+    first energy above `level` (_scan_index), such as a WKB level, which on
+    the benchmark's requests is the transition's index or one off: the
+    search then takes 2 shots, or 4 when the guess is one step high, in
+    place of a cold bisection's 7 or 8.  Any start gives the same i: a guess
+    changes only which energies are shot.
+
+    Raises ScanError, before any shot, when energy 0 rounds to m, as for a
+    huge m; and when i = 0: then `what`, the level looked for, lies below
+    the first energy, so the scan step does not resolve the levels and the
+    bracket need not hold the level asked for."""
+    step = width / steps
 
     def energy(j):
-        return m + width / (4.0 * steps) if j == 0 else m + width * j / steps
+        # offset is 1/4 or 1/2, so offset*step is width/(steps/offset) to the bit
+        return m + offset * step if j == 0 else m + width * j / steps
 
-    def r1(j):
-        return (energy(j) - m) / mix.lam
+    if energy(0) == m:
+        raise ScanError(f"the scan step {step} is below the resolution "
+                        f"of energies near m = {m}")
+    top = last(energy)
+    if start is None:
+        start = _scan_index(level, m, step)
+    i = _first_above(lambda j: above(energy(j)), -1, top + 1, start)
+    if i == 0:
+        raise ScanError(f"the scan step {step} does not resolve the levels: "
+                        f"{what} lies below the first scan energy {energy(0)}")
+    return i, top, energy
 
-    def above(j):
-        e = energy(j)
+
+def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
+                    nodes: int = 0, steps: int = 64):
+    """Scan (m, m + 10*sqrt(lambda)) in `steps` steps for a bracket around
+    the eigenvalue whose interior node count is `nodes`: the pair of
+    adjacent scan energies across which the node count first exceeds
+    `nodes` (see _scan).  Past the window the scan goes on upward in steps
+    of the same spacing through the energies whose turning point
+    r1 = (E - m)/lambda lies within r_max.  Its search starts at the WKB
+    level of the `nodes`-node state (_wkb_level).  The node count rises
+    with E only on a grid that resolves the Airy length, so a grid whose
+    step exceeds a quarter of it at that level is refused before any shot
+    (see _require_resolved).  All shots are on the one grid, so they share
+    its coefficient stack (see _prime_grid): the first probe builds it in
+    one pass, centred at its own energy, unless the grid holds this
+    problem's stack already, and the grid keeps it for find_bound_state.
+
+    Raises ValueError unless steps >= 1 and nodes >= 0 are integers.
+    Raises ScanError when there is no such transition; its message names
+    the r_max that the next scan energy needs when the scan went past the
+    window.  Also raises ScanError when the grid does not resolve the Airy
+    length at the level (its message names the n that does), when more
+    than 2^52 scan energies lie past the window, and as _scan does."""
+    QuantumNumbers(k)
+    for name, value, least in (("steps", steps, 1), ("nodes", nodes, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    steps, nodes = int(steps), int(nodes)
+    width = 10.0 * math.sqrt(mix.lam)
+    level = _wkb_level(m, mix.lam, mix.s, k, nodes)
+
+    def r1(e):
+        return (e - m) / mix.lam
+
+    def above(e):
         # the first probe primes the grid; every later one finds its stack
         _prime_grid(m, mix, k, e, grid)
         return integrate_radial(m, mix, k, e, grid).node_count > nodes
 
-    level = _wkb_level(m, mix.lam, mix.s, k, nodes)
-    if level is not None:
-        _require_resolved(m, mix, nodes, level, grid)
-    # the last scan energy that may be shot: the last whose r1 lies on the grid
-    estimate = grid.r_max * mix.lam * steps / width
-    if not estimate < 2.0 ** 52:  # past 2^52 the index no longer steps the energy
-        raise ScanError(
-            f"r_max = {grid.r_max} puts more than 2^52 scan energies past "
-            f"(m, m + 10*sqrt(lambda)) = ({m}, {m + width})")
-    top = max(steps, int(estimate))
-    while r1(top + 1) <= grid.r_max:
-        top += 1
-    while top > steps and r1(top) > grid.r_max:
-        top -= 1
-    i = _first_above(above, -1, top + 1, _scan_index(level, m, width / steps))
-    if i == 0:
-        raise _unresolved(width / steps, f"the {nodes}-node level lies below the "
-                                         f"first scan energy {energy(0)}")
+    def last(energy):
+        if level is not None:
+            _require_resolved(m, mix, nodes, level, grid)
+        # the last scan energy that may be shot: the last whose r1 lies on the grid
+        estimate = grid.r_max * mix.lam * steps / width
+        if not estimate < 2.0 ** 52:  # past 2^52 the index no longer steps the energy
+            raise ScanError(
+                f"r_max = {grid.r_max} puts more than 2^52 scan energies past "
+                f"(m, m + 10*sqrt(lambda)) = ({m}, {m + width})")
+        top = max(steps, int(estimate))
+        while r1(energy(top + 1)) <= grid.r_max:
+            top += 1
+        while top > steps and r1(energy(top)) > grid.r_max:
+            top -= 1
+        return top
+
+    i, top, energy = _scan(m, width, steps, 0.25, above, last, f"the {nodes}-node level",
+                           level=level)
     if i <= top:
         return energy(i - 1), energy(i)
     if top > steps:
         raise ScanError(
             f"no {nodes}-node eigenvalue transition in (m, E) = ({m}, {energy(top)}), "
             f"the scan energies whose turning point lies within r_max = {grid.r_max}; "
-            f"the next one, {energy(top + 1)}, needs r_max >= {r1(top + 1)}")
+            f"the next one, {energy(top + 1)}, needs r_max >= {r1(energy(top + 1))}")
     raise ScanError(
         f"no {nodes}-node eigenvalue transition in (m, m + 10*sqrt(lambda)) "
         f"= ({m}, {m + width})")
@@ -508,21 +519,17 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     stays meaningful as s -> 1/2 where the geometric midpoint runs away --
     and a root of u(r_mid) = 0 above m is found in three stages:
 
-    1. a 97-point scan of (m, m + 10*sqrt(lambda)), each energy shot to its
-       own Dirichlet point, brackets the lowest sign change of u(r_mid):
-       the pair of adjacent scan energies across which the count of the
-       shot's sign changes over u[1:] first exceeds 0.  The count does not
-       fall as E rises, so one search on it, as in the node scan, returns
-       the bracket a walk up the scan returns, whatever index it starts
-       from (see _first_above).  It starts at the index that the last
-       scan on grid_hint left there when that scan had the same m,
-       lambda, s and k (its midpoint_scale may differ), else at the index
-       of the WKB level (see _scan_index), on any grid.  When the start
-       holds, the scan takes 2 shots, the two energies across the start.
-       When the first scan energy already counts a sign change, or the
-       bracket's upper end counts more than one, the bracket may hold
-       more than one level, and the scan is refused; when u(r_mid) is
-       exactly 0 at the lower end, that end is the root;
+    1. a 97-point scan of (m, m + 10*sqrt(lambda)) (see _scan), each
+       energy shot to its own Dirichlet point, brackets the lowest sign
+       change of u(r_mid): the pair of adjacent scan energies across which
+       the count of the shot's sign changes over u[1:] first exceeds 0.
+       Its search starts at the index that the last scan on grid_hint left
+       there when that scan had the same m, lambda, s and k (its
+       midpoint_scale may differ), in 2 shots when that index holds, else
+       at the WKB level of the ground state (_wkb_level).  A bracket whose
+       upper end counts more than one sign change may hold more than one
+       level, and the scan is refused; when u(r_mid) is exactly 0 at the
+       lower end, that end is the root;
     2. r_mid is fixed at the Dirichlet point of the bracket's midpoint; if
        u(r_mid) has one sign at both ends, the bracket is widened one scan
        step at a time toward the end with the smaller |u| until it does
@@ -537,17 +544,20 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
 
     Every shot goes through _dirichlet_u, which returns u(r_mid), and
     for scan shots the sign-change count.
-    Raises ScanError when the scan step is too small to move an energy
-    near m, as for a huge m, when even the first scan energy E is so far
-    above m, as for a huge lambda, that E - m and E + m round to the same
-    value, when the scan finds no sign change, when the scan step does
-    not resolve the levels (as above), when the widening leaves the scan
-    window without one, or when a shot in the bracket overflows before
-    r_mid (it then has no finite residual).
+    Raises ScanError when even the first scan energy E is so far above m,
+    as for a huge lambda, that E - m and E + m round to the same value,
+    when the scan finds no sign change, when the scan step does not
+    resolve the levels (as above), when the widening leaves the scan
+    window without one, when a shot in the bracket overflows before r_mid
+    (it then has no finite residual), and as _scan does.
 
     This is an estimate; re-solving with midpoint_scale 0.9 and 1.1 gives
-    its truncation-sensitivity spread.  n and r_min are taken from
-    grid_hint; the outer radius is the Dirichlet point itself.
+    its truncation-sensitivity spread.  n is taken from grid_hint, and
+    r_min too unless it lies above 1e-6 r_mid, or below 2^(-1000/|k|),
+    where r_min^|k| would near the least normal double and the outcome
+    would depend on which energies are shot (a floor that binds only at
+    large |k|, and that is capped at r_mid/2); the outer radius is the
+    Dirichlet point itself.
     """
     from scipy.optimize import brentq
 
@@ -563,61 +573,52 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
         return midpoint_scale * min(0.5 * (tp.r1 + tp.r3), cap)
 
     def grid_at(r_mid):
-        r_min = min(grid_hint.r_min, 1e-6 * r_mid)
-        return RadialGrid(r_min=r_min, r_max=r_mid, n=grid_hint.n)
+        r_min = max(min(grid_hint.r_min, 1e-6 * r_mid), 2.0 ** (-1000.0 / abs(k)))
+        return RadialGrid(r_min=min(r_min, 0.5 * r_mid), r_max=r_mid, n=grid_hint.n)
 
-    def energy(i):
-        return m + width / (2.0 * steps) if i == 0 else m + width * i / steps
+    def probe(e):
+        """u and sign changes of the shot at scan energy e, to its own
+        Dirichlet point; each energy is shot once, and kept in `scan`."""
+        if e not in scan:
+            scan[e] = _dirichlet_u(m, mix, k, e, grid_at(dirichlet_radius(e)), count=True)
+        return scan[e][1] > 0
 
-    def scan_u(i):
-        """u and sign changes of the shot at scan energy i, each energy
-        to its own Dirichlet point; each energy is shot once, and kept in
-        `scan`."""
-        if i not in scan:
-            e = energy(i)
-            scan[i] = _dirichlet_u(m, mix, k, e, grid_at(dirichlet_radius(e)), count=True)
-        return scan[i]
+    def last(energy):
+        if energy(0) - m == energy(0) + m:
+            raise ScanError(
+                f"lambda = {mix.lam} puts every scan energy E in (m, m + 10*sqrt(lambda)) "
+                f"= ({m}, {m + width}) so far above m that E - m and E + m round to "
+                f"the same value; there are no turning points to scan")
+        return steps
 
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
     step = width / steps
-    e0 = energy(0)
-    if e0 == m:
-        raise ScanError(f"the scan step {step} is below the resolution "
-                        f"of energies near m = {m}")
-    if e0 - m == e0 + m:
-        raise ScanError(
-            f"lambda = {mix.lam} puts every scan energy E in (m, m + 10*sqrt(lambda)) "
-            f"= ({m}, {m + width}) so far above m that E - m and E + m round to "
-            f"the same value; there are no turning points to scan")
     scan = {}
     # the spread estimates share the central estimate's grid hint, and
     # almost always its index: start there; else at the WKB level
     tag = (m, mix.lam, mix.s, k)
     hint_tag, start = grid_hint.__dict__.get("_scan", (None, None))
-    if hint_tag != tag:
-        start = _scan_index(_wkb_level(m, mix.lam, mix.s, k, 0), m, step)
-    i = _first_above(lambda i: scan_u(i)[1] > 0, -1, steps + 1, start)
+    hinted = hint_tag == tag
+    i, _, energy = _scan(m, width, steps, 0.5, probe, last, "a Dirichlet level",
+                         level=None if hinted else _wkb_level(m, mix.lam, mix.s, k, 0),
+                         start=start if hinted else None)
     grid_hint.__dict__["_scan"] = tag, i
     if i == steps + 1:
         raise ScanError(
             f"no Dirichlet sign change in the scan window "
             f"({m}, {m + width}); no quasi-bound level found")
+    lo, hi = energy(i - 1), energy(i)
     # a bracket that may hold more than one level: Brent may converge on any
-    if i == 0:
-        raise _unresolved(step, f"a Dirichlet level lies below the first scan "
-                                f"energy {energy(0)}")
-    if scan[i][1] > 1:
-        raise _unresolved(step, f"({energy(i - 1)}, {energy(i)}) holds "
-                                f"{scan[i][1]} Dirichlet levels")
-    if scan[i - 1][0] == 0.0:
+    if scan[hi][1] > 1:
+        raise ScanError(f"the scan step {step} does not resolve the levels: "
+                        f"({lo}, {hi}) holds {scan[hi][1]} Dirichlet levels")
+    if scan[lo][0] == 0.0:
         # the shot below the crossing ends on a node: a root on the scan grid
-        return energy(i - 1)
-    bracket = (energy(i - 1), energy(i))
+        return lo
 
     # converge at one fixed radius; the scan's radius moved with the
     # energy, so its sign change need not hold at r_mid
-    lo, hi = bracket
     r_mid = dirichlet_radius(0.5 * (lo + hi))
     fixed = grid_at(r_mid)
 
@@ -635,7 +636,7 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
             if not m < e <= m + width:
                 raise ScanError(
                     f"no Dirichlet sign change at r_mid = {r_mid} within the scan "
-                    f"window ({m}, {m + width}) around ({bracket[0]}, {bracket[1]})")
+                    f"window ({m}, {m + width}) around ({energy(i - 1)}, {energy(i)})")
             f = endpoint_u(e)
             # on a sign change keep only the step across which it happens
             if down:

@@ -146,13 +146,13 @@ def test_quasibound_estimate_equals_per_shot_scan(m, lam, s, k, n, midpoint_scal
 
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=CHANNELS, n=STEPS,
-       nodes=st.sampled_from((0, 1, 2, 12)))
-def test_suggest_bracket_equals_per_shot_node_scan(m, lam, s, k, n, nodes):
+       nodes=st.sampled_from((0, 1, 2, 12)), steps=st.sampled_from((16, 64, 256)))
+def test_suggest_bracket_equals_per_shot_node_scan(m, lam, s, k, n, nodes, steps):
     mix = PotentialMix(lam, s)
     rmax = 10.0 / math.sqrt(lam)
     grid = RadialGrid(1e-6 * rmax, rmax, n)
-    batched = _outcome(suggest_bracket, m, mix, k, grid, nodes)
-    reference = _outcome(_per_shot_bracket, m, mix, k, grid, nodes)
+    batched = _outcome(suggest_bracket, m, mix, k, grid, nodes, steps)
+    reference = _outcome(_per_shot_bracket, m, mix, k, grid, nodes, steps)
     assert batched == reference
 
 

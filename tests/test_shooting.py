@@ -79,8 +79,44 @@ def test_launch_underflow_raises():
     for k in (-75, 75):
         with pytest.raises(ValueError, match="underflows"):
             integrate_radial(M, VECTOR, k, 1.5, grid)
-    with pytest.raises(ValueError, match="underflows"):
+    # the estimator's own grids start where r_min^|k| is a normal double
+    with pytest.raises(ScanError, match="no Dirichlet sign change"):
         estimate_quasibound_energy(M, VECTOR, -75, grid)
+
+
+def test_estimator_grids_launch_above_the_underflow(monkeypatch):
+    # at k = 57 an r_min of 1e-6 r_mid puts r_min^|k| below the least
+    # double on some scan energies' grids: the estimator's grids start at
+    # 2^(-1000/|k|) or above, so the WKB-started scan and the cold one shoot
+    # only launches that do not underflow, and agree
+    mix = PotentialMix(31.45, 0.041)
+    warm = estimate_quasibound_energy(58.40, mix, 57, RadialGrid(25e-6, 25.0, 440))
+    monkeypatch.setattr(shooting, "_scan_index", lambda *args: None)
+    cold = estimate_quasibound_energy(58.40, mix, 57, RadialGrid(25e-6, 25.0, 440))
+    assert warm == cold == pytest.approx(113.028497715, abs=1e-8)
+    # at k = -1000 and lambda = 1e3 the floor, 1/2, would lie past r_mid:
+    # r_min stops at r_mid/2, and the launch that underflows there is refused
+    with pytest.raises(ValueError, match="underflows to zero"):
+        estimate_quasibound_energy(1.0, PotentialMix(1e3, 0.1), -1000, GRID)
+
+
+@pytest.mark.parametrize("steps, nodes", [
+    (0, 0), (-5, 0), (2.5, 0), (True, 0), ("64", 0), (64.0, 0),
+    (64, -1), (64, 1.5), (64, None), (64, False),
+])
+def test_suggest_bracket_rejects_bad_steps_and_nodes(monkeypatch, steps, nodes):
+    # refused before any shot: steps = 0 would divide by zero, a negative
+    # steps would never end the scan's top loop, and fractional steps or
+    # nodes would scan energies or counts that no state has
+    monkeypatch.setattr(shooting, "integrate_radial", None)
+    with pytest.raises(ValueError, match="must be an integer"):
+        suggest_bracket(M, EQUAL, -1, GRID, nodes=nodes, steps=steps)
+
+
+def test_suggest_bracket_takes_numpy_integers():
+    got = suggest_bracket(M, EQUAL, -1, GRID, nodes=np.int64(1), steps=np.int32(64))
+    assert got == suggest_bracket(M, EQUAL, -1, GRID, nodes=1, steps=64)
+    assert all(type(e) is float for e in got)
 
 
 def test_integrate_reports_divergence_as_data():

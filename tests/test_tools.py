@@ -1,0 +1,60 @@
+"""The repository tools: the answer ledger and the code-line counter.
+
+The ledger test reruns the first seed-7 cycles of the `bound`,
+`quasibound` and `cli` benchmark workloads and compares every answer
+exactly with tests/data/answers.json, naming each request that moved.
+A change that moves an answer on purpose rewrites that file with
+`python3 tools/answer_ledger.py --write` and says so in CHANGES.md.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_answers_match_the_ledger(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))  # perfbench, read only
+    ledger = _tool("answer_ledger")
+    moved = ledger.moved(ledger.read_reference(), ledger.answers())
+    assert not moved, "answers moved from tests/data/answers.json:\n" + "\n".join(moved)
+
+
+def test_ledger_names_a_moved_answer():
+    ledger = _tool("answer_ledger")
+    reference = ledger.read_reference()
+    current = {name: [dict(row) for row in rows] for name, rows in reference.items()}
+    current["bound"][3]["E"] = repr(float(current["bound"][3]["E"]) + 1e-12)
+    current["cli"][1]["codes"] = [1]
+    assert ledger.moved(reference, reference) == []
+    moved = ledger.moved(reference, current)
+    assert [line.split(":")[0] for line in moved] == ["bound[3] E", "cli[1] codes"]
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = '''"""A module
+docstring."""
+
+import math  # a code line with a comment
+
+
+class Box:
+    """A class docstring."""
+
+    side = 2.0
+
+    def area(self):
+        """A function docstring
+        over two lines."""
+        # a comment line
+        text = """not a docstring"""
+        return self.side ** 2, text
+'''
+    assert _tool("code_lines").count_lines(source) == (17, 6)
