@@ -5,9 +5,9 @@ The reduced components obey
     du/dr = -(k/r) u + P(r) v      P(r) = E + m - (1-2s)*lambda*r
     dv/dr = +(k/r) v - Q(r) u      Q(r) = E - m - lambda*r
 
-shared by the outward shot, the inward tail reconstruction (negative
-step), and the quasi-bound estimator.  The system is linear in (u, v), so
-one RK4 step is a fixed 2x2 transfer matrix
+shared by the outward shot, the bound state's inward tail and the
+quasi-bound estimator.  The system is linear in (u, v), so one RK4 step
+is a fixed 2x2 transfer matrix
 
     T_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   y_{i+1} = T_i y_i,
 
@@ -40,6 +40,18 @@ with zeros in every slot that no step matrix fills (320 bytes per step,
 each rk4_path call on that grid (the solvers keep the pair on the grid;
 see shooting).  A shot given no pair builds its step matrices directly
 (_row0), as row p = 0 of a stack centred at its own energy: T(E).
+
+_transfer_matrices also gives the band of a step range first <= i < n
+of a grid, the stack's slice or a build over those steps alone, the same
+bits as those steps of the whole band.  rk4_inward runs such a band's
+recurrence backwards, y_i = T_i^-1 y_{i+1} from y_n, through the inverse
+band (each T_i^-1 the adjugate over the determinant, in reverse step
+order, written over the band) and the same dtbtrs path: the bound
+state's inward tail, which so satisfies the outward recurrence to
+rounding.  A band's last step
+carries only the unit diagonal; in a slice of a stack it may also hold
+the next step's matrix, in slots past the system's last row, which LAPACK
+never reads.
 
 A build computes the step matrices _CHUNK = 1024 steps at a time, for
 every row it builds, and writes each of the four entries of all rows
@@ -179,28 +191,31 @@ def _rk4_coefficients(m, lam, s, k, Ec, h, r, higher):
     return t
 
 
-def _stack(m, lam, s, k, Ec, r0, h, n, higher, out):
+def _stack(m, lam, s, k, Ec, r0, h, n, higher, out, first=0):
     """Writes row p = 0 and, with `higher`, rows p = 1..4 of the stack
-    centred at Ec into the band slots of out[p, i, :], a zeroed (rows,
-    n + 1, 8) view, _CHUNK steps at a time so that the temporaries stay
-    small; row p = 0 gets the unit diagonal too."""
+    centred at Ec for the steps first <= i < n into the band slots of
+    out[p, i - first, :], a zeroed (rows, n - first + 1, 8) view, _CHUNK
+    steps at a time so that the temporaries stay small; row p = 0 gets the
+    unit diagonal too."""
     out[0, :, ::4] = 1.0
-    for i0 in range(0, n, _CHUNK):
+    for i0 in range(first, n, _CHUNK):
         i1 = min(n, i0 + _CHUNK)
         t = _rk4_coefficients(m, lam, s, k, Ec, h, r0 + h * np.arange(i0, i1, dtype=float),
                               higher)
         # -T[:, 0] goes to slots 2 and 3 of a step, -T[:, 1] to slots 5 and
         # 6: each entry, of every row, straight into its slot
-        out[:, i0:i1, 2] = t[:, 0]
-        out[:, i0:i1, 3] = t[:, 1]
-        out[:, i0:i1, 5] = t[:, 2]
-        out[:, i0:i1, 6] = t[:, 3]
+        o = out[:, i0 - first:i1 - first]
+        o[..., 2] = t[:, 0]
+        o[..., 3] = t[:, 1]
+        o[..., 5] = t[:, 2]
+        o[..., 6] = t[:, 3]
 
 
-def _row0(m, lam, s, k, E, r0, h, n):
-    """The band buffer of T(E), as row p = 0 of a stack centred at E."""
-    ab = np.zeros((1, n + 1, 8))
-    _stack(m, lam, s, k, E, r0, h, n, False, ab)
+def _row0(m, lam, s, k, E, r0, h, n, first=0):
+    """The band buffer of T(E) for the steps first <= i < n, as row p = 0
+    of a stack centred at E."""
+    ab = np.zeros((1, n - first + 1, 8))
+    _stack(m, lam, s, k, E, r0, h, n, False, ab, first)
     return ab.reshape(1, -1)
 
 
@@ -217,19 +232,21 @@ def _prime(m, lam, s, k, Ec, r0, h, n):
     return Ec, full
 
 
-def _transfer_matrices(m, lam, s, k, E, r0, h, n, primed=None):
-    """The band buffer of the n step matrices at energy E, from `primed`,
-    _prime's (E_c, stack) for this grid, or built at E when it is None
-    (see the module docstring).  The caller must not write it."""
+def _transfer_matrices(m, lam, s, k, E, r0, h, n, primed=None, first=0):
+    """The band buffer of the step matrices first <= i < n at energy E,
+    from `primed`, _prime's (E_c, stack) for this grid, or built at E when
+    it is None (see the module docstring).  A view of the stack, as at
+    E = E_c, is read-only; any other band is the caller's own."""
     if primed is None:
-        return _row0(m, lam, s, k, E, r0, h, n)
+        return _row0(m, lam, s, k, E, r0, h, n, first)
     Ec, stack = primed
+    stack = stack[:, 8 * first:8 * (n + 1)]
     d = E - Ec
     if d == 0.0:
         return stack[0]
     d2 = d * d
     if not (abs(h * d) <= 1.0 and math.isfinite(d2 * d2)):
-        return _row0(m, lam, s, k, E, r0, h, n)
+        return _row0(m, lam, s, k, E, r0, h, n, first)
     # row p = 0 goes in last, so that each band entry near 1 is rounded
     # once: adding the small terms to it one by one rounds it up to four
     # times, and a 5000-step path drifts to 1e-13 of its size, against 1e-14
@@ -267,6 +284,29 @@ def _path(ab, n, u0, v0):
     u[i + 1:] = np.nan
     v[i + 1:] = np.nan
     return u, v, i, sign
+
+
+def rk4_inward(ab, n, un, vn):
+    """The path y_i = T_i^-1 y_{i+1} back from y_n = (un, vn), through the
+    band ab of the n step matrices T_i (_transfer_matrices), with
+    rk4_path's return contract: entry j is y_{n-j}.  Its band holds
+    T_{n-1-j}^-1, the adjugate over the determinant, at step j, written
+    over ab, or over a copy of a read-only ab, so that no second band is
+    alive beside it."""
+    if not ab.flags.writeable:
+        ab = ab.copy()
+    t = ab.reshape(-1, 8)
+    s = t[n - 1::-1]  # the steps in reverse, over the same buffer
+    with np.errstate(all="ignore"):
+        # T^-1 = [[T11, -T01], [-T10, T00]] / det, and each slot holds minus
+        # its entry: slots 2, 3, 5, 6 hold -T00, -T10, -T01, -T11
+        det = s[:, 2] * s[:, 6] - s[:, 5] * s[:, 3]
+        slot6 = s[:, 2] / det  # read before slot 2 is written
+        t[:n, 2] = s[:, 6] / det
+        t[:n, 6] = slot6
+        t[:n, 3] = s[:, 3] / -det
+        t[:n, 5] = s[:, 5] / -det
+        return _path(ab, n, un, vn)
 
 
 def rk4_path(m, lam, s, k, E, r0, h, n, u0, v0, _primed=None):

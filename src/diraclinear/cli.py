@@ -11,6 +11,7 @@ any run; explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
@@ -317,6 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built by the first main call: a
+    parse leaves the parser as it found it, so calls can share it."""
+    return build_parser()
+
+
 def make_config(args) -> RunConfig:
     values = read_config(args.config) if args.config else {}
     for f in fields(RunConfig):
@@ -334,8 +342,7 @@ def make_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = make_config(args)
         if args.dump_config:

@@ -19,14 +19,16 @@ sign changes, so its shots build no RadialSolution.
 
 No module holds solver state: a grid keeps its coefficient stack (see
 _prime_grid), and a grid hint its Dirichlet scan's last index.
-_splice_tail frees a bound state's stack before its inward shot, and the
-estimator its fixed grid's once Brent's method is done.
+_splice_tail frees a bound state's stack once it has taken the tail's
+step matrices from it, and the estimator its fixed grid's once Brent's
+method is done.
 
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff.  find_bound_state therefore keeps
 it only up to the first grid point at or past the turning point r1, and
-splices on there one inward rk4_path shot launched on the decaying
-direction, scaled by a least-squares fit of (u, v) at that point.
+splices on there one inward path launched on the decaying direction,
+the outward recurrence run backwards through the same step matrices
+(rk4_inward), scaled by a least-squares fit of (u, v) at that point.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numbers
 
 import numpy as np
 
-from ._kernels import _prime, rk4_path
+from ._kernels import _prime, _transfer_matrices, rk4_inward, rk4_path
 from .errors import BracketError, ConsistencyError, ScanError
 from .model import (
     PotentialMix,
@@ -126,64 +128,80 @@ def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
     )
 
 
+def _tail_start(r, i1, E, m, mix):
+    """(steps, u, v): where the inward tail starts, `steps` grid steps past
+    the splice point i1, and its launch (u, v) there (see _splice_tail).
+    Its temporaries, over the whole tail, are freed on return, before the
+    tail's step matrices are built beside the grid's stack."""
+    rr = r[i1:]
+    p = E + m - (1.0 - 2.0 * mix.s) * mix.lam * rr
+    kap = np.sqrt(np.maximum(-p * (E - m - mix.lam * rr), 0.0))
+    efolds = np.cumsum(0.5 * (kap[1:] + kap[:-1]) * np.diff(rr))
+    steps = min(int(np.searchsorted(efolds, 500.0)) + 1, len(rr) - 1)
+    size = 1e-30 / math.hypot(p[steps], kap[steps])
+    return steps, size * p[steps], -size * kap[steps]
+
+
 def _splice_tail(sol: RadialSolution, m, mix, k):
     """The bound-state shot with everything past its splice point, the
     first grid point at or past the turning point r1 = (E - m)/lambda,
-    replaced by an inward shot on the decaying direction.
+    replaced by an inward path on the decaying direction.
 
     Past r1 the outward shot's roundoff-seeded growing admixture swamps
     the decaying tail; inward, that tail is the growing direction, hence
-    stable.  The inward shot starts where the integral of
+    stable.  The inward path starts where the integral of
     kappa = sqrt(-P*Q) from the splice point reaches 500, or at r_max if
     that comes first, launched along (u, v) ~ (P, -kappa); beyond its start
     the true tail is below 1e-217 of the splice value and is set to zero.
-    A least-squares fit of (u, v) at the splice point scales it onto the
-    outward shot.
+    It runs the outward recurrence backwards, y_i = T_i^-1 y_{i+1}, through
+    the step matrices T_i(E) of the tail's steps, taken from the stack the
+    grid holds for the problem (built at E when it holds none), so the
+    spliced state satisfies y_{i+1} = T_i y_i on both sides of the splice
+    point.  The grid's stack is freed once those matrices are taken: the
+    solve needs it no more.  A least-squares fit of (u, v) at the splice
+    point scales the path onto the outward shot.
 
     When r1 lies beyond r_max the grid has no forbidden region, and when
     the splice point is the grid's last point nothing lies past it; either
     way the shot is returned as it is.  Raises ConsistencyError when the
-    outward shot overflows before the splice point or the inward one before
-    reaching it.
+    outward shot overflows before the splice point or the inward path
+    before reaching it.
     """
-    r, u, v, E = sol.r, sol.u.copy(), sol.v.copy(), sol.E
+    r, E, grid = sol.r, sol.E, sol.grid
     n = len(r) - 1
     r1 = (E - m) / mix.lam
     i1 = int(np.searchsorted(r, r1))
     if i1 > n:
         return sol
-    if not (np.isfinite(u[i1]) and np.isfinite(v[i1])):
+    if not (np.isfinite(sol.u[i1]) and np.isfinite(sol.v[i1])):
         raise ConsistencyError(
             f"the outward shot at E = {E} overflows before the turning point "
             f"r1 = {r1}, so there is no state to splice a tail onto")
     if i1 == n:
         return sol
 
-    rr = r[i1:]
-    p = E + m - (1.0 - 2.0 * mix.s) * mix.lam * rr
-    kap = np.sqrt(np.maximum(-p * (E - m - mix.lam * rr), 0.0))
-    efolds = np.cumsum(0.5 * (kap[1:] + kap[:-1]) * np.diff(rr))
-    steps = min(int(np.searchsorted(efolds, 500.0)) + 1, n - i1)
-    size = 1e-30 / math.hypot(p[steps], kap[steps])
-    # the solve needs the grid's stack no more: free it before this shot's row
-    _drop_stack(sol.grid)
-    ub, vb, stop, _ = rk4_path(m, mix.lam, mix.s, int(k), E, rr[steps], -sol.grid.h,
-                               steps, size * p[steps], -size * kap[steps])
+    steps, u_end, v_end = _tail_start(r, i1, E, m, mix)
+    iend = i1 + steps
+    with np.errstate(all="ignore"):  # as in rk4_path: overflow is checked on the path
+        ab = _transfer_matrices(m, mix.lam, mix.s, int(k), E, grid.r_min, grid.h, iend,
+                                _held(m, mix, k, grid), first=i1)
+    _drop_stack(grid)  # the solve needs it no more
+    ub, vb, stop, _ = rk4_inward(ab, steps, u_end, v_end)
     if stop < steps:
         raise ConsistencyError(
-            f"the inward tail shot at E = {E} overflows before the turning "
+            f"the inward tail path at E = {E} overflows before the turning "
             f"point r1 = {r1}")
 
     # least squares over (u, v) at the splice point, scaled by |(u, v)|
     # first: the inward values reach ~1e190 and their squares overflow
     a = math.hypot(ub[-1], vb[-1])
-    c = (u[i1] * (ub[-1] / a) + v[i1] * (vb[-1] / a)) / a
-    iend = i1 + steps
+    c = (sol.u[i1] * (ub[-1] / a) + sol.v[i1] * (vb[-1] / a)) / a
+    u, v = sol.u.copy(), sol.v.copy()
     u[i1:iend + 1] = c * ub[::-1]
     v[i1:iend + 1] = c * vb[::-1]
     u[iend + 1:] = 0.0
     v[iend + 1:] = 0.0
-    return RadialSolution(r=r, u=u, v=v, E=E, node_count=count_nodes(u), grid=sol.grid)
+    return RadialSolution(r=r, u=u, v=v, E=E, node_count=count_nodes(u), grid=grid)
 
 
 def _normalized(sol: RadialSolution) -> RadialSolution:
@@ -203,7 +221,7 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     to the lowest eigenvalue above the left endpoint.  Bisection runs to
     |dE| <= 1e-8, or until the ends are adjacent doubles.  The returned
     solution keeps the outward shot up to the turning point
-    r1 = (E - m)/lambda and past it an inward shot spliced on in place of
+    r1 = (E - m)/lambda and past it an inward path spliced on in place of
     the spurious growing tail (see _splice_tail); it is
     normalized to trapezoid(u^2 + v^2) = 1 and oriented with a positive
     main lobe.  When r1 lies beyond r_max, or in the grid's last step, no
@@ -212,10 +230,11 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     not `nodes` (a raw shot's node on a grid point, its sign picked by
     rounding) gives way to the state at the bracket's lower end, 1e-8
     below.  Every shot is on the one grid, primed at the bracket's lower
-    end unless it holds this problem's stack (see _prime_grid), which
-    the inward tail shot frees.  The solution's r is the grid's shared,
-    read-only radii().  Raises ConsistencyError when the outward shot
-    overflows before r1 or the inward one before reaching it.
+    end unless it holds this problem's stack (see _prime_grid); the inward
+    tail takes its step matrices from that stack and frees it, so the grid
+    holds no stack when this returns a spliced state.  The solution's r is
+    the grid's shared, read-only radii().  Raises ConsistencyError when the
+    outward shot overflows before r1 or the inward path before reaching it.
     """
     if mix.s < 0.5:
         raise ValueError(

@@ -1,5 +1,6 @@
 """Command-line interface: reports, CSV contracts, config round trips."""
 
+import functools
 import math
 import os
 import shlex
@@ -21,6 +22,7 @@ from diraclinear import (
     suggest_bracket,
     turning_points,
 )
+from diraclinear import cli
 from diraclinear.cli import (
     RunConfig,
     build_parser,
@@ -95,6 +97,50 @@ def test_dumped_config_survives_its_reuse(tmp_path, capsys):
     assert code == 0
     assert "shooting_energy_gev" in parse_report(out)
     assert path.read_bytes() == dumped
+
+
+def _outcomes(capsys, argvs):
+    """(exit code, stdout, stderr) of one main call per argv, in turn."""
+    outcomes = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own exits: a bad flag, --help
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_main_calls_share_one_parser(monkeypatch, tmp_path, capsys):
+    dump = str(tmp_path / "run.cfg")
+    argvs = [["solve", "--n", "2000", "--rmax", "20"],
+             ["solve", "--m"],  # an argparse error: exit 2
+             ["solve", "--help"],
+             ["profile", "--n", "2000"],  # a UsageError: no --out
+             ["lifetime", "--s", "0.7", "--n", "1000"],  # strictly bound: exit 1
+             ["solve", "--s", "0.3", "--dump-config"],
+             ["solve", "--n", "1000", "--dump-config", "--out", dump],
+             ["solve", "--config", dump],
+             ["sweep", "--param", "s", "--range", "0.5", "0.6", "--steps", "2"]]
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    # an empty cache of its own, so that this process's parser is not reused
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    shared = _outcomes(capsys, argvs)
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_parser", counting)  # a fresh parser per call
+    fresh = _outcomes(capsys, argvs)
+    assert len(builds) == 1 + len(argvs)
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 1, 0, 0, 0, 2]
+    assert shared == fresh
+    assert build_parser() is not build_parser()
 
 
 # a value other than the default for every setting

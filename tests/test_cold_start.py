@@ -1,4 +1,5 @@
-"""Cold start of the CLI: what a fresh interpreter loads, and that the
+"""Cold start of the CLI: what a fresh interpreter loads, that the CLI's
+parser is built by the first main call and not at import, and that the
 subpackages the library imports on first use still load when needed.
 
 The library imports scipy.optimize (brentq), scipy.integrate (quad) and
@@ -40,16 +41,20 @@ def test_setup_and_a_bound_solve_leave_deferred_subpackages_unloaded(monkeypatch
         "from diraclinear import cli\n"
         f"deferred = {DEFERRED!r}\n"
         "after_setup = [m for m in deferred if m in sys.modules]\n"
+        "parsers = [cli._parser.cache_info().currsize]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = cli.main(['solve', '--s', '0.7', '--n', '1000'])\n"
         "after_solve = [m for m in deferred if m in sys.modules]\n"
-        "print(json.dumps([status, after_setup, after_solve]))\n")
+        "parsers.append(cli._parser.cache_info().currsize)\n"
+        "print(json.dumps([status, after_setup, after_solve, parsers]))\n")
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    status, after_setup, after_solve = json.loads(proc.stdout)
+    status, after_setup, after_solve, parsers = json.loads(proc.stdout)
     assert status == 0
     assert after_setup == []
     assert after_solve == []
+    # the CLI's parser is built by the first main call, not at import
+    assert parsers == [0, 1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,10 +9,17 @@ import threading
 
 import numpy as np
 import pytest
-from test_shooting import _reference_rk4
+from test_shooting import _reference_rk4, _rk4_steps
 
 from diraclinear import PotentialMix, RadialGrid, _kernels, shooting
-from diraclinear._kernels import _CHUNK, _prime, _row0, _transfer_matrices, rk4_path
+from diraclinear._kernels import (
+    _CHUNK,
+    _prime,
+    _row0,
+    _transfer_matrices,
+    rk4_inward,
+    rk4_path,
+)
 
 # grid keys (m, lam, s, k, r0, h, n); no n is a multiple of _CHUNK, so every
 # case ends in a partial chunk
@@ -178,6 +185,41 @@ def test_primed_grid_shoots_as_an_unprimed_one(grid, monkeypatch):
     assert not band.flags.writeable
     _assert_same_shot(_shot(grid, 1.3, primed), first)
     _shot(grid, 2.1, primed)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_a_step_range_is_its_slice_of_the_whole_band(grid):
+    # steps a <= i < b, built at E, from the stack, at its centre and past
+    # |h| |E - E_c| = 1, are the same bits as those steps of the grid's band
+    m, lam, s, k, r0, h, n = grid
+    a, b = n // 3, n - 5
+    primed = _primed(grid, 1.2)
+    far = 1.2 + 2.0 / abs(h)
+    cases = [(E, None) for E in ENERGIES] + [(E, primed) for E in (1.2, 1.7, 3.0, far)]
+    for E, pair in cases:
+        whole = np.asarray(_band(grid, E, pair)).reshape(-1, 8)
+        part = np.asarray(_transfer_matrices(m, lam, s, k, E, r0, h, b, pair, first=a))
+        part = part.reshape(-1, 8)
+        assert part.shape == (b - a + 1, 8)
+        np.testing.assert_array_equal(part[:-1], whole[a:b])
+        np.testing.assert_array_equal(part[-1, ::4], 1.0)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_the_inward_path_runs_the_recurrence_back(grid):
+    # from y_b, rk4_inward returns y_i = T_i^-1 y_{i+1} down to y_a: each of
+    # its steps, run forward by the per-step reference, lands on the next
+    m, lam, s, k, r0, h, n = grid
+    a, b = n // 3, n - 5
+    primed = _primed(grid, 1.2)
+    for E, pair in ((1.7, None), (1.2, primed), (3.0, primed)):
+        band = _transfer_matrices(m, lam, s, k, E, r0, h, b, pair, first=a)
+        u, v, stop, sign = rk4_inward(band, b - a, 1e-6, -1e-12)
+        assert (stop, sign) == (b - a, 0.0)
+        u, v = u[::-1], v[::-1]
+        un, vn = _rk4_steps(m, lam, s, k, E, r0 + h * np.arange(a, b, dtype=float), h,
+                            u[:-1], v[:-1])
+        assert np.max(np.hypot(u[1:] - un, v[1:] - vn) / np.hypot(u[1:], v[1:])) <= 1e-13
 
 
 def _solver_grid(grid):

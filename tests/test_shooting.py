@@ -157,6 +157,22 @@ def _reference_rk4(m, lam, s, k, E, r0, h, n, u0, v0):
     return u, v, n, 0.0
 
 
+def _rk4_steps(m, lam, s, k, E, r, h, u, v):
+    """One RK4 step of the radial system from every (r_i, u_i, v_i) at
+    once: the reference for T_i y_i, the step matrices applied."""
+    def rhs(r, uu, vv):
+        p = E + m - (1.0 - 2.0 * s) * lam * r
+        q = E - m - lam * r
+        return -(k / r) * uu + p * vv, (k / r) * vv - q * uu
+
+    a = rhs(r, u, v)
+    b = rhs(r + h / 2, u + h / 2 * a[0], v + h / 2 * a[1])
+    c = rhs(r + h / 2, u + h / 2 * b[0], v + h / 2 * b[1])
+    d = rhs(r + h, u + h * c[0], v + h * c[1])
+    return (u + h / 6 * (a[0] + 2 * b[0] + 2 * c[0] + d[0]),
+            v + h / 6 * (a[1] + 2 * b[1] + 2 * c[1] + d[1]))
+
+
 @pytest.mark.parametrize("args, diverges", [
     # outward bound-state shot at the equal-mix ground state
     ((M, LAM, 0.5, -1, E1, 8e-6, (8.0 - 8e-6) / 1000, 1000, 8e-6, -1e-11), False),
@@ -307,17 +323,16 @@ def test_bound_tail_never_oscillates():
 
 
 def test_tail_shot_overflow_is_consistency_error(monkeypatch):
-    # an inward tail shot that overflows at once must not leave a raw shot
-    real = shooting.rk4_path
+    # an inward tail path that overflows must not leave a raw shot: launched
+    # at 1e280 times its size, it passes the 1e250 cap within a few steps
+    real = shooting.rk4_inward
 
-    def overflowing_inward(m, lam, s, k, E, r0, h, n, u0, v0, _primed=None):
-        if h > 0:
-            return real(m, lam, s, k, E, r0, h, n, u0, v0, _primed=_primed)
-        u, v = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
-        u[0], v[0] = u0, v0
-        return u, v, 0, 1.0
+    def overflowing_inward(ab, n, un, vn):
+        u, v, stop, sign = real(ab, n, 1e280 * un, 1e280 * vn)
+        assert stop < n
+        return u, v, stop, sign
 
-    monkeypatch.setattr(shooting, "rk4_path", overflowing_inward)
+    monkeypatch.setattr(shooting, "rk4_inward", overflowing_inward)
     grid = RadialGrid(r_min=20e-6, r_max=20.0, n=2000)
     with pytest.raises(ConsistencyError, match="inward"):
         find_bound_state(M, EQUAL, -1, (1.1, 2.5), grid)
@@ -517,9 +532,9 @@ def _record_builds(monkeypatch):
     builds = []
     real = _kernels._stack
 
-    def recording(m, lam, s, k, Ec, r0, h, n, higher, out):
+    def recording(m, lam, s, k, Ec, r0, h, n, higher, out, first=0):
         builds.append((Ec, h, higher))
-        return real(m, lam, s, k, Ec, r0, h, n, higher, out)
+        return real(m, lam, s, k, Ec, r0, h, n, higher, out, first)
 
     monkeypatch.setattr(_kernels, "_stack", recording)
     return builds
@@ -556,16 +571,15 @@ def test_a_bound_solve_builds_its_grids_stack_once(monkeypatch):
     monkeypatch.setattr(shooting, "rk4_path", recording)
     bracket = suggest_bracket(M, EQUAL, -1, grid)
     sol = find_bound_state(M, EQUAL, -1, bracket, grid)
-    # one five-row pass, centred at the first probe's energy; then the
-    # inward tail's own row p = 0
-    assert builds == [(energies[0], grid.h, True), (sol.E, -grid.h, False)]
-
-    # the tail shot freed the grid's stack: find_bound_state primes it
-    # again, at lo
+    # one five-row pass, centred at the first probe's energy; the inward
+    # tail takes its step matrices from it and builds no row of its own
+    assert builds == [(energies[0], grid.h, True)]
+    # and then frees it: find_bound_state primes the grid again, at lo
     assert "_stack" not in grid.__dict__
     builds.clear()
     again = find_bound_state(M, EQUAL, -1, bracket, grid)
-    assert builds == [(bracket[0], grid.h, True), (sol.E, -grid.h, False)]
+    assert builds == [(bracket[0], grid.h, True)]
+    assert "_stack" not in grid.__dict__
     assert again.E == sol.E
 
 
