@@ -10,12 +10,13 @@ by Brent's method on the Dirichlet residual.
 Every shot is one rk4_path call.  Both solvers start from an energy
 scan, suggest_bracket's node scan and the estimator's Dirichlet scan, and
 _scan is the one routine that runs both: their energies, the start of
-their one search, and their refusals are described there.  The node
-count rises with E only on a grid that resolves the Airy length, so
-suggest_bracket refuses a coarser grid before any shot
-(_require_resolved); the Dirichlet scan has no such guard.  The
-estimator reads only u at the Dirichlet point, and for scan shots its
-sign changes, so its shots build no RadialSolution.
+their one search, and their refusals are described there.  The
+estimator runs it once more, on its fixed grid, when the bracket of its
+first scan shows no sign change there.  The node count rises with E only
+on a grid that resolves the Airy length, so suggest_bracket refuses a
+coarser grid before any shot (_require_resolved); the Dirichlet scan has
+no such guard.  The estimator reads only u at the Dirichlet point, and
+for scan shots its sign changes, so its shots build no RadialSolution.
 
 No module holds solver state: a grid keeps its coefficient stack (see
 _prime_grid), and a grid hint its Dirichlet scan's last index.
@@ -37,6 +38,7 @@ import math
 import numbers
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from ._kernels import _prime, _transfer_matrices, rk4_inward, rk4_path
 from .errors import BracketError, ConsistencyError, ScanError
@@ -231,8 +233,8 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     rounding) gives way to the state at the bracket's lower end, 1e-8
     below.  Every shot is on the one grid, primed at the bracket's lower
     end unless it holds this problem's stack (see _prime_grid); the inward
-    tail takes its step matrices from that stack and frees it, so the grid
-    holds no stack when this returns a spliced state.  The solution's r is
+    tail takes its step matrices from that stack and frees it, and the grid
+    holds no stack when this returns or raises.  The solution's r is
     the grid's shared, read-only radii().  Raises ConsistencyError when the
     outward shot overflows before r1 or the inward path before reaching it.
     """
@@ -246,31 +248,34 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
 
     # the first shot is at lo; a no-op on the grid suggest_bracket shot
     _prime_grid(m, mix, k, lo, grid)
-    n_lo = integrate_radial(m, mix, k, lo, grid).node_count
-    n_hi = integrate_radial(m, mix, k, hi, grid).node_count
-    if n_lo == n_hi:
-        raise BracketError(
-            f"no eigenvalue in bracket ({lo}, {hi}): tail shape is identical "
-            f"at both endpoints (node count {n_lo})")
-    if nodes is None:
-        nodes = n_lo
-    if not (n_lo <= nodes < n_hi):
-        raise BracketError(
-            f"bracket ({lo}, {hi}) spans node counts {n_lo}..{n_hi}, which "
-            f"does not straddle a {nodes}-node eigenvalue")
+    try:
+        n_lo = integrate_radial(m, mix, k, lo, grid).node_count
+        n_hi = integrate_radial(m, mix, k, hi, grid).node_count
+        if n_lo == n_hi:
+            raise BracketError(
+                f"no eigenvalue in bracket ({lo}, {hi}): tail shape is identical "
+                f"at both endpoints (node count {n_lo})")
+        if nodes is None:
+            nodes = n_lo
+        if not (n_lo <= nodes < n_hi):
+            raise BracketError(
+                f"bracket ({lo}, {hi}) spans node counts {n_lo}..{n_hi}, which "
+                f"does not straddle a {nodes}-node eigenvalue")
 
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent doubles: the bracket cannot shrink
-            break
-        if integrate_radial(m, mix, k, mid, grid).node_count > nodes:
-            hi = mid
-        else:
-            lo = mid
-    sol = _splice_tail(integrate_radial(m, mix, k, 0.5 * (lo + hi), grid), m, mix, k)
-    if sol.node_count != nodes:
-        sol = _splice_tail(integrate_radial(m, mix, k, lo, grid), m, mix, k)
-    return _normalized(sol)
+        while hi - lo > 1e-8:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent doubles: the bracket cannot shrink
+                break
+            if integrate_radial(m, mix, k, mid, grid).node_count > nodes:
+                hi = mid
+            else:
+                lo = mid
+        sol = _splice_tail(integrate_radial(m, mix, k, 0.5 * (lo + hi), grid), m, mix, k)
+        if sol.node_count != nodes:
+            sol = _splice_tail(integrate_radial(m, mix, k, lo, grid), m, mix, k)
+        return _normalized(sol)
+    finally:  # the raw shot and a raise leave it; the tail frees it sooner
+        _drop_stack(grid)
 
 
 def _first_above(above, lo, hi, start=None):
@@ -308,16 +313,10 @@ def _first_above(above, lo, hi, start=None):
 
 
 # an 8-point Gauss-Legendre rule on [0, 1], as (x^2, w x^2) for its nodes x
-# and weights w
+# and weights w, from numpy's rule on [-1, 1] by t -> (t + 1)/2; in Python
+# floats, so that _wkb_level raises on an inf input where numpy would warn
 _GL8 = tuple((x * x, w * x * x) for x, w in (
-    (0.019855071751231912, 0.05061426814518853),
-    (0.10166676129318664, 0.11119051722668721),
-    (0.2372337950418355, 0.15685332293894344),
-    (0.4082826787521751, 0.18134189168918083),
-    (0.5917173212478248, 0.18134189168918083),
-    (0.7627662049581645, 0.15685332293894344),
-    (0.8983332387068134, 0.11119051722668721),
-    (0.9801449282487681, 0.05061426814518853)))
+    ((t + 1.0) / 2.0, v / 2.0) for t, v in zip(*(a.tolist() for a in leggauss(8)))))
 
 
 def _wkb_level(m, lam, s, k, nodes):
@@ -545,16 +544,19 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
        Its search starts at the index that the last scan on grid_hint left
        there when that scan had the same m, lambda, s and k (its
        midpoint_scale may differ), in 2 shots when that index holds, else
-       at the WKB level of the ground state (_wkb_level).  A bracket whose
-       upper end counts more than one sign change may hold more than one
-       level, and the scan is refused; when u(r_mid) is exactly 0 at the
-       lower end, that end is the root;
-    2. r_mid is fixed at the Dirichlet point of the bracket's midpoint; if
-       u(r_mid) has one sign at both ends, the bracket is widened one scan
-       step at a time toward the end with the smaller |u| until it does
-       change sign;
+       at the WKB level of the ground state (_wkb_level);
+    2. r_mid is fixed at the Dirichlet point of the bracket's midpoint, and
+       both ends are shot there.  Only when u(r_mid) has one sign at both
+       ends is the scan run again on that fixed grid: the same energies,
+       each now shot to r_mid, and the same search, started at stage 1's
+       index;
     3. Brent's method converges on u(r_mid) to 1e-11*m, one rk4_path shot
        per evaluation.
+
+    Every estimate is thus a root of u(r_mid) on the fixed grid, bracketed
+    by adjacent scan energies.  Either scan's bracket is refused when it
+    finds no sign change, and when its upper end counts more than one
+    sign change, so that it may hold more than one level.
 
     Stages 2 and 3 shoot one grid, ending at r_mid, first at the
     bracket's lower end and then near it, so its whole coefficient stack
@@ -565,10 +567,9 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     for scan shots the sign-change count.
     Raises ScanError when even the first scan energy E is so far above m,
     as for a huge lambda, that E - m and E + m round to the same value,
-    when the scan finds no sign change, when the scan step does not
-    resolve the levels (as above), when the widening leaves the scan
-    window without one, when a shot in the bracket overflows before r_mid
-    (it then has no finite residual), and as _scan does.
+    when either scan's bracket is refused (as above), when a shot in the
+    bracket overflows before r_mid (it then has no finite residual), and
+    as _scan does.
 
     This is an estimate; re-solving with midpoint_scale 0.9 and 1.1 gives
     its truncation-sensitivity spread.  n is taken from grid_hint, and
@@ -595,12 +596,14 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
         r_min = max(min(grid_hint.r_min, 1e-6 * r_mid), 2.0 ** (-1000.0 / abs(k)))
         return RadialGrid(r_min=min(r_min, 0.5 * r_mid), r_max=r_mid, n=grid_hint.n)
 
-    def probe(e):
-        """u and sign changes of the shot at scan energy e, to its own
-        Dirichlet point; each energy is shot once, and kept in `scan`."""
-        if e not in scan:
-            scan[e] = _dirichlet_u(m, mix, k, e, grid_at(dirichlet_radius(e)), count=True)
-        return scan[e][1] > 0
+    def probe(shots, grid_of):
+        """A scan's probe: u and sign changes of the shot at energy e on
+        grid_of(e), each energy shot once and kept in `shots`."""
+        def above(e):
+            if e not in shots:
+                shots[e] = _dirichlet_u(m, mix, k, e, grid_of(e), count=True)
+            return shots[e][1] > 0
+        return above
 
     def last(energy):
         if energy(0) - m == energy(0) + m:
@@ -609,6 +612,20 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
                 f"= ({m}, {m + width}) so far above m that E - m and E + m round to "
                 f"the same value; there are no turning points to scan")
         return steps
+
+    def bracket(i, shots, where):
+        """(lo, hi), the scan energies across the first sign change, which
+        the search found at index i from the shots kept in `shots`.  Refused
+        when there is none, `where` naming the shots, and when hi counts
+        more than one sign change: the bracket may then hold more than one
+        level, and Brent's method may converge on any."""
+        if i == steps + 1:
+            raise ScanError(f"no Dirichlet sign change {where}")
+        lo, hi = energy(i - 1), energy(i)
+        if shots[hi][1] > 1:
+            raise ScanError(f"the scan step {step} does not resolve the levels: "
+                            f"({lo}, {hi}) holds {shots[hi][1]} Dirichlet levels")
+        return lo, hi
 
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
@@ -619,22 +636,13 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     tag = (m, mix.lam, mix.s, k)
     hint_tag, start = grid_hint.__dict__.get("_scan", (None, None))
     hinted = hint_tag == tag
-    i, _, energy = _scan(m, width, steps, 0.5, probe, last, "a Dirichlet level",
+    i, _, energy = _scan(m, width, steps, 0.5, probe(scan, lambda e: grid_at(dirichlet_radius(e))),
+                         last, "a Dirichlet level",
                          level=None if hinted else _wkb_level(m, mix.lam, mix.s, k, 0),
                          start=start if hinted else None)
     grid_hint.__dict__["_scan"] = tag, i
-    if i == steps + 1:
-        raise ScanError(
-            f"no Dirichlet sign change in the scan window "
-            f"({m}, {m + width}); no quasi-bound level found")
-    lo, hi = energy(i - 1), energy(i)
-    # a bracket that may hold more than one level: Brent may converge on any
-    if scan[hi][1] > 1:
-        raise ScanError(f"the scan step {step} does not resolve the levels: "
-                        f"({lo}, {hi}) holds {scan[hi][1]} Dirichlet levels")
-    if scan[lo][0] == 0.0:
-        # the shot below the crossing ends on a node: a root on the scan grid
-        return lo
+    lo, hi = bracket(i, scan, f"in the scan window ({m}, {m + width}); "
+                              f"no quasi-bound level found")
 
     # converge at one fixed radius; the scan's radius moved with the
     # energy, so its sign change need not hold at r_mid
@@ -649,23 +657,15 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     _prime_grid(m, mix, k, lo, fixed)
     try:
         f_lo, f_hi = endpoint_u(lo), endpoint_u(hi)
-        while f_lo * f_hi > 0:
-            down = abs(f_lo) <= abs(f_hi)
-            e = lo - step if down else hi + step
-            if not m < e <= m + width:
-                raise ScanError(
-                    f"no Dirichlet sign change at r_mid = {r_mid} within the scan "
-                    f"window ({m}, {m + width}) around ({energy(i - 1)}, {energy(i)})")
-            f = endpoint_u(e)
-            # on a sign change keep only the step across which it happens
-            if down:
-                if f * f_lo <= 0:
-                    hi, f_hi = lo, f_lo
-                lo, f_lo = e, f
-            else:
-                if f * f_hi <= 0:
-                    lo, f_lo = hi, f_hi
-                hi, f_hi = e, f
+        if f_lo * f_hi > 0:
+            # no sign change at r_mid: scan the same energies there, from
+            # the scan's index
+            at_r_mid = {}
+            j, _, _ = _scan(m, width, steps, 0.5, probe(at_r_mid, lambda e: fixed), last,
+                            f"a Dirichlet level at r_mid = {r_mid}", start=i)
+            lo, hi = bracket(j, at_r_mid, f"at r_mid = {r_mid} within the scan window "
+                                          f"({m}, {m + width}) around ({lo}, {hi})")
+            f_lo, f_hi = at_r_mid[lo][0], at_r_mid[hi][0]
 
         # the ends are already shot; an overflowed shot is only a sign, which
         # Brent's interpolation cannot use

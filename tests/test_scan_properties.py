@@ -4,7 +4,9 @@ suggest_bracket and estimate_quasibound_energy bisect their scan energies
 on a sign-change count.  These properties pin both, bit for bit, to
 references written here that shoot one integrate_radial per energy and
 walk the scan up to its first transition, as the scans did before they
-were bisected; and they pin the scans started at the WKB level's index
+were bisected, the estimator's reference also widening a bracket with no
+sign change at r_mid step by step where the estimator scans again; and
+they pin the scans started at the WKB level's index
 (_scan_index), or at any wild index, and the estimator's scan started
 from the last scan's index, to the scans started cold, the estimator's
 also on grids too coarse for the Airy length, where the node scan
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -50,7 +52,10 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
     """estimate_quasibound_energy with one integrate_radial per shot: every
     one of the 97 scan energies shot to its own Dirichlet point, the walk
     to the first sign change, then the fixed-radius widening and Brent on
-    a grid primed at the bracket's lower end, as the estimator primes it."""
+    a grid primed at the bracket's lower end, as the estimator primes it.
+    The estimator scans again at r_mid where this widens the bracket one
+    scan step at a time, so the two searches are checked against each
+    other."""
     def dirichlet_radius(e):
         tp = turning_points(m, e, mix)
         cap = tp.r1 + 10.0 / (mix.lam * (m + e)) ** (1.0 / 3.0)
@@ -136,6 +141,15 @@ def _per_shot_bracket(m, mix, k, grid, nodes, steps=64):
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
        midpoint_scale=st.sampled_from((0.9, 1.0, 1.1)))
+# benchmark requests whose scan bracket shows no sign change at r_mid, so
+# that the estimator scans again there: they give 2.03505423515708,
+# 2.2394861432669684 (the rescan gallops down) and 2.5435328667415713
+@example(m=0.5596871756808461, lam=0.5544641921036341, s=0.0, k=-1, n=500,
+         midpoint_scale=0.9)
+@example(m=0.5046881560672422, lam=0.6942935143169602, s=0.0, k=-1, n=500,
+         midpoint_scale=0.9)
+@example(m=0.5765176655160362, lam=0.8953068293743749, s=0.0, k=-1, n=500,
+         midpoint_scale=0.9)
 def test_quasibound_estimate_equals_per_shot_scan(m, lam, s, k, n, midpoint_scale):
     mix = PotentialMix(lam, s)
     hint = RadialGrid(25e-6, 25.0, n)
@@ -324,7 +338,7 @@ def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
     real = shooting._dirichlet_u
 
     def recording(m, mix, k, e, grid, count=False):
-        if count:
+        if count and "_stack" not in grid.__dict__:  # not the primed fixed grid
             scanned.append(e)
         return real(m, mix, k, e, grid, count)
 

@@ -279,6 +279,7 @@ def test_find_bound_state_rejects_quasibound_mix():
 def test_find_bound_state_bracket_without_eigenvalue():
     with pytest.raises(BracketError):
         find_bound_state(M, EQUAL, -1, (1.05, 1.2), GRID)
+    assert "_stack" not in GRID.__dict__  # a refusal frees the stack too
 
 
 def test_find_bound_state_multi_level_bracket_targets_nodes():
@@ -336,6 +337,7 @@ def test_tail_shot_overflow_is_consistency_error(monkeypatch):
     grid = RadialGrid(r_min=20e-6, r_max=20.0, n=2000)
     with pytest.raises(ConsistencyError, match="inward"):
         find_bound_state(M, EQUAL, -1, (1.1, 2.5), grid)
+    assert "_stack" not in grid.__dict__
     assert main(["solve", "--n", "2000", "--rmax", "20"]) == 1
 
 
@@ -353,6 +355,12 @@ def test_grid_ending_before_r1_keeps_the_shot():
     grid = RadialGrid(r_min=2e-6, r_max=2.0, n=2000)
     sol = find_bound_state(M, EQUAL, -1, (1.1, 3.0), grid)
     assert (sol.E - M) / LAM > grid.r_max
+    assert sol.E == 2.016557922773064
+    # no tail took the stack's step matrices, and still it is freed
+    assert "_stack" not in grid.__dict__
+    # the solve's shots went through a stack centred at the bracket's lower
+    # end: with the same stack the raw shot is the solve's to the bit
+    shooting._prime_grid(M, EQUAL, -1, 1.1, grid)
     raw = integrate_radial(M, EQUAL, -1, sol.E, grid)
     np.testing.assert_allclose(sol.u * raw.u[-1] / sol.u[-1], raw.u, rtol=1e-14, atol=0)
 
@@ -365,9 +373,13 @@ def test_turning_point_in_the_last_step_keeps_the_shot():
         grid = RadialGrid(r_min=1e-6 * r_max, r_max=r_max, n=100)
         sol = find_bound_state(M, EQUAL, -1, suggest_bracket(M, EQUAL, -1, grid), grid)
         assert sol.node_count == 0
+        assert "_stack" not in grid.__dict__
         assert abs(np.trapezoid(sol.u ** 2 + sol.v ** 2, sol.r) - 1.0) <= 1e-12
         if np.searchsorted(sol.r, (sol.E - M) / LAM) == grid.n:
             last_step += 1
+            # the scan primes the grid again, at its first probe, as it did
+            # for the solve: the raw shot is the solve's to the bit
+            suggest_bracket(M, EQUAL, -1, grid)
             raw = integrate_radial(M, EQUAL, -1, sol.E, grid)
             np.testing.assert_allclose(sol.u * raw.u[-1] / sol.u[-1], raw.u, rtol=1e-14, atol=0)
     assert last_step > 0
@@ -643,23 +655,27 @@ def test_shots_on_one_grid_share_its_read_only_radii():
     assert sol.r is a.r
 
 
-def test_scan_ending_on_a_node_at_energy_0_returns_it(monkeypatch):
-    # energy 0 counts no sign change and u(r_mid) is exactly 0 there, and
-    # every energy above it counts one: the search closes at index 1, and
-    # its lower end, energy 0, is the root
+def test_scan_ending_on_a_node_at_energy_0_converges_at_r_mid(monkeypatch):
+    # energy 0 counts no sign change and ends exactly on a node at its own
+    # Dirichlet point, and every scan energy above it counts one: the scan
+    # closes at index 1, but a node at the scan's radius is no root at
+    # r_mid, and the estimate is the root of u(r_mid) on the fixed grid
     e0 = M + 10.0 * math.sqrt(LAM) / 192
     real = shooting._dirichlet_u
 
     def node_at_e0(m, mix, k, e, grid, count=False):
         f, changes = real(m, mix, k, e, grid, count)
-        if not count:
+        if not count or "_stack" in grid.__dict__:  # the primed fixed grid's
             return f, changes
         return (0.0, 0) if e == e0 else (f, 1)
 
     monkeypatch.setattr(shooting, "_dirichlet_u", node_at_e0)
     shots = _record_shots(monkeypatch)
-    assert estimate_quasibound_energy(M, VECTOR, -1, QB_GRID) == e0
-    assert shots[-1][0] == e0
+    e = estimate_quasibound_energy(M, VECTOR, -1, _fresh(QB_GRID))
+    fixed = shots[-1][1]
+    assert e > e0
+    u = [integrate_radial(M, VECTOR, -1, x, fixed).u[-1] for x in (e - 1e-9, e + 1e-9)]
+    assert u[0] * u[1] < 0
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.9, 1.1])
@@ -731,15 +747,19 @@ def test_threads_estimating_different_problems_match_serial():
 
 
 def test_quasibound_without_fixed_radius_sign_change_raises(monkeypatch):
-    # the scan sees a sign change, but u(r_mid) keeps one sign all the way
-    # down to m: no root exists, so no energy may be returned
+    # the scan sees a sign change, but u(r_mid) keeps one sign over every
+    # scan energy: the rescan at r_mid finds no root, so no energy may be
+    # returned
     real = shooting._dirichlet_u
 
-    def one_sign_after_scan(m, mix, k, e, grid, count=False):
-        # scan shots count their sign changes; every fixed-radius shot is positive
-        return real(m, mix, k, e, grid, count) if count else (1.0, None)
+    def one_sign_at_r_mid(m, mix, k, e, grid, count=False):
+        # the scan's grids hold no stack; on the primed fixed grid every
+        # shot is positive and counts no sign change
+        if "_stack" in grid.__dict__:
+            return 1.0, (0 if count else None)
+        return real(m, mix, k, e, grid, count)
 
-    monkeypatch.setattr(shooting, "_dirichlet_u", one_sign_after_scan)
+    monkeypatch.setattr(shooting, "_dirichlet_u", one_sign_at_r_mid)
     with pytest.raises(ScanError, match="no Dirichlet sign change at r_mid"):
         estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
 
