@@ -11,11 +11,11 @@ Every shot is one rk4_path call.  Both solvers start from an energy
 scan, suggest_bracket's node scan and the estimator's Dirichlet scan, and
 _scan is the one routine that runs both: their energies, the start of
 their one search, and their refusals are described there.  The
-estimator runs it once more, on its fixed grid, when the bracket of its
-first scan shows no sign change there.  The node count rises with E only
-on a grid that resolves the Airy length, so suggest_bracket refuses a
-coarser grid before any shot (_require_resolved); the Dirichlet scan has
-no such guard.  The estimator reads only u at the Dirichlet point, and
+estimator runs it twice, the second time on its fixed grid, so every
+bracket it converges in comes from _scan.  The node count rises with E
+only on a grid that resolves the Airy length, so suggest_bracket refuses
+a coarser grid before any shot (_require_resolved); the Dirichlet scan
+has no such guard.  The estimator reads only u at the Dirichlet point, and
 for scan shots its sign changes, so its shots build no RadialSolution.
 
 No module holds solver state: a grid keeps its coefficient stack (see
@@ -251,10 +251,6 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     try:
         n_lo = integrate_radial(m, mix, k, lo, grid).node_count
         n_hi = integrate_radial(m, mix, k, hi, grid).node_count
-        if n_lo == n_hi:
-            raise BracketError(
-                f"no eigenvalue in bracket ({lo}, {hi}): tail shape is identical "
-                f"at both endpoints (node count {n_lo})")
         if nodes is None:
             nodes = n_lo
         if not (n_lo <= nodes < n_hi):
@@ -546,22 +542,23 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
        midpoint_scale may differ), in 2 shots when that index holds, else
        at the WKB level of the ground state (_wkb_level);
     2. r_mid is fixed at the Dirichlet point of the bracket's midpoint, and
-       both ends are shot there.  Only when u(r_mid) has one sign at both
-       ends is the scan run again on that fixed grid: the same energies,
-       each now shot to r_mid, and the same search, started at stage 1's
-       index;
+       the scan is run again on that fixed grid: the same energies, each
+       now shot to r_mid, and the same search, started at stage 1's index.
+       Where stage 1's bracket holds at r_mid, that search shoots its two
+       ends, hi and then lo, and nothing else;
     3. Brent's method converges on u(r_mid) to 1e-11*m, one rk4_path shot
-       per evaluation.
+       per evaluation, reading the two ends from stage 2's shots.
 
     Every estimate is thus a root of u(r_mid) on the fixed grid, bracketed
-    by adjacent scan energies.  Either scan's bracket is refused when it
-    finds no sign change, and when its upper end counts more than one
-    sign change, so that it may hold more than one level.
+    by adjacent scan energies, and no energy is shot twice on that grid.
+    Each scan's bracket is refused when it finds no sign change, and when
+    its upper end counts more than one sign change, so that it may hold
+    more than one level.
 
-    Stages 2 and 3 shoot one grid, ending at r_mid, first at the
-    bracket's lower end and then near it, so its whole coefficient stack
-    is built in one pass, centred there, before the first of them, and
-    freed when they end.
+    Stages 2 and 3 shoot one grid, ending at r_mid, at and between scan
+    energies near stage 1's bracket, so its whole coefficient stack is
+    built in one pass, centred at that bracket's lower end, before the
+    first of them, and freed when they end.
 
     Every shot goes through _dirichlet_u, which returns u(r_mid), and
     for scan shots the sign-change count.
@@ -645,34 +642,24 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
                               f"no quasi-bound level found")
 
     # converge at one fixed radius; the scan's radius moved with the
-    # energy, so its sign change need not hold at r_mid
+    # energy, so its sign change need not hold at r_mid: scan the same
+    # energies there, from the scan's index, in 2 shots when it holds
     r_mid = dirichlet_radius(0.5 * (lo + hi))
     fixed = grid_at(r_mid)
-
-    def endpoint_u(e):
-        return _dirichlet_u(m, mix, k, e, fixed)[0]
-
     # every shot from here on is on the fixed grid, near lo: its whole
     # stack, centred at lo, is built in one pass
     _prime_grid(m, mix, k, lo, fixed)
     try:
-        f_lo, f_hi = endpoint_u(lo), endpoint_u(hi)
-        if f_lo * f_hi > 0:
-            # no sign change at r_mid: scan the same energies there, from
-            # the scan's index
-            at_r_mid = {}
-            j, _, _ = _scan(m, width, steps, 0.5, probe(at_r_mid, lambda e: fixed), last,
-                            f"a Dirichlet level at r_mid = {r_mid}", start=i)
-            lo, hi = bracket(j, at_r_mid, f"at r_mid = {r_mid} within the scan window "
-                                          f"({m}, {m + width}) around ({lo}, {hi})")
-            f_lo, f_hi = at_r_mid[lo][0], at_r_mid[hi][0]
-
-        # the ends are already shot; an overflowed shot is only a sign, which
-        # Brent's interpolation cannot use
-        ends = {lo: f_lo, hi: f_hi}
+        at_r_mid = {}
+        j, _, _ = _scan(m, width, steps, 0.5, probe(at_r_mid, lambda e: fixed), last,
+                        f"a Dirichlet level at r_mid = {r_mid}", start=i)
+        lo, hi = bracket(j, at_r_mid, f"at r_mid = {r_mid} within the scan window "
+                                      f"({m}, {m + width}) around ({lo}, {hi})")
 
         def residual(e):
-            f = ends[e] if e in ends else endpoint_u(e)
+            # the scan has shot the ends; an overflowed shot is only a sign,
+            # which Brent's interpolation cannot use
+            f = at_r_mid[e][0] if e in at_r_mid else _dirichlet_u(m, mix, k, e, fixed)[0]
             if not math.isfinite(f):
                 raise ScanError(
                     f"the shot at E = {e} overflows before the Dirichlet point "

@@ -5,14 +5,15 @@ on a sign-change count.  These properties pin both, bit for bit, to
 references written here that shoot one integrate_radial per energy and
 walk the scan up to its first transition, as the scans did before they
 were bisected, the estimator's reference also widening a bracket with no
-sign change at r_mid step by step where the estimator scans again; and
+sign change at r_mid step by step where the estimator scans at r_mid; and
 they pin the scans started at the WKB level's index
 (_scan_index), or at any wild index, and the estimator's scan started
 from the last scan's index, to the scans started cold, the estimator's
 also on grids too coarse for the Airy length, where the node scan
 refuses to run; and they check that the estimator's scan on a count
 raised by a constant, where a level lies below its first energy, is
-refused for a scan step that does not resolve the levels.
+refused for a scan step that does not resolve the levels, and that no
+energy is shot twice on the estimator's fixed grid.
 """
 
 import math
@@ -53,9 +54,9 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
     one of the 97 scan energies shot to its own Dirichlet point, the walk
     to the first sign change, then the fixed-radius widening and Brent on
     a grid primed at the bracket's lower end, as the estimator primes it.
-    The estimator scans again at r_mid where this widens the bracket one
-    scan step at a time, so the two searches are checked against each
-    other."""
+    The estimator scans again at r_mid where this widens a bracket with
+    no sign change there one scan step at a time, so the two searches are
+    checked against each other."""
     def dirichlet_radius(e):
         tp = turning_points(m, e, mix)
         cap = tp.r1 + 10.0 / (mix.lam * (m + e)) ** (1.0 / 3.0)
@@ -142,8 +143,9 @@ def _per_shot_bracket(m, mix, k, grid, nodes, steps=64):
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
        midpoint_scale=st.sampled_from((0.9, 1.0, 1.1)))
 # benchmark requests whose scan bracket shows no sign change at r_mid, so
-# that the estimator scans again there: they give 2.03505423515708,
-# 2.2394861432669684 (the rescan gallops down) and 2.5435328667415713
+# that the estimator's scan there moves the bracket: they give
+# 2.03505423515708, 2.2394861432669684 (the rescan gallops down) and
+# 2.5435328667415713
 @example(m=0.5596871756808461, lam=0.5544641921036341, s=0.0, k=-1, n=500,
          midpoint_scale=0.9)
 @example(m=0.5046881560672422, lam=0.6942935143169602, s=0.0, k=-1, n=500,
@@ -327,6 +329,14 @@ def test_raised_sign_change_counts_are_refused(m, lam, s, k, n, c):
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
        midpoint_scale=st.sampled_from((0.9, 1.0, 1.1)), warm=st.booleans())
+# the seed-7 benchmark requests whose scan bracket shows no sign change at
+# r_mid: the scan there starts at that bracket's ends
+@example(m=0.5596871756808461, lam=0.5544641921036341, s=0.0, k=-1, n=500,
+         midpoint_scale=0.9, warm=False)
+@example(m=0.5046881560672422, lam=0.6942935143169602, s=0.0, k=-1, n=500,
+         midpoint_scale=0.9, warm=False)
+@example(m=0.5765176655160362, lam=0.8953068293743749, s=0.0, k=-1, n=500,
+         midpoint_scale=0.9, warm=False)
 def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
                                                               midpoint_scale, warm):
     mix = PotentialMix(lam, s)
@@ -334,12 +344,12 @@ def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
     e0 = m + 10.0 * math.sqrt(lam) / 192
     if warm:  # leaves its scan index on the hint
         _outcome(estimate_quasibound_energy, m, mix, k, hint, 1.0)
-    scanned = []
+    scanned, fixed = [], []
     real = shooting._dirichlet_u
 
     def recording(m, mix, k, e, grid, count=False):
-        if count and "_stack" not in grid.__dict__:  # not the primed fixed grid
-            scanned.append(e)
+        # the fixed grid at r_mid is the one primed with a stack
+        (fixed if "_stack" in grid.__dict__ else scanned).append(e)
         return real(m, mix, k, e, grid, count)
 
     shooting._dirichlet_u = recording
@@ -349,6 +359,7 @@ def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
         shooting._dirichlet_u = real
     i = hint.__dict__["_scan"][1]
     assert len(scanned) == len(set(scanned))  # each scan energy is shot once
+    assert len(fixed) == len(set(fixed))  # and each energy at r_mid
     # a search that closes at index 0 or 1 has shot energy 0; one that
     # shot it closed within two steps of it
     assert i > 1 or e0 in scanned

@@ -277,9 +277,41 @@ def test_find_bound_state_rejects_quasibound_mix():
 
 
 def test_find_bound_state_bracket_without_eigenvalue():
-    with pytest.raises(BracketError):
-        find_bound_state(M, EQUAL, -1, (1.05, 1.2), GRID)
-    assert "_stack" not in GRID.__dict__  # a refusal frees the stack too
+    for bracket, nodes, counts in (
+        ((1.05, 1.2), None, "0..0"),  # below the ground level
+        ((1.1, 1.6), 1, "0..1"),  # holds the ground level, not the 1-node one
+    ):
+        with pytest.raises(BracketError, match=f"spans node counts {counts}, which does not"):
+            find_bound_state(M, EQUAL, -1, bracket, GRID, nodes=nodes)
+        assert "_stack" not in GRID.__dict__  # a refusal frees the stack too
+
+
+@pytest.mark.parametrize("bracket", [(1.6, 1.1), (1.1, 1.1), (0.0, 1.6), (-1.0, 1.6)])
+def test_find_bound_state_rejects_bad_brackets(monkeypatch, bracket):
+    monkeypatch.setattr(shooting, "integrate_radial", None)  # refused before any shot
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        find_bound_state(M, EQUAL, -1, bracket, GRID)
+
+
+def test_bisection_stops_at_adjacent_doubles(monkeypatch):
+    # near E = 1e8 adjacent doubles lie 1.5e-8 apart, more than the 1e-8
+    # tolerance, so only the adjacent-doubles break ends the bisection;
+    # the grid runs 12 Airy lengths past r1
+    m, mix = 1e8, PotentialMix(1.0, 0.5)
+    e = equal_mix_energy(m, 1.0, 1)
+    r_max = (e - m) + 12.0 * (m + e) ** (-1.0 / 3.0)
+    grid = RadialGrid(1e-6 * r_max, r_max, 2000)
+    shots = []
+
+    def counted(*args):
+        shots.append(args[3])
+        assert len(shots) < 100, "the bisection does not end"
+        return integrate_radial(*args)
+
+    monkeypatch.setattr(shooting, "integrate_radial", counted)
+    sol = find_bound_state(m, mix, -1, (m + 2e-3, m + 6e-3), grid)
+    assert sol.node_count == 0
+    assert abs(sol.E - e) <= math.ulp(e)
 
 
 def test_find_bound_state_multi_level_bracket_targets_nodes():
@@ -412,6 +444,13 @@ def test_quasibound_estimate_continuity_at_half():
     near = PotentialMix(LAM, 0.5 - 1e-6)
     est = estimate_quasibound_energy(M, near, -1, GRID)
     assert abs(est - E1) < 0.01
+
+
+@pytest.mark.parametrize("scale", [0.49, 1.51, math.nan])
+def test_estimator_rejects_midpoint_scale_off_the_barrier(monkeypatch, scale):
+    monkeypatch.setattr(shooting, "_dirichlet_u", None)  # refused before any shot
+    with pytest.raises(ValueError, match=r"outside \[0.5, 1.5\]"):
+        estimate_quasibound_energy(M, VECTOR, -1, GRID, scale)
 
 
 def test_quasibound_estimate_pure_vector_range():
