@@ -137,13 +137,16 @@ class RadialGrid:
 class RadialSolution:
     """Reduced radial wavefunctions u = r*f, v = r*g on a grid, with energy.
 
-    node_count is the number of strict sign changes of u away from the
-    endpoints.  A diverged flag marks outward integrations whose growing
-    tail overflowed before reaching r_max (tail entries are NaN beyond the
-    divergence point); divergence_sign records the sign of u there, which
-    no solver reads: they bisect on node_count.  r is the grid's radii(),
-    one read-only array shared by every solution on the grid: copy it
-    before changing it.
+    node_count is the number of strict sign changes of u.  A shot counts
+    them through the grid's last point (count_nodes with `end` set), so a
+    node that has just come in through r_max counts and a raw shot's level
+    is that of the box ending at r_max; equal_mix_wavefunction counts them
+    away from both endpoints.  A diverged flag marks outward integrations
+    whose growing tail overflowed before reaching r_max (tail entries are
+    NaN beyond the divergence point); divergence_sign records the sign of
+    u there, which no solver reads: they bisect on node_count.  r is the
+    grid's radii(), one read-only array shared by every solution on the
+    grid: copy it before changing it.
     """
 
     r: np.ndarray

@@ -19,7 +19,9 @@ has no such guard.  The estimator reads only u at the Dirichlet point, and
 for scan shots its sign changes, so its shots build no RadialSolution.
 
 No module holds solver state: a grid keeps its coefficient stack (see
-_prime_grid), and a grid hint its Dirichlet scan's last index.
+_prime_grid), and a grid hint the last index and the shots of its last
+Dirichlet scan, which no midpoint_scale changes, so that the spread
+estimates replay the central estimate's scan.
 _splice_tail frees a bound state's stack once it has taken the tail's
 step matrices from it, and the estimator its fixed grid's once Brent's
 method is done.
@@ -125,7 +127,7 @@ def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
         QuantumNumbers(k)
     u, v, stop, sign = _shoot(m, mix, k, E, grid)
     return RadialSolution(
-        r=grid.radii(), u=u, v=v, E=E, node_count=count_nodes(u),
+        r=grid.radii(), u=u, v=v, E=E, node_count=count_nodes(u, end=True),
         diverged=stop < grid.n, divergence_sign=int(sign), grid=grid,
     )
 
@@ -203,7 +205,7 @@ def _splice_tail(sol: RadialSolution, m, mix, k):
     v[i1:iend + 1] = c * vb[::-1]
     u[iend + 1:] = 0.0
     v[iend + 1:] = 0.0
-    return RadialSolution(r=r, u=u, v=v, E=E, node_count=count_nodes(u), grid=grid)
+    return RadialSolution(r=r, u=u, v=v, E=E, node_count=count_nodes(u, end=True), grid=grid)
 
 
 def _normalized(sol: RadialSolution) -> RadialSolution:
@@ -534,18 +536,22 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     and a root of u(r_mid) = 0 above m is found in three stages:
 
     1. a 97-point scan of (m, m + 10*sqrt(lambda)) (see _scan), each
-       energy shot to its own Dirichlet point, brackets the lowest sign
-       change of u(r_mid): the pair of adjacent scan energies across which
-       the count of the shot's sign changes over u[1:] first exceeds 0.
-       Its search starts at the index that the last scan on grid_hint left
-       there when that scan had the same m, lambda, s and k (its
-       midpoint_scale may differ), in 2 shots when that index holds, else
-       at the WKB level of the ground state (_wkb_level);
-    2. r_mid is fixed at the Dirichlet point of the bracket's midpoint, and
-       the scan is run again on that fixed grid: the same energies, each
-       now shot to r_mid, and the same search, started at stage 1's index.
-       Where stage 1's bracket holds at r_mid, that search shoots its two
-       ends, hi and then lo, and nothing else;
+       energy shot to its own Dirichlet point, unscaled, brackets the
+       lowest sign change of u there: the pair of adjacent scan energies
+       across which the count of the shot's sign changes over u[1:] first
+       exceeds 0.  No midpoint_scale changes this stage, so grid_hint
+       keeps its index and its shots (energy -> (u, sign changes)), tagged
+       with m, lambda, s and k.  A later scan of the same problem on that
+       hint starts at that index and reads the kept shots, so the 0.9 and
+       1.1 estimates after the central one shoot nothing here; a scan of
+       another problem starts at the WKB level of the ground state
+       (_wkb_level);
+    2. r_mid is fixed at midpoint_scale times the Dirichlet point of the
+       bracket's midpoint, and the scan is run again on that fixed grid:
+       the same energies, each now shot to r_mid, and the same search,
+       started at stage 1's index.  Where stage 1's bracket holds at
+       r_mid, that search shoots its two ends, hi and then lo, and nothing
+       else;
     3. Brent's method converges on u(r_mid) to 1e-11*m, one rk4_path shot
        per evaluation, reading the two ends from stage 2's shots.
 
@@ -569,7 +575,9 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     as _scan does.
 
     This is an estimate; re-solving with midpoint_scale 0.9 and 1.1 gives
-    its truncation-sensitivity spread.  n is taken from grid_hint, and
+    its truncation-sensitivity spread: the scale moves r_mid alone, so the
+    spread estimates converge at 0.9 and 1.1 times the central estimate's
+    r_mid.  n is taken from grid_hint, and
     r_min too unless it lies above 1e-6 r_mid, or below 2^(-1000/|k|),
     where r_min^|k| would near the least normal double and the outcome
     would depend on which energies are shot (a floor that binds only at
@@ -587,7 +595,7 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     def dirichlet_radius(e):
         tp = turning_points(m, e, mix)
         cap = tp.r1 + 10.0 / (mix.lam * (m + e)) ** (1.0 / 3.0)
-        return midpoint_scale * min(0.5 * (tp.r1 + tp.r3), cap)
+        return min(0.5 * (tp.r1 + tp.r3), cap)
 
     def grid_at(r_mid):
         r_min = max(min(grid_hint.r_min, 1e-6 * r_mid), 2.0 ** (-1000.0 / abs(k)))
@@ -627,24 +635,28 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
     step = width / steps
-    scan = {}
-    # the spread estimates share the central estimate's grid hint, and
-    # almost always its index: start there; else at the WKB level
+    # the spread estimates share the central estimate's grid hint, its
+    # index and its shots, which no midpoint_scale changes: start there,
+    # replaying the shots; else at the WKB level
     tag = (m, mix.lam, mix.s, k)
     hint_tag, start = grid_hint.__dict__.get("_scan", (None, None))
+    shots_tag, scan = grid_hint.__dict__.get("_shots", (None, None))
+    if shots_tag != tag:
+        scan = {}
     hinted = hint_tag == tag
     i, _, energy = _scan(m, width, steps, 0.5, probe(scan, lambda e: grid_at(dirichlet_radius(e))),
                          last, "a Dirichlet level",
                          level=None if hinted else _wkb_level(m, mix.lam, mix.s, k, 0),
                          start=start if hinted else None)
     grid_hint.__dict__["_scan"] = tag, i
+    grid_hint.__dict__["_shots"] = tag, scan
     lo, hi = bracket(i, scan, f"in the scan window ({m}, {m + width}); "
                               f"no quasi-bound level found")
 
     # converge at one fixed radius; the scan's radius moved with the
     # energy, so its sign change need not hold at r_mid: scan the same
     # energies there, from the scan's index, in 2 shots when it holds
-    r_mid = dirichlet_radius(0.5 * (lo + hi))
+    r_mid = midpoint_scale * dirichlet_radius(0.5 * (lo + hi))
     fixed = grid_at(r_mid)
     # every shot from here on is on the fixed grid, near lo: its whole
     # stack, centred at lo, is built in one pass

@@ -12,8 +12,10 @@ from the last scan's index, to the scans started cold, the estimator's
 also on grids too coarse for the Airy length, where the node scan
 refuses to run; and they check that the estimator's scan on a count
 raised by a constant, where a level lies below its first energy, is
-refused for a scan step that does not resolve the levels, and that no
-energy is shot twice on the estimator's fixed grid.
+refused for a scan step that does not resolve the levels, that no
+energy is shot twice on the estimator's fixed grid, and that an estimate
+on a grid hint that other scales and problems used before is the one a
+fresh hint gives, its r_mid exactly midpoint_scale times the central one.
 """
 
 import math
@@ -51,16 +53,17 @@ def _outcome(fn, *args, **kwargs):
 
 def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
     """estimate_quasibound_energy with one integrate_radial per shot: every
-    one of the 97 scan energies shot to its own Dirichlet point, the walk
-    to the first sign change, then the fixed-radius widening and Brent on
-    a grid primed at the bracket's lower end, as the estimator primes it.
-    The estimator scans again at r_mid where this widens a bracket with
-    no sign change there one scan step at a time, so the two searches are
-    checked against each other."""
+    one of the 97 scan energies shot to its own unscaled Dirichlet point,
+    the walk to the first sign change, then r_mid, the bracket midpoint's
+    Dirichlet point times midpoint_scale, the fixed-radius widening and
+    Brent on a grid primed at the bracket's lower end, as the estimator
+    primes it.  The estimator scans again at r_mid where this widens a
+    bracket with no sign change there one scan step at a time, so the two
+    searches are checked against each other."""
     def dirichlet_radius(e):
         tp = turning_points(m, e, mix)
         cap = tp.r1 + 10.0 / (mix.lam * (m + e)) ** (1.0 / 3.0)
-        return midpoint_scale * min(0.5 * (tp.r1 + tp.r3), cap)
+        return min(0.5 * (tp.r1 + tp.r3), cap)
 
     def grid_at(r_mid):
         return RadialGrid(r_min=min(grid_hint.r_min, 1e-6 * r_mid), r_max=r_mid, n=grid_hint.n)
@@ -88,7 +91,7 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
             f"({m}, {m + width}); no quasi-bound level found")
 
     lo, hi = bracket
-    r_mid = dirichlet_radius(0.5 * (lo + hi))
+    r_mid = midpoint_scale * dirichlet_radius(0.5 * (lo + hi))
     fixed = grid_at(r_mid)
     shooting._prime_grid(m, mix, k, lo, fixed)
     f_lo, f_hi = endpoint_u(lo, fixed), endpoint_u(hi, fixed)
@@ -143,9 +146,8 @@ def _per_shot_bracket(m, mix, k, grid, nodes, steps=64):
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
        midpoint_scale=st.sampled_from((0.9, 1.0, 1.1)))
 # benchmark requests whose scan bracket shows no sign change at r_mid, so
-# that the estimator's scan there moves the bracket: they give
-# 2.03505423515708, 2.2394861432669684 (the rescan gallops down) and
-# 2.5435328667415713
+# that the estimator's scan there moves the bracket one step up: they give
+# 2.03505423515708, 2.2485303366344356 and 2.5537253047510746
 @example(m=0.5596871756808461, lam=0.5544641921036341, s=0.0, k=-1, n=500,
          midpoint_scale=0.9)
 @example(m=0.5046881560672422, lam=0.6942935143169602, s=0.0, k=-1, n=500,
@@ -246,6 +248,44 @@ def test_the_wkb_start_never_changes_an_estimate(m, lam, s, k, n, midpoint_scale
         return
     hint = RadialGrid(25e-6, 25.0, n)  # holds no scan index: the WKB start
     assert _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale) == cold
+
+
+@given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
+       other=st.tuples(SCALES, SCALES, st.floats(0.0, 0.49), CHANNELS),
+       order=st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from((1.0, 0.9, 1.1))),
+                      min_size=1, max_size=6))
+def test_estimates_on_a_shared_hint_equal_fresh_ones(m, lam, s, k, n, other, order):
+    # a hint keeps the scan index and shots of the last problem estimated
+    # on it: whatever scales and problems ran on it before, each estimate
+    # is the one a fresh hint gives, and the fixed grid of scale c ends at
+    # c times the central estimate's r_mid
+    problems = [(m, PotentialMix(lam, s), k),
+                (other[0], PotentialMix(other[1], other[2]), other[3])]
+    real = shooting._prime_grid
+    primed = []
+
+    def recording(m, mix, k, e, grid):  # the estimator primes only its fixed grid
+        primed.append(grid.r_max)
+        return real(m, mix, k, e, grid)
+
+    shooting._prime_grid = recording
+    try:
+        fresh, r_mid = {}, {}
+        for p, problem in enumerate(problems):
+            for c in (1.0, 0.9, 1.1):
+                primed.clear()
+                fresh[p, c] = _outcome(estimate_quasibound_energy, *problem,
+                                       RadialGrid(25e-6, 25.0, n), c)
+                r_mid[p, c] = primed[-1] if primed else None
+        hint = RadialGrid(25e-6, 25.0, n)
+        shared = [_outcome(estimate_quasibound_energy, *problems[p], hint, c) for p, c in order]
+    finally:
+        shooting._prime_grid = real
+    assert shared == [fresh[p, c] for p, c in order]  # float equality: the same bits
+    for p in range(len(problems)):
+        central = r_mid[p, 1.0]
+        for c in (0.9, 1.1):
+            assert r_mid[p, c] == (None if central is None else c * central)
 
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=st.sampled_from((-2, -1, 1)),

@@ -387,7 +387,7 @@ def test_grid_ending_before_r1_keeps_the_shot():
     grid = RadialGrid(r_min=2e-6, r_max=2.0, n=2000)
     sol = find_bound_state(M, EQUAL, -1, (1.1, 3.0), grid)
     assert (sol.E - M) / LAM > grid.r_max
-    assert sol.E == 2.016557922773064
+    assert sol.E == 2.015989647246897
     # no tail took the stack's step matrices, and still it is freed
     assert "_stack" not in grid.__dict__
     # the solve's shots went through a stack centred at the bracket's lower
@@ -395,6 +395,9 @@ def test_grid_ending_before_r1_keeps_the_shot():
     shooting._prime_grid(M, EQUAL, -1, 1.1, grid)
     raw = integrate_radial(M, EQUAL, -1, sol.E, grid)
     np.testing.assert_allclose(sol.u * raw.u[-1] / sol.u[-1], raw.u, rtol=1e-14, atol=0)
+    # the level is the box's that ends at r_max, not at r_max - h
+    ends = [integrate_radial(M, EQUAL, -1, sol.E + d, grid).u[-1] for d in (-1e-8, 1e-8)]
+    assert ends[0] * ends[1] < 0
 
 
 def test_turning_point_in_the_last_step_keeps_the_shot():
@@ -607,6 +610,25 @@ def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
             assert len(shots) > scan + 2
             kinds = [b[2] for b in builds]  # higher
             assert kinds == [False] * scan + [True]
+
+
+@pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
+def test_spread_estimates_replay_the_central_scan(monkeypatch, grid):
+    # the central estimate leaves its scan's shots on the hint, and no
+    # midpoint_scale changes them: the 0.9 and 1.1 estimates replay them,
+    # so they build no row p = 0 and shoot only their fixed grid
+    builds = _record_builds(monkeypatch)
+    shots = _record_shots(monkeypatch)
+    for m, mix in ((M, VECTOR), (0.8, PotentialMix(0.6, 0.25)), (1.2, PotentialMix(0.4, 0.45))):
+        hint = _fresh(grid)
+        estimate_quasibound_energy(m, mix, -1, hint)
+        for scale in (0.9, 1.1):
+            builds.clear()
+            shots.clear()
+            estimate_quasibound_energy(m, mix, -1, hint, midpoint_scale=scale)
+            fixed = shots[-1][1]
+            assert [(h, higher) for _, h, higher in builds] == [(fixed.h, True)]
+            assert all(g is fixed for _, g in shots)
 
 
 def test_a_bound_solve_builds_its_grids_stack_once(monkeypatch):

@@ -38,6 +38,15 @@ def test_ledger_names_a_moved_answer():
     assert [line.split(":")[0] for line in moved] == ["bound[3] E", "cli[1] codes"]
 
 
+def test_ledger_gives_a_moved_estimates_shift_in_spreads():
+    ledger = _tool("answer_ledger")
+    reference = dict(quasibound=[dict(estimates=["2.0", "2.01", "1.99"], gamma="1.5")])
+    current = dict(quasibound=[dict(estimates=["2.0", "2.01", "1.985"], gamma="1.5")])
+    assert ledger.moved(reference, current) == [
+        "quasibound[0] estimates: ['2.0', '2.01', '1.99'] -> ['2.0', '2.01', '1.985'] "
+        "(shifts 0, 0, 0.25 of the reference spread 0.02)"]
+
+
 def test_code_lines_skip_blanks_comments_and_docstrings():
     source = '''"""A module
 docstring."""

@@ -10,7 +10,9 @@ the node count and a sha256 of (u, v); for `quasibound` the three
 estimates and gamma; for `cli` the exit codes, stdout with the work
 directory written as {dir}, and each CSV's sha256.  A request that raises
 records the exception's type and message.  The comparison is exact and
-names every request whose answer moved; it exits 1 when any did.  The
+names every request whose answer moved, giving a quasi-bound estimate's
+shift as a fraction of the reference's truncation spread
+|E(1.1) - E(0.9)|; it exits 1 when any moved.  The
 reference, tests/data/answers.json, changes only through --write.
 """
 
@@ -72,8 +74,20 @@ def answers():
     return ledger
 
 
+def _in_spreads(old, new):
+    """Each quasi-bound estimate's shift, old -> new, as a fraction of the
+    reference's truncation spread |E(1.1) - E(0.9)|."""
+    old, new = [float(e) for e in old], [float(e) for e in new]
+    spread = abs(old[2] - old[1])
+    if spread == 0.0:
+        return " (the reference spread is 0)"
+    shifts = ", ".join(f"{abs(b - a) / spread:.3g}" for a, b in zip(old, new))
+    return f" (shifts {shifts} of the reference spread {spread:.3g})"
+
+
 def moved(reference, current):
-    """One line per request whose answer differs between the two ledgers."""
+    """One line per request whose answer differs between the two ledgers;
+    a moved quasi-bound estimate also gives its shifts in spreads."""
     lines = []
     for name in sorted(set(reference) | set(current)):
         old, new = reference.get(name, []), current.get(name, [])
@@ -82,7 +96,10 @@ def moved(reference, current):
         for i, (a, b) in enumerate(zip(old, new)):
             for key in sorted(set(a) | set(b)):
                 if a.get(key) != b.get(key):
-                    lines.append(f"{name}[{i}] {key}: {a.get(key)!r} -> {b.get(key)!r}")
+                    line = f"{name}[{i}] {key}: {a.get(key)!r} -> {b.get(key)!r}"
+                    if key == "estimates" and key in a and key in b:
+                        line += _in_spreads(a[key], b[key])
+                    lines.append(line)
     return lines
 
 
