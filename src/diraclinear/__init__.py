@@ -6,6 +6,8 @@ estimates for the quasi-bound states that appear when the vector fraction
 exceeds one half.
 """
 
+import types as _types
+
 from .analytic import (
     EqualMixSolution,
     LocalProfileCoefficients,
@@ -57,45 +59,6 @@ from .tunneling import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BindingClass",
-    "BracketError",
-    "ConsistencyError",
-    "EqualMixSolution",
-    "LocalProfileCoefficients",
-    "Particle",
-    "PotentialMix",
-    "QuantumNumbers",
-    "RadialGrid",
-    "RadialSolution",
-    "ScanError",
-    "TunnelingReport",
-    "TurningPoints",
-    "airy_ai",
-    "airy_ai_prime",
-    "airy_ai_zero",
-    "bessel_i0",
-    "bessel_j0",
-    "bessel_k0",
-    "classify_binding",
-    "count_nodes",
-    "equal_mix_energy",
-    "equal_mix_solution",
-    "equal_mix_wavefunction",
-    "estimate_quasibound_energy",
-    "find_bound_state",
-    "gamma_barrier_quadrature",
-    "gamma_mixed",
-    "gamma_pure_vector",
-    "integrate_radial",
-    "lifetime_ratio",
-    "momentum_modulus",
-    "potentials",
-    "sauter_transmission",
-    "scalar_asymptote",
-    "suggest_bracket",
-    "turning_points",
-    "vector_profile_continuum_edge",
-    "vector_profile_turning_point",
-    "x_of_r",
-]
+# every public name imported above, the submodules aside
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

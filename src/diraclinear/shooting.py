@@ -21,10 +21,11 @@ for scan shots its sign changes, so its shots build no RadialSolution.
 No module holds solver state: a grid keeps its coefficient stack (see
 _prime_grid), and a grid hint the last index and the shots of its last
 Dirichlet scan, which no midpoint_scale changes, so that the spread
-estimates replay the central estimate's scan.
+estimates replay the central estimate's scan, and the fixed grid that
+the three estimates share, with its stack and its scan shots.
 _splice_tail frees a bound state's stack once it has taken the tail's
-step matrices from it, and the estimator its fixed grid's once Brent's
-method is done.
+step matrices from it; the fixed grid's stack lives as long as the hint
+holds it, and a hint holds at most one.
 
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff.  find_bound_state therefore keeps
@@ -89,15 +90,17 @@ def _held(m, mix, k, grid):
     return held[1] if held is not None and held[0] == (m, mix.lam, mix.s, int(k)) else None
 
 
-def _prime_grid(m, mix, k, E, grid):
+def _prime_grid(m, mix, k, E, grid, steps=None):
     """Keeps on grid, as radii() keeps its array, the problem's whole
-    stack centred at E (see _kernels), tagged with (m, lambda, s, k); a
-    no-op when grid holds that problem's stack, so that no centre moves.
-    Another problem's stack is freed before the new one is built."""
+    stack centred at E (see _kernels), over its first `steps` steps, all
+    n when None, tagged with (m, lambda, s, k); a no-op when grid holds
+    that problem's stack, so that no centre moves.  Another problem's
+    stack is freed before the new one is built."""
     if _held(m, mix, k, grid) is None:
         _drop_stack(grid)
         tag = (m, mix.lam, mix.s, int(k))
-        grid.__dict__["_stack"] = tag, _prime(*tag, E, grid.r_min, grid.h, grid.n)
+        grid.__dict__["_stack"] = tag, _prime(*tag, E, grid.r_min, grid.h,
+                                              grid.n if steps is None else steps)
 
 
 def _drop_stack(grid):
@@ -105,12 +108,13 @@ def _drop_stack(grid):
     grid.__dict__.pop("_stack", None)
 
 
-def _shoot(m, mix, k, E, grid):
-    """rk4_path's result for the outward shot at E on grid, through the
-    stack grid holds for this problem, if any."""
+def _shoot(m, mix, k, E, grid, steps=None):
+    """rk4_path's result for the outward shot at E over the first `steps`
+    steps of grid, all n when None, through the stack grid holds for this
+    problem, if any: a stack longer than the shot is read as its prefix."""
     u0, v0 = _launch(m, mix, k, E, grid.r_min)
-    return rk4_path(m, mix.lam, mix.s, int(k), E, grid.r_min, grid.h, grid.n, u0, v0,
-                    _primed=_held(m, mix, k, grid))
+    return rk4_path(m, mix.lam, mix.s, int(k), E, grid.r_min, grid.h,
+                    grid.n if steps is None else steps, u0, v0, _primed=_held(m, mix, k, grid))
 
 
 def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
@@ -278,17 +282,18 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
 
 def _first_above(above, lo, hi, start=None):
     """The least index i in (lo, hi) with above(i), or hi when there is
-    none.  above(lo) must be false, and above may turn true only once as
-    i rises, as a node count passing a fixed level does; lo and hi
-    themselves are never probed.
+    none, when above(lo) is false and above turns true only once as i
+    rises, as a node count passing a fixed level does; lo and hi
+    themselves are never probed.  Where above turns more than once, the
+    result is one of its turns, which the start picks (see _scan).
 
     Without a start this is plain bisection.  A start inside (lo, hi) is
     a guess at the answer: start and start - 1 are probed first, and when
     the turn lies between them start is returned after those two probes.
     Otherwise the search gallops away from start in steps of 1, 2, 4, ...
     until it passes the turn and bisects the last step, an exponential
-    search (Bentley and Yao, 1976).  above is monotone, so a guess, good
-    or bad, changes only which indices are probed, never the result."""
+    search (Bentley and Yao, 1976).  On a monotone above a guess, good or
+    bad, changes only which indices are probed, never the result."""
     if start is not None and lo < start < hi:
         step = 1
         if above(start):
@@ -397,18 +402,33 @@ def _require_resolved(m, mix, nodes, e, grid):
         f"the {nodes}-node state, so the node count need not rise with E; {fix}")
 
 
-def _dirichlet_u(m, mix, k, e, grid, count=False):
-    """(u, changes) for the outward shot at energy e: u at the outer end of
-    the grid, or +-inf, the sign of u where the shot overflowed, if it
-    overflows first (nan if that sign is 0); and, when `count` is set, the
-    strict sign changes of u over u[1:], so a node that has just come in
-    through the outer end counts too, else None.
+def _dirichlet_u(m, mix, k, e, grid, count=False, steps=None):
+    """(u, changes) for the outward shot at energy e over the first
+    `steps` steps of grid, all n when None: u at the last of them, or
+    +-inf, the sign of u where the shot overflowed, if it overflows first
+    (nan if that sign is 0); and, when `count` is set, the strict sign
+    changes of u over u[1:steps + 1], so a node that has just come in
+    through the Dirichlet point counts too, else None.
 
-    This is every shot of the quasi-bound estimator: one rk4_path call
-    with integrate_radial's arguments, building no RadialSolution."""
-    u, _, stop, sign = _shoot(m, mix, k, e, grid)
-    end = float(u[-1]) if stop == grid.n else math.inf * float(sign)
-    return end, count_nodes(u, end=True) if count else None
+    This is every shot of the quasi-bound estimator, at any step count:
+    one rk4_path call with integrate_radial's arguments, building no
+    RadialSolution.  The estimator's fixed grid keeps its scan shots
+    (see estimate_quasibound_energy): there a counted energy is shot once,
+    over the grid's whole stack, and kept, and every count of it, at any
+    step count, reads that shot's prefix, the bits of a shot of that many
+    steps (see _kernels)."""
+    if steps is None:
+        steps = grid.n
+    # (steps of its stack, shots): the fixed grid's scan shots
+    held = grid.__dict__.get("_kept") if count else None
+    shot = None if held is None else held[1].get(e)
+    if shot is None:
+        shot = _shoot(m, mix, k, e, grid, steps if held is None else held[0])
+        if held is not None:
+            held[1][e] = shot
+    u, _, stop, sign = shot
+    end = float(u[steps]) if stop >= steps else math.inf * float(sign)
+    return end, count_nodes(u[:steps + 1], end=True) if count else None
 
 
 def _scan(m, width, steps, offset, above, last, what, level=None, start=None):
@@ -418,8 +438,15 @@ def _scan(m, width, steps, offset, above, last, what, level=None, start=None):
     width the window 10*sqrt(lambda), and energy(0) = m + offset*width/steps:
     suggest_bracket puts its first energy a quarter of a step above m, the
     estimator half a step.  above(E), the caller's probe at energy E, says
-    whether a count of sign changes exceeds a fixed level; the count does
-    not fall as E rises (it counts the turns of the Pruefer angle).
+    whether a count of sign changes exceeds a fixed level.  On the node
+    scan and the estimator's first scan, at per-energy radii, that count
+    does not fall as E rises (it counts the turns of the Pruefer angle).
+    The estimator's second scan, at one fixed r_mid, has no such
+    guarantee: there the count fell somewhere in 262 of 450 random draws.
+    That scan relies on its start, the first scan's index, instead: from
+    it the search returned the first rise after the last fall in all 185
+    such draws checked, where a start of 1 can return index 0 and a
+    refusal.
     last(energy), the caller's, refuses the scan before any shot or returns
     the last index, top, that the scan may shoot.
 
@@ -430,8 +457,8 @@ def _scan(m, width, steps, offset, above, last, what, level=None, start=None):
     first energy above `level` (_scan_index), such as a WKB level, which on
     the benchmark's requests is the transition's index or one off: the
     search then takes 2 shots, or 4 when the guess is one step high, in
-    place of a cold bisection's 7 or 8.  Any start gives the same i: a guess
-    changes only which energies are shot.
+    place of a cold bisection's 7 or 8.  On a monotone count any start
+    gives the same i: a guess changes only which energies are shot.
 
     Raises ScanError, before any shot, when energy 0 rounds to m, as for a
     huge m; and when i = 0: then `what`, the level looked for, lies below
@@ -536,23 +563,25 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     and a root of u(r_mid) = 0 above m is found in three stages:
 
     1. a 97-point scan of (m, m + 10*sqrt(lambda)) (see _scan), each
-       energy shot to its own Dirichlet point, unscaled, brackets the
-       lowest sign change of u there: the pair of adjacent scan energies
-       across which the count of the shot's sign changes over u[1:] first
-       exceeds 0.  No midpoint_scale changes this stage, so grid_hint
-       keeps its index and its shots (energy -> (u, sign changes)), tagged
-       with m, lambda, s and k.  A later scan of the same problem on that
-       hint starts at that index and reads the kept shots, so the 0.9 and
-       1.1 estimates after the central one shoot nothing here; a scan of
-       another problem starts at the WKB level of the ground state
-       (_wkb_level);
-    2. r_mid is fixed at midpoint_scale times the Dirichlet point of the
-       bracket's midpoint, and the scan is run again on that fixed grid:
-       the same energies, each now shot to r_mid, and the same search,
-       started at stage 1's index.  Where stage 1's bracket holds at
-       r_mid, that search shoots its two ends, hi and then lo, and nothing
-       else;
-    3. Brent's method converges on u(r_mid) to 1e-11*m, one rk4_path shot
+       energy shot to its own Dirichlet point, brackets the lowest sign
+       change of u there: the pair of adjacent scan energies across which
+       the count of the shot's sign changes over u[1:] first exceeds 0.
+       No midpoint_scale changes this stage, so grid_hint keeps its index
+       and its shots (energy -> (u, sign changes)), tagged with m, lambda,
+       s and k.  A later scan of the same problem on that hint starts at
+       that index and reads the kept shots, so the 0.9 and 1.1 estimates
+       after the central one shoot nothing here; a scan of another
+       problem starts at the WKB level of the ground state (_wkb_level);
+    2. the fixed grid is the central one: n steps (n from grid_hint) from
+       r_min to the Dirichlet point of the bracket's midpoint, run on at
+       the same step h to L = max(round(1.1*n), round(midpoint_scale*n))
+       steps.  Scale c converges at step j = round(c*n), r_mid = r_min +
+       j*h, so the central estimate's grid is the n-step one.  The scan is
+       run again there: the same energies, each now shot to L once and
+       read at step j, and the same search, started at stage 1's index.
+       Where stage 1's bracket holds at r_mid, that search reads its two
+       ends, hi and then lo, and nothing else;
+    3. Brent's method converges on u(r_mid) to 1e-11*m, one j-step shot
        per evaluation, reading the two ends from stage 2's shots.
 
     Every estimate is thus a root of u(r_mid) on the fixed grid, bracketed
@@ -561,10 +590,16 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     its upper end counts more than one sign change, so that it may hold
     more than one level.
 
-    Stages 2 and 3 shoot one grid, ending at r_mid, at and between scan
-    energies near stage 1's bracket, so its whole coefficient stack is
+    Stages 2 and 3 shoot the fixed grid at and between scan energies near
+    stage 1's bracket, so its whole coefficient stack, over L steps, is
     built in one pass, centred at that bracket's lower end, before the
-    first of them, and freed when they end.
+    first of them.  grid_hint keeps the fixed grid, its stack and its
+    stage-2 shots, tagged with m, lambda, s, k and that lower end, in
+    place of the last problem's, so the three scales of one problem prime
+    it once and shoot each scan energy at most once; a scale that needs
+    more than L steps rebuilds it.  A j-step shot reads a prefix of the
+    stack, the bits of a j-step stack, so every estimate is the one that
+    a fresh hint gives, whatever ran on the hint before.
 
     Every shot goes through _dirichlet_u, which returns u(r_mid), and
     for scan shots the sign-change count.
@@ -575,14 +610,15 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     as _scan does.
 
     This is an estimate; re-solving with midpoint_scale 0.9 and 1.1 gives
-    its truncation-sensitivity spread: the scale moves r_mid alone, so the
-    spread estimates converge at 0.9 and 1.1 times the central estimate's
-    r_mid.  n is taken from grid_hint, and
-    r_min too unless it lies above 1e-6 r_mid, or below 2^(-1000/|k|),
-    where r_min^|k| would near the least normal double and the outcome
-    would depend on which energies are shot (a floor that binds only at
-    large |k|, and that is capped at r_mid/2); the outer radius is the
-    Dirichlet point itself.
+    its truncation-sensitivity spread.  The three estimates share r_min
+    and h, so the RK4 error common to them drops out and the spread
+    measures the truncation alone, at the grid point nearest 0.9 and 1.1
+    times the central r_mid.  r_min is grid_hint's unless it lies above
+    1e-6 times the central r_mid, or below 2^(-1000/|k|), where r_min^|k|
+    would near the least normal double and the outcome would depend on
+    which energies are shot (a floor that binds only at large |k|, and
+    that is capped at r_mid/2); the outer radius is the Dirichlet point
+    itself.
     """
     from scipy.optimize import brentq
 
@@ -601,12 +637,13 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
         r_min = max(min(grid_hint.r_min, 1e-6 * r_mid), 2.0 ** (-1000.0 / abs(k)))
         return RadialGrid(r_min=min(r_min, 0.5 * r_mid), r_max=r_mid, n=grid_hint.n)
 
-    def probe(shots, grid_of):
+    def probe(shots, grid_of, at=None):
         """A scan's probe: u and sign changes of the shot at energy e on
-        grid_of(e), each energy shot once and kept in `shots`."""
+        grid_of(e), read at step `at` (its last when None), each energy
+        shot once and kept in `shots`."""
         def above(e):
             if e not in shots:
-                shots[e] = _dirichlet_u(m, mix, k, e, grid_of(e), count=True)
+                shots[e] = _dirichlet_u(m, mix, k, e, grid_of(e), count=True, steps=at)
             return shots[e][1] > 0
         return above
 
@@ -653,31 +690,41 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     lo, hi = bracket(i, scan, f"in the scan window ({m}, {m + width}); "
                               f"no quasi-bound level found")
 
-    # converge at one fixed radius; the scan's radius moved with the
-    # energy, so its sign change need not hold at r_mid: scan the same
-    # energies there, from the scan's index, in 2 shots when it holds
-    r_mid = midpoint_scale * dirichlet_radius(0.5 * (lo + hi))
-    fixed = grid_at(r_mid)
-    # every shot from here on is on the fixed grid, near lo: its whole
-    # stack, centred at lo, is built in one pass
-    _prime_grid(m, mix, k, lo, fixed)
-    try:
-        at_r_mid = {}
-        j, _, _ = _scan(m, width, steps, 0.5, probe(at_r_mid, lambda e: fixed), last,
-                        f"a Dirichlet level at r_mid = {r_mid}", start=i)
-        lo, hi = bracket(j, at_r_mid, f"at r_mid = {r_mid} within the scan window "
-                                      f"({m}, {m + width}) around ({lo}, {hi})")
+    # converge at one fixed radius, on the fixed grid that the three
+    # scales share: held by the hint unless another problem or a shorter
+    # reach left it, and then freed before the new stack is built
+    j = round(midpoint_scale * grid_hint.n)
+    reach = max(round(1.1 * grid_hint.n), j)
+    key = (*tag, lo)
+    held, fixed = grid_hint.__dict__.get("_fixed", (None, None))
+    if held != key or fixed.__dict__["_kept"][0] < reach:
+        grid_hint.__dict__.pop("_fixed", None)
+        fixed = grid_at(dirichlet_radius(0.5 * (lo + hi)))
+        # every shot from here on is near lo: its whole stack, centred at
+        # lo, is built in one pass
+        _prime_grid(m, mix, k, lo, fixed, reach)
+        fixed.__dict__["_kept"] = reach, {}
+        grid_hint.__dict__["_fixed"] = key, fixed
+    r_mid = fixed.r_min + j * fixed.h
+    # the scan's radius moved with the energy, so its sign change need not
+    # hold at r_mid: scan the same energies there, from the scan's index
+    at_r_mid = {}
+    i, _, _ = _scan(m, width, steps, 0.5, probe(at_r_mid, lambda e: fixed, j), last,
+                    f"a Dirichlet level at r_mid = {r_mid}", start=i)
+    lo, hi = bracket(i, at_r_mid, f"at r_mid = {r_mid} within the scan window "
+                                  f"({m}, {m + width}) around ({lo}, {hi})")
 
-        def residual(e):
-            # the scan has shot the ends; an overflowed shot is only a sign,
-            # which Brent's interpolation cannot use
-            f = at_r_mid[e][0] if e in at_r_mid else _dirichlet_u(m, mix, k, e, fixed)[0]
-            if not math.isfinite(f):
-                raise ScanError(
-                    f"the shot at E = {e} overflows before the Dirichlet point "
-                    f"r_mid = {r_mid}; no finite residual to converge on")
-            return f
+    def residual(e, grid):
+        # the scan has read the ends; an overflowed shot is only a sign,
+        # which Brent's interpolation cannot use
+        f = at_r_mid[e][0] if e in at_r_mid else _dirichlet_u(m, mix, k, e, grid, steps=j)[0]
+        if not math.isfinite(f):
+            raise ScanError(
+                f"the shot at E = {e} overflows before the Dirichlet point "
+                f"r_mid = {r_mid}; no finite residual to converge on")
+        return f
 
-        return brentq(residual, lo, hi, xtol=1e-11 * m)
-    finally:  # brentq's reference cycle keeps fixed alive until a gc pass
-        _drop_stack(fixed)
+    # the grid is an argument, not a closure cell: brentq's wrapper of
+    # residual is a reference cycle, which a gc pass alone frees, and it
+    # must not keep the stack alive once the hint lets it go
+    return brentq(residual, lo, hi, args=(fixed,), xtol=1e-11 * m)

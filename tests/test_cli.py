@@ -240,7 +240,7 @@ def test_solve_level_above_the_scan_window(capsys):
     rep = parse_report(out)
     assert float(rep["analytic_energy_gev"]) == equal_mix_energy(1.0, 0.2, 28)
     # only 1.6 past r1 the grid ends before the tail has decayed, which
-    # raises the box's level by 5.8e-4; a 32-long grid holds the tail
+    # raises the box's level by 5.74e-4; a 32-long grid holds the tail
     assert float(rep["difference_gev"]) < 1e-3
     code, out, _ = run_cli(capsys, "solve", "--zero-index", "28", "--rmax", "32")
     assert code == 0

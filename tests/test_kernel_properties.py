@@ -3,7 +3,9 @@ grid's stack primed at that shot's energy, follows a plain per-step RK4
 loop over seeded draws of the whole parameter domain, outward and inward,
 overflowing shots included, and on coarse steps far from the centre, where
 a shot past |h| |E - E_c| = 1 builds its own step matrices; the one-pass
-build's row p = 0 equals that row built apart; and on synthetic bands
+build's row p = 0 equals that row built apart; a shot over the first j
+steps of a longer stack, or the first j steps of a shot over all of it,
+is the shot over a j-step stack to the bit; and on synthetic bands
 whose paths grow past the sum-of-squares test's 1.34e154 and the 1e250
 cap, rk4_path stops where the exact max/min rule does."""
 
@@ -123,6 +125,41 @@ def test_one_pass_stack_equals_its_rows_built_apart(m, lam, s, k, centre, n, inw
     assert stack.shape == (5, 8 * (n + 1))
     # row p = 0 is the same bits whether or not rows p = 1..4 share its pass
     np.testing.assert_array_equal(stack[0], _row0(m, lam, s, k, centre, r0, h, n)[0])
+
+
+def _bits(a):
+    """a's bits, every NaN as one pattern."""
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+@given(m=SCALES, lam=SCALES, s=st.floats(0.0, 1.0), k=st.sampled_from((-2, -1, 1, 2)),
+       level=st.floats(0.0, 1.0), n=st.integers(100, 2000), scale=st.floats(0.5, 1.5),
+       step=st.floats(0.002, 0.05))
+# paths that overflow before the j-step radius, and between it and L
+@example(m=1.0, lam=1.0, s=1.0, k=-1, level=0.37, n=2000, scale=1.5, step=0.05)
+@example(m=1.0, lam=1.0, s=1.0, k=-1, level=0.37, n=2000, scale=0.5, step=0.025)
+def test_prefix_shots_of_a_longer_stack_equal_shots_of_its_own(m, lam, s, k, level, n, scale,
+                                                              step):
+    # the quasi-bound estimator's fixed grid: a stack of
+    # L = max(round(1.1 n), j) steps, shot for j = round(scale n) steps,
+    # and shot for all L steps, whose first j steps it reads
+    j = round(scale * n)
+    long = max(round(1.1 * n), j)
+    r0, launch = 1e-5, (1e-6, -1e-12)
+    centre = m + 10.0 * math.sqrt(lam) * level
+    stacks = [_prime(m, lam, s, k, centre, r0, step, steps) for steps in (j, long)]
+    # at the centre, within unit reach, and past it, where a shot builds
+    # its own row p = 0 over as many steps as it takes
+    for e in (centre, centre + 0.01, centre - 0.3 / step, centre + 1.5 / step):
+        u, v, stop, sign = rk4_path(m, lam, s, k, e, r0, step, j, *launch, _primed=stacks[0])
+        prefix = rk4_path(m, lam, s, k, e, r0, step, j, *launch, _primed=stacks[1])
+        np.testing.assert_array_equal(_bits(prefix[0]), _bits(u))
+        np.testing.assert_array_equal(_bits(prefix[1]), _bits(v))
+        assert prefix[2:] == (stop, sign)
+        whole = rk4_path(m, lam, s, k, e, r0, step, long, *launch, _primed=stacks[1])
+        np.testing.assert_array_equal(_bits(whole[0][:j + 1]), _bits(u))
+        np.testing.assert_array_equal(_bits(whole[1][:j + 1]), _bits(v))
+        assert (min(whole[2], j), whole[3] if whole[2] < j else 0.0) == (stop, sign)
 
 
 _GROWTH = st.tuples(st.floats(-50.0, 330.0), st.sampled_from((1.0, -1.0)))

@@ -15,7 +15,8 @@ raised by a constant, where a level lies below its first energy, is
 refused for a scan step that does not resolve the levels, that no
 energy is shot twice on the estimator's fixed grid, and that an estimate
 on a grid hint that other scales and problems used before is the one a
-fresh hint gives, its r_mid exactly midpoint_scale times the central one.
+fresh hint gives, its r_mid on the central estimate's fixed grid, at the
+step round(midpoint_scale*n).
 """
 
 import math
@@ -52,14 +53,15 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
-    """estimate_quasibound_energy with one integrate_radial per shot: every
-    one of the 97 scan energies shot to its own unscaled Dirichlet point,
-    the walk to the first sign change, then r_mid, the bracket midpoint's
-    Dirichlet point times midpoint_scale, the fixed-radius widening and
-    Brent on a grid primed at the bracket's lower end, as the estimator
-    primes it.  The estimator scans again at r_mid where this widens a
-    bracket with no sign change there one scan step at a time, so the two
-    searches are checked against each other."""
+    """estimate_quasibound_energy with one shot per energy: every one of
+    the 97 scan energies shot by integrate_radial to its own Dirichlet point,
+    the walk to the first sign change, then the central grid, n steps to
+    the bracket midpoint's Dirichlet point, and r_mid at its step
+    j = round(midpoint_scale*n), the fixed-radius widening and Brent by
+    j-step shots on a stack of j steps, centred at the bracket's lower end
+    as the estimator centres its longer one.  The estimator scans again at
+    r_mid where this widens a bracket with no sign change there one scan
+    step at a time, so the two searches are checked against each other."""
     def dirichlet_radius(e):
         tp = turning_points(m, e, mix)
         cap = tp.r1 + 10.0 / (mix.lam * (m + e)) ** (1.0 / 3.0)
@@ -91,10 +93,16 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
             f"({m}, {m + width}); no quasi-bound level found")
 
     lo, hi = bracket
-    r_mid = midpoint_scale * dirichlet_radius(0.5 * (lo + hi))
-    fixed = grid_at(r_mid)
-    shooting._prime_grid(m, mix, k, lo, fixed)
-    f_lo, f_hi = endpoint_u(lo, fixed), endpoint_u(hi, fixed)
+    fixed = grid_at(dirichlet_radius(0.5 * (lo + hi)))
+    j = round(midpoint_scale * grid_hint.n)
+    r_mid = fixed.r_min + j * fixed.h
+    shooting._prime_grid(m, mix, k, lo, fixed, j)
+
+    def fixed_u(e):
+        u, _, stop, sign = shooting._shoot(m, mix, k, e, fixed, j)
+        return float(u[-1]) if stop == j else math.inf * sign
+
+    f_lo, f_hi = fixed_u(lo), fixed_u(hi)
     step = width / steps
     while f_lo * f_hi > 0:
         down = abs(f_lo) <= abs(f_hi)
@@ -103,7 +111,7 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
             raise ScanError(
                 f"no Dirichlet sign change at r_mid = {r_mid} within the scan "
                 f"window ({m}, {m + width}) around ({bracket[0]}, {bracket[1]})")
-        f = endpoint_u(e, fixed)
+        f = fixed_u(e)
         if down:
             if f * f_lo <= 0:
                 hi, f_hi = lo, f_lo
@@ -116,7 +124,7 @@ def _per_shot_estimate(m, mix, k, grid_hint, midpoint_scale):
     ends = {lo: f_lo, hi: f_hi}
 
     def residual(e):
-        f = ends[e] if e in ends else endpoint_u(e, fixed)
+        f = ends[e] if e in ends else fixed_u(e)
         if not math.isfinite(f):
             raise ScanError(
                 f"the shot at E = {e} overflows before the Dirichlet point "
@@ -250,42 +258,49 @@ def test_the_wkb_start_never_changes_an_estimate(m, lam, s, k, n, midpoint_scale
     assert _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale) == cold
 
 
+SHARED_SCALES = (1.0, 0.9, 1.1, 1.3)
+
+
 @given(m=SCALES, lam=SCALES, s=st.floats(0.0, 0.49), k=CHANNELS, n=STEPS,
        other=st.tuples(SCALES, SCALES, st.floats(0.0, 0.49), CHANNELS),
-       order=st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from((1.0, 0.9, 1.1))),
+       order=st.lists(st.tuples(st.sampled_from((0, 1)), st.sampled_from(SHARED_SCALES)),
                       min_size=1, max_size=6))
 def test_estimates_on_a_shared_hint_equal_fresh_ones(m, lam, s, k, n, other, order):
-    # a hint keeps the scan index and shots of the last problem estimated
-    # on it: whatever scales and problems ran on it before, each estimate
-    # is the one a fresh hint gives, and the fixed grid of scale c ends at
-    # c times the central estimate's r_mid
+    # a hint keeps the scan index and shots, and the fixed grid with its
+    # stack and its shots, of the last problem estimated on it: whatever
+    # scales and problems ran on it before, each estimate is the one a
+    # fresh hint gives, and scale c converges on the central estimate's
+    # fixed grid, at r_min + round(c*n)*h; at 1.3 it takes a longer stack
     problems = [(m, PotentialMix(lam, s), k),
                 (other[0], PotentialMix(other[1], other[2]), other[3])]
-    real = shooting._prime_grid
-    primed = []
+    real = shooting._dirichlet_u
+    ends = []
 
-    def recording(m, mix, k, e, grid):  # the estimator primes only its fixed grid
-        primed.append(grid.r_max)
-        return real(m, mix, k, e, grid)
+    def recording(m, mix, k, e, grid, count=False, steps=None):
+        if steps is not None:  # only the fixed grid's shots are given a step count
+            ends.append((grid.r_min, grid.h, steps))
+        return real(m, mix, k, e, grid, count, steps)
 
-    shooting._prime_grid = recording
+    shooting._dirichlet_u = recording
     try:
-        fresh, r_mid = {}, {}
+        fresh, end = {}, {}
         for p, problem in enumerate(problems):
-            for c in (1.0, 0.9, 1.1):
-                primed.clear()
+            for c in SHARED_SCALES:
+                ends.clear()
                 fresh[p, c] = _outcome(estimate_quasibound_energy, *problem,
                                        RadialGrid(25e-6, 25.0, n), c)
-                r_mid[p, c] = primed[-1] if primed else None
+                assert len(set(ends)) <= 1
+                end[p, c] = ends[-1] if ends else None
         hint = RadialGrid(25e-6, 25.0, n)
         shared = [_outcome(estimate_quasibound_energy, *problems[p], hint, c) for p, c in order]
     finally:
-        shooting._prime_grid = real
+        shooting._dirichlet_u = real
     assert shared == [fresh[p, c] for p, c in order]  # float equality: the same bits
     for p in range(len(problems)):
-        central = r_mid[p, 1.0]
-        for c in (0.9, 1.1):
-            assert r_mid[p, c] == (None if central is None else c * central)
+        central = end[p, 1.0]
+        assert central is None or central[2] == n
+        for c in SHARED_SCALES[1:]:
+            assert end[p, c] == (None if central is None else (*central[:2], round(c * n)))
 
 
 @given(m=SCALES, lam=SCALES, s=st.floats(0.5, 1.0), k=st.sampled_from((-2, -1, 1)),
@@ -351,8 +366,8 @@ def test_raised_sign_change_counts_are_refused(m, lam, s, k, n, c):
     scales = (1.0, 0.9, 1.1)
     real = shooting._dirichlet_u
 
-    def raised(m, mix, k, e, grid, count=False):
-        f, changes = real(m, mix, k, e, grid, count)
+    def raised(m, mix, k, e, grid, count=False, steps=None):
+        f, changes = real(m, mix, k, e, grid, count, steps)
         return f, (changes + c if count else changes)
 
     hint = RadialGrid(25e-6, 25.0, n)
@@ -387,10 +402,10 @@ def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
     scanned, fixed = [], []
     real = shooting._dirichlet_u
 
-    def recording(m, mix, k, e, grid, count=False):
-        # the fixed grid at r_mid is the one primed with a stack
-        (fixed if "_stack" in grid.__dict__ else scanned).append(e)
-        return real(m, mix, k, e, grid, count)
+    def recording(m, mix, k, e, grid, count=False, steps=None):
+        # only the fixed grid's shots, at r_mid, are given a step count
+        (fixed if steps is not None else scanned).append(e)
+        return real(m, mix, k, e, grid, count, steps)
 
     shooting._dirichlet_u = recording
     try:

@@ -478,16 +478,24 @@ def _fresh(grid):
 
 def _record_shots(monkeypatch):
     """Route the estimator's shots, shooting._dirichlet_u, through a
-    recorder of (E, grid), one entry per shot."""
+    recorder of (E, grid, steps), one entry per call.  Only the fixed
+    grid's calls give a step count, and there a counted energy is shot
+    once and kept, so a call is a shot or a read of a kept one."""
     shots = []
     real = shooting._dirichlet_u
 
-    def recording(m, mix, k, e, grid, count=False):
-        shots.append((e, grid))
-        return real(m, mix, k, e, grid, count)
+    def recording(m, mix, k, e, grid, count=False, steps=None):
+        shots.append((e, grid, steps))
+        return real(m, mix, k, e, grid, count, steps)
 
     monkeypatch.setattr(shooting, "_dirichlet_u", recording)
     return shots
+
+
+def _fixed(hint):
+    """The fixed grid that the hint's last estimate converged on: the
+    central grid, whose stack runs on past its n steps."""
+    return hint.__dict__["_fixed"][1]
 
 
 @pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
@@ -497,7 +505,10 @@ def test_quasibound_estimate_is_root_at_its_dirichlet_radius(monkeypatch, grid):
     m, mix = 0.5786714052533269, PotentialMix(0.6465073497432428, 0.0)
     shots = _record_shots(monkeypatch)
     e = estimate_quasibound_energy(m, mix, -1, grid)
-    fixed = shots[-1][1]
+    # the central estimate converges on the fixed grid's first n steps,
+    # which integrate_radial shoots through the same held stack
+    fixed = _fixed(grid)
+    assert shots[-1][1] is fixed and shots[-1][2] == fixed.n == grid.n
     e_lo = estimate_quasibound_energy(m, mix, -1, grid, midpoint_scale=0.9)
     e_hi = estimate_quasibound_energy(m, mix, -1, grid, midpoint_scale=1.1)
     assert min(e_lo, e_hi) - 1e-6 <= e <= max(e_lo, e_hi) + 1e-6
@@ -537,11 +548,12 @@ def test_quasibound_refinement_shot_budget(monkeypatch):
     # plain bisection of a one-step scan bracket down to 1e-11*m needs
     # about 35 shots; Brent's method on u(r_mid) needs far fewer
     shots = _record_shots(monkeypatch)
-    estimate_quasibound_energy(M, VECTOR, -1, GRID)
-    # the scan's radius moves with the energy; every refinement shot ends
-    # at the one fixed Dirichlet radius of the last shot
-    r_mid = shots[-1][1].r_max
-    scan = max(i for i, (_, grid) in enumerate(shots) if grid.r_max != r_mid) + 1
+    hint = _fresh(GRID)
+    estimate_quasibound_energy(M, VECTOR, -1, hint)
+    # the scan's radius moves with the energy; every refinement shot is on
+    # the one fixed grid, given the central step count n
+    scan = max(i for i, (_, _, steps) in enumerate(shots) if steps is None) + 1
+    assert all(grid is _fixed(hint) and steps == GRID.n for _, grid, steps in shots[scan:])
     assert len(shots) - scan <= 15
 
 
@@ -597,38 +609,60 @@ def _record_builds(monkeypatch):
 @pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
 def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
     # a row p = 0 per scan shot, each on a grid of its own; at the fixed
-    # radius one five-row stack, built in one pass before its first shot
-    builds = _record_builds(monkeypatch)
-    shots = _record_shots(monkeypatch)
-    for m, mix in ((M, VECTOR), (0.8, PotentialMix(0.6, 0.25)), (1.2, PotentialMix(0.4, 0.45))):
-        for scale in (1.0, 0.9, 1.1):
-            builds.clear()
-            shots.clear()
-            estimate_quasibound_energy(m, mix, -1, grid, midpoint_scale=scale)
-            r_mid = shots[-1][1].r_max
-            scan = sum(g.r_max != r_mid for _, g in shots)
-            assert len(shots) > scan + 2
-            kinds = [b[2] for b in builds]  # higher
-            assert kinds == [False] * scan + [True]
-
-
-@pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
-def test_spread_estimates_replay_the_central_scan(monkeypatch, grid):
-    # the central estimate leaves its scan's shots on the hint, and no
-    # midpoint_scale changes them: the 0.9 and 1.1 estimates replay them,
-    # so they build no row p = 0 and shoot only their fixed grid
+    # radius one five-row stack over round(1.1 n) steps, built in one pass
+    # before its first shot, which the three scales of a problem share
     builds = _record_builds(monkeypatch)
     shots = _record_shots(monkeypatch)
     for m, mix in ((M, VECTOR), (0.8, PotentialMix(0.6, 0.25)), (1.2, PotentialMix(0.4, 0.45))):
         hint = _fresh(grid)
-        estimate_quasibound_energy(m, mix, -1, hint)
-        for scale in (0.9, 1.1):
+        for scale in (1.0, 0.9, 1.1):
             builds.clear()
             shots.clear()
             estimate_quasibound_energy(m, mix, -1, hint, midpoint_scale=scale)
-            fixed = shots[-1][1]
-            assert [(h, higher) for _, h, higher in builds] == [(fixed.h, True)]
-            assert all(g is fixed for _, g in shots)
+            fixed = _fixed(hint)
+            scan = sum(steps is None for _, _, steps in shots)
+            assert len(shots) > scan + 2
+            assert all(g is fixed and steps == round(scale * grid.n)
+                       for _, g, steps in shots[scan:])
+            kinds = [b[2] for b in builds]  # higher
+            assert kinds == ([False] * scan + [True] if scale == 1.0 else [])
+            assert scale != 1.0 or builds[-1][1] == fixed.h
+        held = shooting._held(m, mix, -1, fixed)
+        assert held[1].shape == (5, 8 * (round(1.1 * grid.n) + 1))
+
+
+@pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
+def test_spread_estimates_replay_the_central_scan(monkeypatch, grid):
+    # the central estimate leaves its scan's shots and its fixed grid on
+    # the hint, and no midpoint_scale changes them: the 0.9 and 1.1
+    # estimates replay the scan and share the grid's stack, so they build
+    # nothing and call only the fixed grid, at their own step count; an
+    # energy that the central estimate's scan shot there is not shot again
+    builds = _record_builds(monkeypatch)
+    shots = _record_shots(monkeypatch)
+    paths = []
+    real = shooting.rk4_path
+
+    def recording(m, lam, s, k, E, r0, h, n, u0, v0, _primed=None):
+        paths.append(E)
+        return real(m, lam, s, k, E, r0, h, n, u0, v0, _primed=_primed)
+
+    monkeypatch.setattr(shooting, "rk4_path", recording)
+    for m, mix in ((M, VECTOR), (0.8, PotentialMix(0.6, 0.25)), (1.2, PotentialMix(0.4, 0.45))):
+        hint = _fresh(grid)
+        shots.clear()
+        estimate_quasibound_energy(m, mix, -1, hint)
+        fixed = _fixed(hint)
+        scanned = {e for e, g, steps in shots if steps is not None}
+        for scale in (0.9, 1.1):
+            builds.clear()
+            shots.clear()
+            paths.clear()
+            estimate_quasibound_energy(m, mix, -1, hint, midpoint_scale=scale)
+            assert builds == []
+            assert _fixed(hint) is fixed
+            assert all(g is fixed and steps == round(scale * grid.n) for _, g, steps in shots)
+            assert not scanned & set(paths)
 
 
 def test_a_bound_solve_builds_its_grids_stack_once(monkeypatch):
@@ -681,8 +715,10 @@ def test_two_primed_grids_shot_alternately_build_each_stack_once(monkeypatch):
 
 def test_a_solve_leaves_no_stack_alive(monkeypatch):
     # with the collector off, reference cycles, such as the one brentq
-    # makes around the estimator's residual, keep what they hold alive:
-    # every five-row stack must still be freed when the call returns
+    # makes around the estimator's residual, keep what they hold alive.
+    # A bound solve still frees its stack when it returns; a grid hint
+    # keeps the estimator's fixed grid and its stack between calls, but
+    # never more than one, and dropping the hint frees it at once
     stacks = []
     real = shooting._prime
 
@@ -691,16 +727,29 @@ def test_a_solve_leaves_no_stack_alive(monkeypatch):
         stacks.append(weakref.ref(primed[1]))
         return primed
 
+    def alive():
+        return sum(ref() is not None for ref in stacks)
+
     monkeypatch.setattr(shooting, "_prime", recording)
     grid = RadialGrid(12e-6, 12.0, 4000)
     gc.collect()
     gc.disable()
     try:
         find_bound_state(M, EQUAL, -1, suggest_bracket(M, EQUAL, -1, grid), grid)
-        assert len(stacks) == 1 and stacks[0]() is None
-        for i, scale in enumerate((1.0, 0.9, 1.1)):
-            estimate_quasibound_energy(M, VECTOR, -1, QB_GRID, scale)
-            assert len(stacks) == i + 2 and stacks[-1]() is None
+        assert len(stacks) == 1 and alive() == 0
+        hint = _fresh(QB_GRID)
+        problems = [(M, VECTOR), (0.8, PotentialMix(0.6, 0.25)), (M, VECTOR)]
+        for m, mix in problems:
+            for scale in (1.0, 0.9, 1.1, 1.3):  # 1.3 needs a longer stack
+                estimate_quasibound_energy(m, mix, -1, hint, scale)
+                assert alive() == 1
+        assert len(stacks) == 1 + 2 * len(problems)
+        # a refusal before the fixed grid leaves the hint's stack as it is
+        with pytest.raises(ScanError):
+            estimate_quasibound_energy(1.0, PotentialMix(1e300, 0.0), -1, hint)
+        assert alive() == 1
+        del hint
+        assert alive() == 0
     finally:
         gc.enable()
 
@@ -724,16 +773,19 @@ def test_scan_ending_on_a_node_at_energy_0_converges_at_r_mid(monkeypatch):
     e0 = M + 10.0 * math.sqrt(LAM) / 192
     real = shooting._dirichlet_u
 
-    def node_at_e0(m, mix, k, e, grid, count=False):
-        f, changes = real(m, mix, k, e, grid, count)
-        if not count or "_stack" in grid.__dict__:  # the primed fixed grid's
+    def node_at_e0(m, mix, k, e, grid, count=False, steps=None):
+        f, changes = real(m, mix, k, e, grid, count, steps)
+        if not count or steps is not None:  # the fixed grid's, given its step count
             return f, changes
         return (0.0, 0) if e == e0 else (f, 1)
 
     monkeypatch.setattr(shooting, "_dirichlet_u", node_at_e0)
     shots = _record_shots(monkeypatch)
-    e = estimate_quasibound_energy(M, VECTOR, -1, _fresh(QB_GRID))
-    fixed = shots[-1][1]
+    hint = _fresh(QB_GRID)
+    e = estimate_quasibound_energy(M, VECTOR, -1, hint)
+    # the central estimate converges on the fixed grid's n steps
+    fixed = _fixed(hint)
+    assert shots[-1][1] is fixed and shots[-1][2] == fixed.n
     assert e > e0
     u = [integrate_radial(M, VECTOR, -1, x, fixed).u[-1] for x in (e - 1e-9, e + 1e-9)]
     assert u[0] * u[1] < 0
@@ -775,20 +827,24 @@ def test_threads_estimating_different_problems_match_serial():
             serial[p].append(estimate_quasibound_energy(*p, hint, midpoint_scale=c))
             tag, i = hint.__dict__["_scan"]
             indices.setdefault(tag, set()).add(i)
-    shared = _fresh(QB_GRID)
+    shared, twin = _fresh(QB_GRID), _fresh(QB_GRID)
     got, errors = {}, []
 
-    def worker(p):
+    def worker(p, hint, name):
         try:
-            got[p] = [estimate_quasibound_energy(*p, shared, midpoint_scale=c)
-                      for _ in range(3) for c in scales]
+            got[name] = [estimate_quasibound_energy(*p, hint, midpoint_scale=c)
+                         for _ in range(3) for c in scales]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
+    # one thread per problem on one shared hint, and two more threads on
+    # one problem sharing a hint of their own, and so its fixed grid, its
+    # stack and its kept shots
+    jobs = [(p, shared, p) for p in problems] + [(problems[1], twin, i) for i in range(2)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(p,)) for p in problems]
+        threads = [threading.Thread(target=worker, args=job) for job in jobs]
         for t in threads:
             t.start()
         for t in threads:
@@ -797,11 +853,12 @@ def test_threads_estimating_different_problems_match_serial():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
-    assert len(got) == len(problems)
-    # each estimate's stack is on a grid of its own and a hint changes only
-    # which energies are shot, so the threads get the serial answers exactly
-    for p in problems:
-        assert got[p] == 3 * serial[p]
+    assert len(got) == len(jobs)
+    # a fixed grid replaced on a hint stays whole for the call that holds
+    # it, and a hint changes only which energies are shot, so the threads
+    # get the serial answers exactly
+    for p, _, name in jobs:
+        assert got[name] == 3 * serial[p]
     # the hint left on the shared grid pairs one problem with its index
     tag, i = shared.__dict__["_scan"]
     assert i in indices[tag]
@@ -813,16 +870,20 @@ def test_quasibound_without_fixed_radius_sign_change_raises(monkeypatch):
     # returned
     real = shooting._dirichlet_u
 
-    def one_sign_at_r_mid(m, mix, k, e, grid, count=False):
-        # the scan's grids hold no stack; on the primed fixed grid every
+    fixed = []
+
+    def one_sign_at_r_mid(m, mix, k, e, grid, count=False, steps=None):
+        # only the fixed grid's shots are given a step count; there every
         # shot is positive and counts no sign change
-        if "_stack" in grid.__dict__:
+        if steps is not None:
+            fixed.append(e)
             return 1.0, (0 if count else None)
         return real(m, mix, k, e, grid, count)
 
     monkeypatch.setattr(shooting, "_dirichlet_u", one_sign_at_r_mid)
     with pytest.raises(ScanError, match="no Dirichlet sign change at r_mid"):
-        estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
+        estimate_quasibound_energy(M, VECTOR, -1, _fresh(QB_GRID))
+    assert fixed  # the refusal came from the fixed grid's scan
 
 
 def test_quasibound_overflow_near_root_raises(monkeypatch):
@@ -830,14 +891,19 @@ def test_quasibound_overflow_near_root_raises(monkeypatch):
     e_true = estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
     real = shooting._dirichlet_u
 
-    def overflowing_near_root(m, mix, k, e, grid, count=False):
+    refinement = []
+
+    def overflowing_near_root(m, mix, k, e, grid, count=False, steps=None):
         # an overflowed shot ends as +-inf, the sign of u where it overflowed
-        f, changes = real(m, mix, k, e, grid, count)
+        f, changes = real(m, mix, k, e, grid, count, steps)
+        if steps is not None and not count:  # a shot of Brent's method
+            refinement.append(e)
         return (np.inf if abs(e - e_true) < 1e-3 else f), changes
 
     monkeypatch.setattr(shooting, "_dirichlet_u", overflowing_near_root)
     with pytest.raises(ScanError, match="overflows"):
-        estimate_quasibound_energy(M, VECTOR, -1, QB_GRID)
+        estimate_quasibound_energy(M, VECTOR, -1, _fresh(QB_GRID))
+    assert refinement  # the refusal came from Brent's method on the fixed grid
 
 
 def test_quasibound_scan_below_the_resolution_near_m_raises(monkeypatch):

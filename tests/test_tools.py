@@ -44,7 +44,23 @@ def test_ledger_gives_a_moved_estimates_shift_in_spreads():
     current = dict(quasibound=[dict(estimates=["2.0", "2.01", "1.985"], gamma="1.5")])
     assert ledger.moved(reference, current) == [
         "quasibound[0] estimates: ['2.0', '2.01', '1.99'] -> ['2.0', '2.01', '1.985'] "
-        "(shifts 0, 0, 0.25 of the reference spread 0.02)"]
+        "(|dE| 0, 0, 0.005; shifts 0, 0, 0.25 of the reference spread 0.02)"]
+
+
+def test_ledger_gives_a_moved_estimates_absolute_shift():
+    # a spread of 1e-10 makes a 2e-9 move 20 spreads; the absolute shift
+    # beside it shows how small the move is, also where the spread is 0
+    ledger = _tool("answer_ledger")
+    reference = dict(quasibound=[dict(estimates=["2.0", "2.0000000001", "2.0"], gamma="1.5"),
+                                 dict(estimates=["3.0", "3.0", "3.0"], gamma="2.5")])
+    current = dict(quasibound=[dict(estimates=["2.0", "2.0000000021", "2.0"], gamma="1.5"),
+                               dict(estimates=["3.0", "3.0", "3.25"], gamma="2.5")])
+    assert ledger.moved(reference, current) == [
+        "quasibound[0] estimates: ['2.0', '2.0000000001', '2.0'] -> "
+        "['2.0', '2.0000000021', '2.0'] (|dE| 0, 2e-09, 0; shifts 0, 20, 0 of the "
+        "reference spread 1e-10)",
+        "quasibound[1] estimates: ['3.0', '3.0', '3.0'] -> ['3.0', '3.0', '3.25'] "
+        "(|dE| 0, 0, 0.25; the reference spread is 0)"]
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings():

@@ -11,8 +11,9 @@ estimates and gamma; for `cli` the exit codes, stdout with the work
 directory written as {dir}, and each CSV's sha256.  A request that raises
 records the exception's type and message.  The comparison is exact and
 names every request whose answer moved, giving a quasi-bound estimate's
-shift as a fraction of the reference's truncation spread
-|E(1.1) - E(0.9)|; it exits 1 when any moved.  The
+absolute shift |dE| and its shift as a fraction of the reference's
+truncation spread |E(1.1) - E(0.9)|, which alone overstates the move
+when that spread is tiny; it exits 1 when any moved.  The
 reference, tests/data/answers.json, changes only through --write.
 """
 
@@ -74,20 +75,23 @@ def answers():
     return ledger
 
 
-def _in_spreads(old, new):
-    """Each quasi-bound estimate's shift, old -> new, as a fraction of the
-    reference's truncation spread |E(1.1) - E(0.9)|."""
-    old, new = [float(e) for e in old], [float(e) for e in new]
-    spread = abs(old[2] - old[1])
+def _shifts(old, new):
+    """Each quasi-bound estimate's shift, old -> new: the absolute |dE|,
+    and as a fraction of the reference's truncation spread
+    |E(1.1) - E(0.9)|."""
+    deltas = [abs(float(b) - float(a)) for a, b in zip(old, new)]
+    absolute = ", ".join(f"{d:.3g}" for d in deltas)
+    spread = abs(float(old[2]) - float(old[1]))
     if spread == 0.0:
-        return " (the reference spread is 0)"
-    shifts = ", ".join(f"{abs(b - a) / spread:.3g}" for a, b in zip(old, new))
-    return f" (shifts {shifts} of the reference spread {spread:.3g})"
+        return f" (|dE| {absolute}; the reference spread is 0)"
+    shifts = ", ".join(f"{d / spread:.3g}" for d in deltas)
+    return f" (|dE| {absolute}; shifts {shifts} of the reference spread {spread:.3g})"
 
 
 def moved(reference, current):
     """One line per request whose answer differs between the two ledgers;
-    a moved quasi-bound estimate also gives its shifts in spreads."""
+    a moved quasi-bound estimate also gives its shifts, absolute and in
+    spreads."""
     lines = []
     for name in sorted(set(reference) | set(current)):
         old, new = reference.get(name, []), current.get(name, [])
@@ -98,7 +102,7 @@ def moved(reference, current):
                 if a.get(key) != b.get(key):
                     line = f"{name}[{i}] {key}: {a.get(key)!r} -> {b.get(key)!r}"
                     if key == "estimates" and key in a and key in b:
-                        line += _in_spreads(a[key], b[key])
+                        line += _shifts(a[key], b[key])
                     lines.append(line)
     return lines
 
