@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -202,11 +204,11 @@ def test_airy_matches_pairwise_reference(monkeypatch):
 
 
 def test_airy_rejects_nonfinite():
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            sf.airy_ai(bad)
-    with pytest.raises(ValueError):
-        sf.airy_ai(np.array([1.0, math.nan]))
+    for fn in (sf.airy_ai, sf.airy_ai_prime):
+        # the message names the function that was called
+        for bad in (math.nan, math.inf, -math.inf, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match=rf"^{fn.__name__} requires finite"):
+                fn(bad)
 
 
 def test_airy_zero_first():
@@ -332,3 +334,141 @@ def test_even_symmetry_and_vectorization():
         assert v == sf.airy_ai(float(x))
     assert isinstance(sf.airy_ai(1.0), float)
     assert sf.airy_ai(np.array([[1.0, 2.0]])).shape == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# I0 and K0 split across threads
+
+M = sf._MIN_POINTS
+THREADED = ("i0", "k0")
+
+
+def _cpus(monkeypatch, count):
+    """Make the process appear to run on `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _spy(monkeypatch, name):
+    """Wrap scipy.special.<name>; each call records its thread, its point
+    count and the np.errstate in force."""
+    real = getattr(sp, name)
+    calls = []
+
+    def spy(x, **kwargs):
+        calls.append((threading.get_ident(), x.size, np.geterr()))
+        return real(x, **kwargs)
+
+    monkeypatch.setattr(sp, name, spy)
+    return calls
+
+
+def _args(rng, name, shape):
+    """Arguments from 1e-3 to about 660 (I0 stays finite), signed for I0."""
+    x = np.exp(rng.uniform(-7.0, 6.5, shape))
+    return x * rng.choice((-1.0, 1.0), shape) if name == "i0" else x
+
+
+@pytest.mark.parametrize("name", THREADED)
+def test_threaded_bessel_bits_equal_one_serial_scipy_call(monkeypatch, name):
+    _cpus(monkeypatch, 4)
+    mine, real = getattr(sf, f"bessel_{name}"), getattr(sp, name)
+    rng = np.random.default_rng(33)
+    for n in (1, M - 1, M, M + 1, 2 * M - 1, 2 * M, 2 * M + 1, 50_000, 40_009):
+        x = _args(rng, name, n)
+        want = real(np.abs(x))
+        calls = _spy(monkeypatch, name)
+        got = mine(x)
+        parts = min(4, n // M) if n >= 2 * M else 1
+        assert sorted(size for _, size, _ in calls) == sorted(
+            n * (i + 1) // parts - n * i // parts for i in range(parts))
+        assert got.shape == (n,) and got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("name", THREADED)
+def test_threaded_bessel_returns_a_float_for_a_scalar(monkeypatch, name):
+    _cpus(monkeypatch, 4)
+    mine, real = getattr(sf, f"bessel_{name}"), getattr(sp, name)
+    for x in (1.5, np.float64(1.5), np.array(1.5)):
+        got = mine(x)
+        assert type(got) is float and got == float(real(1.5))
+
+
+@pytest.mark.parametrize("name", THREADED)
+def test_threaded_bessel_keeps_any_layout_in_the_input_shape(monkeypatch, name):
+    _cpus(monkeypatch, 2)
+    mine, real = getattr(sf, f"bessel_{name}"), getattr(sp, name)
+    x = _args(np.random.default_rng(5), name, (8, M))
+    for arg in (x, x.T, x[:, ::2]):  # C-ordered, F-ordered, strided
+        want = real(np.abs(arg))
+        calls = _spy(monkeypatch, name)
+        got = mine(arg)
+        assert len(calls) == 2
+        assert got.shape == arg.shape and got.tobytes() == want.tobytes()
+
+
+def test_k0_refuses_zero_before_any_thread_starts(monkeypatch):
+    _cpus(monkeypatch, 4)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    calls = _spy(monkeypatch, "k0")
+    x = np.linspace(1.0, 2.0, 4 * M)
+    x[-1] = 0.0  # in the last slice
+    with pytest.raises(ValueError, match="bessel_k0 requires x > 0"):
+        sf.bessel_k0(x)
+    assert started == [] and calls == []
+
+
+@pytest.mark.parametrize("name", THREADED)
+def test_an_exception_in_a_worker_slice_reaches_the_caller(monkeypatch, name):
+    _cpus(monkeypatch, 3)
+    mine, real = getattr(sf, f"bessel_{name}"), getattr(sp, name)
+    caller = threading.get_ident()
+
+    def failing(x, **kwargs):
+        if threading.get_ident() != caller:
+            time.sleep(0.05)  # fails after the caller's own slice is done
+            raise ArithmeticError("a worker slice failed")
+        return real(x, **kwargs)
+
+    monkeypatch.setattr(sp, name, failing)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="a worker slice failed"):
+        mine(np.full(3 * M, 0.5))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name", THREADED)
+def test_one_cpu_starts_no_thread(monkeypatch, name):
+    mine = getattr(sf, f"bessel_{name}")
+    caller = threading.get_ident()
+    _cpus(monkeypatch, 1)
+    calls = _spy(monkeypatch, name)
+    mine(np.full(8 * M, 0.5))
+    assert [(tid, size) for tid, size, _ in calls] == [(caller, 8 * M)]
+    # without an affinity call the count is os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, parts in ((1, 1), (None, 1), (3, 3)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        calls = _spy(monkeypatch, name)
+        mine(np.full(8 * M, 0.5))
+        assert len(calls) == parts
+
+
+@pytest.mark.parametrize("name", THREADED)
+def test_the_callers_errstate_holds_in_every_worker(monkeypatch, name):
+    _cpus(monkeypatch, 3)
+    mine = getattr(sf, f"bessel_{name}")
+    calls = _spy(monkeypatch, name)
+    with np.errstate(all="raise"):
+        mine(np.full(3 * M, 0.5))
+        want = np.geterr()
+    assert want != np.geterr()  # the test's own setting, not the default
+    assert len({tid for tid, _, _ in calls}) == 3
+    assert all(state == want for _, _, state in calls)

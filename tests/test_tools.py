@@ -1,7 +1,7 @@
 """The repository tools: the answer ledger and the code-line counter.
 
 The ledger test reruns the first seed-7 cycles of the `bound`,
-`quasibound` and `cli` benchmark workloads and compares every answer
+`quasibound`, `analytic` and `cli` benchmark workloads and compares every answer
 exactly with tests/data/answers.json, naming each request that moved.
 A change that moves an answer on purpose rewrites that file with
 `python3 tools/answer_ledger.py --write` and says so in CHANGES.md.

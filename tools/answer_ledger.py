@@ -4,11 +4,15 @@
     python3 tools/answer_ledger.py --write   # rewrite the reference
 
 Runs the first cycles of the seed-7 request lists of the `bound`,
-`quasibound` and `cli` workloads (perfbench/workloads.py, read only),
-untimed, and records each request's answer: for `bound` E as a repr float,
-the node count and a sha256 of (u, v); for `quasibound` the three
-estimates and gamma; for `cli` the exit codes, stdout with the work
-directory written as {dir}, and each CSV's sha256.  A request that raises
+`quasibound`, `analytic` and `cli` workloads (perfbench/workloads.py, read
+only), untimed, and records each request's answer: for `bound` E as a repr
+float, the node count and a sha256 of (u, v); for `quasibound` the three
+estimates and gamma; for `analytic` the three equal-mix energies, their
+node counts, the J0/I0 join values `edge_join` (the two I0 values come
+from a threaded I0 call on machines with two CPUs or more), whether the
+turning-point profile is finite, and gamma, floats as repr; for `cli` the
+exit codes, stdout with the work directory written as {dir}, and each
+CSV's sha256.  A request that raises
 records the exception's type and message.  The comparison is exact and
 names every request whose answer moved, giving a quasi-bound estimate's
 absolute shift |dE| and its shift as a fraction of the reference's
@@ -28,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "data" / "answers.json"
 SEED = 7
-CYCLES = {"bound": 4, "quasibound": 13, "cli": 2}
+CYCLES = {"bound": 4, "quasibound": 13, "analytic": 4, "cli": 2}
 
 
 def _sha256(*parts):
@@ -46,6 +50,10 @@ def _answer(name, req, res, workdir):
     if name == "quasibound":
         energies, report = res
         return dict(estimates=[repr(e) for e in energies], gamma=repr(report.gamma))
+    if name == "analytic":
+        return dict(energies=[repr(e) for e in res["energies"]], nodes=res["nodes"],
+                    edge_join=[repr(float(v)) for v in res["edge_join"]],
+                    turn_finite=res["turn_finite"], gamma=repr(res["gamma"]))
     answer = dict(kind=req["kind"], codes=res["codes"],
                   stdout=[text.replace(workdir, "{dir}") for text in res["stdout"]])
     if res["csv"] is not None:
