@@ -10,7 +10,10 @@ float, the node count and a sha256 of (u, v); for `quasibound` the three
 estimates and gamma; for `analytic` the three equal-mix energies, their
 node counts, the J0/I0 join values `edge_join` (the two I0 values come
 from a threaded I0 call on machines with two CPUs or more), whether the
-turning-point profile is finite, and gamma, floats as repr; for `cli` the
+turning-point profile is finite, gamma, floats as repr, and a sha256 of
+each wavefunction's (u, v) and of each 50,000-point profile, arrays the
+tool rebuilds from the request and its energies with the workload's
+grids, since the workload returns only summaries; for `cli` the
 exit codes, stdout with the work directory written as {dir}, and each
 CSV's sha256.  A request that raises
 records the exception's type and message.  The comparison is exact and
@@ -29,6 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "data" / "answers.json"
 SEED = 7
@@ -42,6 +47,29 @@ def _sha256(*parts):
     return digest.hexdigest()
 
 
+def _analytic_digests(req, energies):
+    """sha256 of the three wavefunctions' (u, v) and of the two profiles,
+    on the grids and coefficients of perfbench's analytic_run."""
+    from diraclinear import analytic
+    from perfbench import workloads as wl
+
+    m, lam = req["m"], req["lam"]
+    top = energies[-1]
+    r_hi = (top - m) / lam + 12.0 / (lam * (m + top)) ** (1.0 / 3.0)
+    r = np.linspace(0.0, r_hi, wl.AN_WF_POINTS)
+    waves = [analytic.equal_mix_wavefunction(m, lam, e, r) for e in energies]
+    x = np.concatenate((np.linspace(-4.0 * m, 4.0 * m, wl.AN_PROFILE_POINTS - 3),
+                        (-1e-12, 0.0, 1e-12)))
+    edge = analytic.vector_profile_continuum_edge(energies[0], m, 1.0, x)
+    xt = np.linspace(1e-3 * m, 4.0 * m, wl.AN_PROFILE_POINTS)
+    turn = analytic.vector_profile_turning_point(
+        energies[0], m, analytic.LocalProfileCoefficients(B=1.0, C=0.5), xt)
+    return dict(uv_sha256=[_sha256(w.u.astype("<f8").tobytes(), w.v.astype("<f8").tobytes())
+                           for w in waves],
+                edge_sha256=_sha256(edge.astype("<f8").tobytes()),
+                turn_sha256=_sha256(turn.astype("<f8").tobytes()))
+
+
 def _answer(name, req, res, workdir):
     if name == "bound":
         return dict(E=repr(res.E), nodes=res.node_count,
@@ -53,7 +81,8 @@ def _answer(name, req, res, workdir):
     if name == "analytic":
         return dict(energies=[repr(e) for e in res["energies"]], nodes=res["nodes"],
                     edge_join=[repr(float(v)) for v in res["edge_join"]],
-                    turn_finite=res["turn_finite"], gamma=repr(res["gamma"]))
+                    turn_finite=res["turn_finite"], gamma=repr(res["gamma"]),
+                    **_analytic_digests(req, res["energies"]))
     answer = dict(kind=req["kind"], codes=res["codes"],
                   stdout=[text.replace(workdir, "{dir}") for text in res["stdout"]])
     if res["csv"] is not None:
