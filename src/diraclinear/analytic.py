@@ -21,7 +21,19 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .model import RadialSolution, count_nodes
-from .specfun import airy_ai, airy_ai_prime, airy_ai_zero, bessel_i0, bessel_j0, bessel_k0
+# The public Airy and Bessel functions that are not called here stay importable
+# from this module, where a span tracer looks up every callee by name.
+from .specfun import (  # noqa: F401
+    _airy,
+    _bessel_i0_k0,
+    _bessel_j0_i0,
+    airy_ai,
+    airy_ai_prime,
+    airy_ai_zero,
+    bessel_i0,
+    bessel_j0,
+    bessel_k0,
+)
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,19 @@ class LocalProfileCoefficients:
             raise ValueError("profile coefficients must not all vanish")
 
 
+def _require_mass_and_slope(m, lam):
+    if not (0.0 < m < np.inf):
+        raise ValueError(f"mass m must be positive and finite, got {m!r}")
+    if not (0.0 < lam < np.inf):
+        raise ValueError(f"slope lam must be positive and finite, got {lam!r}")
+
+
+def _require_finite(what, **params):
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{what} requires a finite {name}, got {value!r}")
+
+
 def equal_mix_energy(m: float, lam: float, zero_index: int = 1) -> float:
     """Eigenenergy of the equal-mix (V = S = lambda*r/2) S-state.
 
@@ -67,10 +92,7 @@ def equal_mix_energy(m: float, lam: float, zero_index: int = 1) -> float:
     is the ground state.  Raises ValueError unless m and lambda are
     positive and finite.
     """
-    if not (0.0 < m < np.inf):
-        raise ValueError("mass must be positive and finite")
-    if not (0.0 < lam < np.inf):
-        raise ValueError("slope must be positive and finite")
+    _require_mass_and_slope(m, lam)
     c = abs(airy_ai_zero(zero_index)) * lam ** (2.0 / 3.0)
     w = (2.0 * m) ** (1.0 / 3.0) + c ** 0.25
     while True:
@@ -102,13 +124,17 @@ def equal_mix_wavefunction(m: float, lam: float, E: float, grid) -> RadialSoluti
     v(0) is set to its limit 0.  The result is normalized
     to trapezoid(u^2 + v^2) = 1 on the grid and raises ConsistencyError
     when E is not an eigenvalue (Ai at the origin's argument fails to
-    vanish).
+    vanish).  Ai and Ai' come from one pass over the grid.  Raises
+    ValueError, before any Airy evaluation, unless m and lambda are
+    positive and finite and E is finite and above m.
     """
+    _require_mass_and_slope(m, lam)
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise ValueError("grid must be a 1-d array of at least two radii")
-    if np.any(r < 0) or np.any(np.diff(r) <= 0):
+    if np.any(np.diff(r) <= 0) or r[0] < 0:
         raise ValueError("grid must be sorted, strictly increasing, and nonnegative")
+    _require_finite("equal_mix_wavefunction", E=E)
     if not (E > m):
         raise ValueError("equal-mix bound states require E > m")
 
@@ -116,7 +142,7 @@ def equal_mix_wavefunction(m: float, lam: float, E: float, grid) -> RadialSoluti
     shift = (m - E) / lam
     xi = scale * (r + shift)
 
-    u = airy_ai(xi)
+    u, v = _airy(xi, "equal_mix_wavefunction", (False, True))  # Ai, Ai'
     peak = float(np.max(np.abs(u)))
     origin = abs(float(airy_ai(scale * shift)))
     if origin > 1e-4 * peak:
@@ -125,11 +151,14 @@ def equal_mix_wavefunction(m: float, lam: float, E: float, grid) -> RadialSoluti
             f"{origin:.3e} against a peak of {peak:.3e}"
         )
 
-    du = scale * airy_ai_prime(xi)
-    v = np.empty_like(u)
-    nonzero = r > 0
-    v[nonzero] = (du[nonzero] - u[nonzero] / r[nonzero]) / (E + m)
-    v[~nonzero] = 0.0  # u ~ r at the origin, so u' - u/r -> 0 there
+    # v = (u' - u/r)/(E+m) with u' = scale * Ai'(xi), computed in the Ai'
+    # array.  An increasing grid holds r = 0 only at r[0], where u ~ r and
+    # u' - u/r -> 0.
+    v *= scale
+    start = int(r[0] == 0.0)
+    v[:start] = 0.0
+    v[start:] -= u[start:] / r[start:]
+    v[start:] /= E + m
 
     norm = np.sqrt(np.trapezoid(u * u + v * v, r))
     u /= norm
@@ -157,27 +186,46 @@ def vector_profile_continuum_edge(E: float, m: float, A: float, x):
     """Local wavefunction near the continuum edge r2 (x = 0) of the
     pure-vector barrier: oscillatory A*J0(2*sqrt(-x/(E+m))) on the free
     side x < 0, monotone A*I0(2*sqrt(x/(E+m))) inside the barrier; the two
-    branches join continuously with value A at x = 0."""
+    branches join continuously with value A at x = 0.  E, m and A must be
+    finite and E + m > 0."""
+    _require_finite("continuum-edge profile", E=E, m=m, A=A)
+    if not (E + m > 0):
+        raise ValueError("continuum-edge profile requires E + m > 0")
     arr = np.asarray(x, dtype=float)
-    scaled = arr / (E + m)
-    free = arr < 0
-    out = np.empty_like(scaled)
-    out[free] = bessel_j0(2.0 * np.sqrt(np.abs(np.minimum(scaled[free], 0.0))))
-    out[~free] = bessel_i0(2.0 * np.sqrt(np.maximum(scaled[~free], 0.0)))
-    out = A * out
-    return float(out) if arr.ndim == 0 else out
+    flat = arr.reshape(-1)
+    # 2 sqrt|x/(E+m)| at every point; the sign of x picks J0 or I0, each
+    # evaluated in place on its gathered arguments
+    out = np.divide(flat, E + m)
+    np.abs(out, out=out)
+    np.sqrt(out, out=out)
+    out *= 2.0
+    free = flat < 0
+    barrier = ~free
+    j0, i0 = out[free], out[barrier]
+    _bessel_j0_i0(j0, i0)
+    out[free] = j0
+    out[barrier] = i0
+    out *= A
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def vector_profile_turning_point(E: float, m: float,
                                  coeffs: LocalProfileCoefficients, x):
     """Local wavefunction near the classical turning point r1 (x = 2m):
     B*I0(2*sqrt(x/(E-m))) + C*K0(2*sqrt(x/(E-m))), valid for x > 0 and a
-    quasi-bound state with E > m."""
+    quasi-bound state with finite E > m.  I0 and K0 run on the same
+    threads, one fan-out per call."""
+    _require_finite("turning-point profile", E=E, m=m)
     if not (E > m):
         raise ValueError("turning-point profile requires E > m")
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("turning-point profile requires x > 0 (K0 diverges at 0)")
-    arg = 2.0 * np.sqrt(arr / (E - m))
-    out = coeffs.B * bessel_i0(arg) + coeffs.C * bessel_k0(arg)
-    return float(out) if arr.ndim == 0 else out
+    arg = np.divide(arr.reshape(-1), E - m)
+    np.sqrt(arg, out=arg)
+    arg *= 2.0
+    out, k0 = _bessel_i0_k0(arg)  # out is arg, now holding I0
+    out *= coeffs.B
+    k0 *= coeffs.C
+    out += k0
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -18,12 +18,20 @@ float64 in powers of 1/zeta < 0.036.  Evaluation stays in-house because
 scipy.special.airy rounds unevenly enough to fail the contract
 |Ai'' - x Ai| <= 1e-7 with Ai'' from central differences at h = 1e-4.
 
+Ai and Ai' share one pass (`_airy`): the input is validated, the branch
+masks are built and the node lookup is done once, for one Horner sum
+each; the equal-mix wavefunction takes both from it.
+
 I0 and K0 split an array of 2 * _MIN_POINTS points or more into up to
 one contiguous slice per CPU the process may use, and scipy's ufunc runs
 on each slice on its own thread (scipy's loops release the GIL).  Every
 element goes through the same scalar code, so the bits equal one serial
-call.  J0 stays one serial call: on the profiles' arguments it costs
-about 11 ns per point, less than a thread start buys back.
+call.  bessel_j0 stays one serial call: on the profiles' arguments it
+costs about 11 ns per point, less than a thread start buys back.  Each
+barrier-edge profile is one fan-out: the turning point's I0 and K0 of
+one argument run on the same slices (`_bessel_i0_k0`), and the
+continuum edge's J0 points ride along on the threads that its I0 points
+pay for (`_bessel_j0_i0`).
 
 All functions are pure and accept scalars or numpy arrays.  scipy.special
 is imported by the functions that call it, so importing this module does
@@ -123,18 +131,6 @@ def _inv_powsum(z, coef):
 # ---------------------------------------------------------------------------
 # Airy Ai
 
-def _airy_taylor(x, derivative):
-    """Horner's rule on the nearest node's row, |x| <= AIRY_SWITCH."""
-    j = np.rint((x + AIRY_SWITCH) * (1.0 / _NODE_STEP)).astype(np.intp)
-    t = x - _NODES.take(j)
-    table = _taylor_tables()[1 if derivative else 0]
-    acc = table[-1].take(j)
-    for row in table[-2::-1]:
-        acc *= t
-        acc += row.take(j)
-    return acc
-
-
 def _airy_asym_pos(x, derivative=False):
     zeta = (2.0 / 3.0) * x ** 1.5
     coef = _AIRY_D if derivative else _AIRY_C
@@ -164,20 +160,37 @@ def _airy_asym_neg(x, derivative=False):
     return (c * p + s * q) / (_SQRT_PI * z ** 0.25)
 
 
-def _airy_eval(x, derivative, name):
+def _airy(x, name, derivatives):
+    """Ai (False) or Ai' (True) at x for each entry of `derivatives`, from
+    one pass: the input is validated, the branch masks are built, and the
+    node index j and offset t = x - x_j are computed once for them all.
+    Horner's rule then runs on the nearest node's row of each table, one
+    row at a time, and the asymptotic branches take |x| > AIRY_SWITCH.
+    Returns a tuple of floats for a scalar, else of arrays of x's shape."""
     arr, scalar = _as_array(x, name)
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
+    flat = arr.reshape(-1)
     ser = np.abs(flat) <= AIRY_SWITCH
-    pos = (~ser) & (flat > 0)
-    neg = (~ser) & (flat < 0)
-    out[ser] = _airy_taylor(flat[ser], derivative)
-    if pos.any():
-        out[pos] = _airy_asym_pos(flat[pos], derivative)
-    if neg.any():
-        out[neg] = _airy_asym_neg(flat[neg], derivative)
-    out = out.reshape(np.shape(arr))
-    return float(out) if scalar else out
+    far = [(mask, branch, flat[mask])
+           for mask, branch in (((~ser) & (flat > 0), _airy_asym_pos),
+                                ((~ser) & (flat < 0), _airy_asym_neg))
+           if mask.any()]
+    inner = flat[ser]
+    j = np.rint((inner + AIRY_SWITCH) * (1.0 / _NODE_STEP)).astype(np.intp)
+    t = inner - _NODES.take(j)
+    tables = _taylor_tables()
+    outs = []
+    for derivative in derivatives:
+        table = tables[1 if derivative else 0]
+        acc = table[-1].take(j)
+        for row in table[-2::-1]:
+            acc *= t
+            acc += row.take(j)
+        out = np.empty_like(flat)
+        out[ser] = acc
+        for mask, branch, xs in far:
+            out[mask] = branch(xs, derivative)
+        outs.append(float(out[0]) if scalar else out.reshape(arr.shape))
+    return tuple(outs)
 
 
 def airy_ai(x):
@@ -186,12 +199,12 @@ def airy_ai(x):
     Accurate to a few 1e-15 absolute for |x| <= 12 (contract: 1e-10).
     Raises ValueError on non-finite input.
     """
-    return _airy_eval(x, False, "airy_ai")
+    return _airy(x, "airy_ai", (False,))[0]
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x), same branch structure and accuracy as airy_ai."""
-    return _airy_eval(x, True, "airy_ai_prime")
+    return _airy(x, "airy_ai_prime", (True,))[0]
 
 
 def airy_ai_zero(index):
@@ -226,30 +239,31 @@ def _ai_zero(index):
 _MIN_POINTS = 8192
 
 
-def _split(ufunc, arr):
-    """ufunc(arr), with the points split into min(CPUs, size // _MIN_POINTS)
-    contiguous slices, each run on its own thread; the calling thread takes
-    the first.  One slice is one serial call.
+def _split(jobs, points):
+    """ufunc(src, out=dst) for each (ufunc, src, dst) in jobs, in order: src
+    and dst are 1-d float arrays of one size, and dst may be src.  Every
+    job is split into the same number of contiguous slices,
+    min(CPUs, points // _MIN_POINTS) or one; points is the size of the I0
+    or K0 array, the evaluations that pay for a thread.  Slice i of every
+    job runs on the i-th thread, the jobs in order, and the calling thread
+    takes the first.  One slice is one serial call per job.
 
     Each worker runs in a copy of the caller's context, so the caller's
-    np.errstate holds in it, and calls nothing but the ufunc.  An exception
+    np.errstate holds in it, and calls nothing but the ufuncs.  An exception
     in any slice is raised here once every thread has joined.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    parts = min(cpus, arr.size // _MIN_POINTS)
-    if parts < 2:
-        return ufunc(arr)
-    src = arr.ravel()  # C order: a view when arr is C-contiguous, else a copy
-    flat = np.empty(arr.size)
-    edges = [arr.size * i // parts for i in range(parts + 1)]
+    parts = max(1, min(cpus, points // _MIN_POINTS))
     errors = [None] * parts
 
     def run(i):
         try:
-            ufunc(src[edges[i]:edges[i + 1]], out=flat[edges[i]:edges[i + 1]])
+            for ufunc, src, dst in jobs:
+                lo, hi = src.size * i // parts, src.size * (i + 1) // parts
+                ufunc(src[lo:hi], out=dst[lo:hi])
         except Exception as exc:  # raised in the caller once all have joined
             errors[i] = exc
 
@@ -263,7 +277,6 @@ def _split(ufunc, arr):
     for exc in errors:
         if exc is not None:
             raise exc
-    return flat.reshape(arr.shape)
 
 
 def bessel_j0(x):
@@ -292,8 +305,17 @@ def bessel_i0(x):
     arr, scalar = _as_array(x, "bessel_i0")
     from scipy import special
 
-    out = _split(special.i0, np.abs(arr))
-    return float(out) if scalar else out
+    out = np.abs(arr.reshape(-1))  # C-ordered and ours, so I0 overwrites it
+    _split([(special.i0, out, out)], out.size)
+    return float(out[0]) if scalar else out.reshape(arr.shape)
+
+
+def _k0_domain(x, name):
+    """x as a float array, refused unless finite and positive."""
+    arr, scalar = _as_array(x, name)
+    if np.any(arr <= 0.0):
+        raise ValueError(f"{name} requires x > 0 (divergent at x = 0)")
+    return arr, scalar
 
 
 def bessel_k0(x):
@@ -304,10 +326,36 @@ def bessel_k0(x):
     scipy.special.k0, split across threads like bessel_i0, with the same
     bits as one serial call.
     """
-    arr, scalar = _as_array(x, "bessel_k0")
-    if np.any(arr <= 0.0):
-        raise ValueError("bessel_k0 requires x > 0 (divergent at x = 0)")
+    arr, scalar = _k0_domain(x, "bessel_k0")
     from scipy import special
 
-    out = _split(special.k0, arr)
-    return float(out) if scalar else out
+    src = arr.reshape(-1)  # C order: a view when arr is C-contiguous, else a copy
+    out = np.empty(src.size)
+    _split([(special.k0, src, out)], src.size)
+    return float(out[0]) if scalar else out.reshape(arr.shape)
+
+
+def _bessel_i0_k0(x):
+    """(I0(x), K0(x)) for a 1-d float array x > 0, from one fan-out: each
+    thread takes K0 and then I0 of the same slice, I0 overwriting x there.
+    x is validated once, as bessel_k0 does, before any thread starts, and
+    the bits equal bessel_i0(x) and bessel_k0(x)."""
+    _k0_domain(x, "bessel_k0")
+    from scipy import special
+
+    k0 = np.empty_like(x)
+    _split([(special.k0, x, k0), (special.i0, x, x)], x.size)
+    return x, k0
+
+
+def _bessel_j0_i0(j0_args, i0_args):
+    """J0(j0_args) and I0(i0_args), each overwriting its 1-d float array of
+    arguments >= 0, from one fan-out with as many slices as I0 alone would
+    take: the J0 points, about a sixth of an I0 point's cost, ride along on
+    the same threads.  Both arrays are validated before any thread starts,
+    and the bits equal bessel_j0 and bessel_i0 of the arguments."""
+    _as_array(j0_args, "bessel_j0")
+    _as_array(i0_args, "bessel_i0")
+    from scipy import special
+
+    _split([(special.j0, j0_args, j0_args), (special.i0, i0_args, i0_args)], i0_args.size)

@@ -1,10 +1,14 @@
 """Closed-form equal-mix states and the local barrier-edge profiles."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
+from diraclinear import analytic
 from diraclinear import (
     ConsistencyError,
     LocalProfileCoefficients,
@@ -221,3 +225,101 @@ def test_profile_coefficients_validation():
         LocalProfileCoefficients(A=0.0, B=0.0, C=0.0)
     with pytest.raises(ValueError):
         LocalProfileCoefficients(A=math.nan)
+
+
+# ---------------------------------------------------------------------------
+# Bad scalars are refused by name, before any special function or thread
+
+
+def _forbid_special_functions(monkeypatch):
+    """Fail the test if an Airy or Bessel evaluation or a thread starts."""
+    def ran(*args, **kwargs):
+        raise AssertionError("a special function or a thread ran before the refusal")
+
+    for name in ("_airy", "_bessel_i0_k0", "_bessel_j0_i0", "airy_ai", "bessel_j0",
+                 "bessel_i0"):
+        monkeypatch.setattr(analytic, name, ran)
+    monkeypatch.setattr(threading.Thread, "start", ran)
+
+
+@pytest.mark.parametrize("E, m, A, match", [
+    (-2.0, 1.0, 1.0, r"E \+ m > 0"),
+    (-1.0, 1.0, 1.0, r"E \+ m > 0"),
+    (1.6, math.inf, 1.0, "finite m"),
+    (math.nan, 1.0, 1.0, "finite E"),
+    (1.6, 1.0, math.nan, "finite A"),
+    (1.6, 1.0, -math.inf, "finite A"),
+])
+def test_continuum_edge_refuses_bad_scalars(monkeypatch, E, m, A, match):
+    _forbid_special_functions(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        vector_profile_continuum_edge(E, m, A, [-1.0, -0.5, 0.5])
+
+
+@pytest.mark.parametrize("E, m, match", [
+    (math.inf, 1.0, "finite E"),
+    (math.nan, 1.0, "finite E"),
+    (1.6, -math.inf, "finite m"),
+    (0.9, 1.0, "E > m"),
+])
+def test_turning_point_refuses_bad_scalars(monkeypatch, E, m, match):
+    _forbid_special_functions(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        vector_profile_turning_point(E, m, LocalProfileCoefficients(), [0.5, 1.0])
+
+
+@pytest.mark.parametrize("m, lam, E, match", [
+    (-1.0, LAM, E1, "mass m"),
+    (0.0, LAM, E1, "mass m"),
+    (M, -0.2, E1, "slope lam"),
+    (M, 0.0, E1, "slope lam"),
+    (M, math.inf, E1, "slope lam"),
+    (M, LAM, math.inf, "finite E"),
+    (M, LAM, math.nan, "finite E"),
+])
+def test_wavefunction_refuses_bad_scalars(monkeypatch, m, lam, E, match):
+    _forbid_special_functions(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        equal_mix_wavefunction(m, lam, E, np.linspace(0.0, 12.0, 1201))
+
+
+# ---------------------------------------------------------------------------
+# The profiles keep the bits of serial scipy calls
+
+
+def _masked_edge(E, m, A, x):
+    """The continuum-edge profile in its earlier masked form, from serial
+    scipy calls."""
+    scaled = x / (E + m)
+    free = x < 0
+    out = np.empty_like(scaled)
+    out[free] = sp.j0(np.abs(2.0 * np.sqrt(np.abs(np.minimum(scaled[free], 0.0)))))
+    out[~free] = sp.i0(np.abs(2.0 * np.sqrt(np.maximum(scaled[~free], 0.0))))
+    return A * out
+
+
+def _serial_turning_point(E, m, B, C, x):
+    arg = 2.0 * np.sqrt(x / (E - m))
+    return B * sp.i0(np.abs(arg)) + C * sp.k0(arg)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_profiles_have_the_bits_of_serial_scipy_calls(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    rng = np.random.default_rng(34)
+    e, m = 1.6, 1.0
+    x = rng.permutation(np.concatenate((np.linspace(-6.0, 6.0, 49_996),
+                                        (-0.0, 0.0, 1e-300, -1e-300))))
+    got = vector_profile_continuum_edge(e, m, 1.3, x)
+    assert got.tobytes() == _masked_edge(e, m, 1.3, x).tobytes()
+    xt = rng.permutation(np.concatenate((np.linspace(1e-3, 6.0, 49_999), (1e-300,))))
+    got = vector_profile_turning_point(e, m, LocalProfileCoefficients(B=1.0, C=0.5), xt)
+    assert got.tobytes() == _serial_turning_point(e, m, 1.0, 0.5, xt).tobytes()
+    for point in (-0.0, 0.0, 1e-300, -1e-300, -2.5, 2.5):
+        got = vector_profile_continuum_edge(e, m, 1.3, point)
+        assert type(got) is float
+        assert got == float(_masked_edge(e, m, 1.3, np.array([point]))[0])
+    got = vector_profile_turning_point(e, m, LocalProfileCoefficients(B=1.0, C=0.5), 1e-300)
+    assert type(got) is float
+    assert got == float(_serial_turning_point(e, m, 1.0, 0.5, np.array([1e-300]))[0])

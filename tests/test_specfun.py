@@ -13,6 +13,11 @@ import pytest
 from scipy import integrate
 from scipy import special as sp
 
+from diraclinear import (
+    LocalProfileCoefficients,
+    vector_profile_continuum_edge,
+    vector_profile_turning_point,
+)
 from diraclinear import specfun as sf
 
 
@@ -29,7 +34,7 @@ def test_airy_near_first_zero():
 
 def test_airy_at_five_cross_checked():
     # the node tables and the asymptotic branch agree here, pinning the value
-    taylor = sf._airy_taylor(np.array([5.0]), False)[0]
+    taylor = sf.airy_ai(5.0)  # |x| <= AIRY_SWITCH: from the node tables
     asym = sf._airy_asym_pos(np.array([5.0]))[0]
     assert abs(taylor - asym) < 1e-9
     assert abs(sf.airy_ai(5.0) - 1.0834e-4) < 1e-8
@@ -201,6 +206,50 @@ def test_airy_matches_pairwise_reference(monkeypatch):
         ref[neg] = sf._airy_asym_neg(x[neg], derivative)
     assert np.max(np.abs(ai - ai_ref)) <= 2e-14
     assert np.max(np.abs(aip - aip_ref)) <= 4e-14
+
+
+def _per_function_airy(x, derivative):
+    """Ai or Ai' with its own masks, node index and Horner sum: the
+    evaluation as it stood before Ai and Ai' shared one pass, kept here as
+    the bit-for-bit reference."""
+    arr = np.asarray(x, dtype=float)
+    flat = np.atleast_1d(arr).ravel()
+    out = np.empty_like(flat)
+    ser = np.abs(flat) <= sf.AIRY_SWITCH
+    pos = (~ser) & (flat > 0)
+    neg = (~ser) & (flat < 0)
+    inner = flat[ser]
+    j = np.rint((inner + sf.AIRY_SWITCH) * (1.0 / sf._NODE_STEP)).astype(np.intp)
+    t = inner - sf._NODES.take(j)
+    table = sf._taylor_tables()[1 if derivative else 0]
+    acc = table[-1].take(j)
+    for row in table[-2::-1]:
+        acc *= t
+        acc += row.take(j)
+    out[ser] = acc
+    if pos.any():
+        out[pos] = sf._airy_asym_pos(flat[pos], derivative)
+    if neg.any():
+        out[neg] = sf._airy_asym_neg(flat[neg], derivative)
+    return out.reshape(arr.shape)
+
+
+def test_one_airy_pass_has_the_per_function_bits():
+    seams = np.array([sf.AIRY_SWITCH, -sf.AIRY_SWITCH])
+    line = np.concatenate((np.linspace(-40.0, 40.0, 64_001), seams,
+                           np.nextafter(seams, 0.0), np.nextafter(seams, 2.0 * seams)))
+    rng = np.random.default_rng(34)
+    for x in (line, rng.permutation(line), 3.3, -17.5, np.array(12.0),
+              np.asfortranarray(line[:63_000].reshape(420, 150)), np.empty(0),
+              np.empty((0, 3))):
+        want = [_per_function_airy(x, derivative) for derivative in (False, True)]
+        for pair in (sf._airy(x, "airy_ai", (False, True)),
+                     (sf.airy_ai(x), sf.airy_ai_prime(x))):
+            for got, ref in zip(pair, want):
+                if np.ndim(x) == 0:
+                    assert type(got) is float and np.float64(got).tobytes() == ref.tobytes()
+                else:
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_airy_rejects_nonfinite():
@@ -407,8 +456,8 @@ def test_threaded_bessel_keeps_any_layout_in_the_input_shape(monkeypatch, name):
         assert got.shape == arg.shape and got.tobytes() == want.tobytes()
 
 
-def test_k0_refuses_zero_before_any_thread_starts(monkeypatch):
-    _cpus(monkeypatch, 4)
+def _started(monkeypatch):
+    """The list of every thread started from here on."""
     started = []
 
     class Counted(threading.Thread):
@@ -417,6 +466,12 @@ def test_k0_refuses_zero_before_any_thread_starts(monkeypatch):
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def test_k0_refuses_zero_before_any_thread_starts(monkeypatch):
+    _cpus(monkeypatch, 4)
+    started = _started(monkeypatch)
     calls = _spy(monkeypatch, "k0")
     x = np.linspace(1.0, 2.0, 4 * M)
     x[-1] = 0.0  # in the last slice
@@ -472,3 +527,62 @@ def test_the_callers_errstate_holds_in_every_worker(monkeypatch, name):
     assert want != np.geterr()  # the test's own setting, not the default
     assert len({tid for tid, _, _ in calls}) == 3
     assert all(state == want for _, _, state in calls)
+
+
+# ---------------------------------------------------------------------------
+# I0 and K0 of one argument share one fan-out
+
+
+def test_a_turning_point_profile_starts_one_worker_on_two_cpus(monkeypatch):
+    # one fan-out for I0 and K0 together; one per function started two
+    _cpus(monkeypatch, 2)
+    started = _started(monkeypatch)
+    i0, k0 = _spy(monkeypatch, "i0"), _spy(monkeypatch, "k0")
+    x = np.linspace(1e-3, 4.0, 50_000)
+    vector_profile_turning_point(1.6, 1.0, LocalProfileCoefficients(B=1.0, C=0.5), x)
+    assert len(started) == 1
+    # each thread runs both ufuncs on the same slice
+    assert sorted((tid, size) for tid, size, _ in i0) == sorted(
+        (tid, size) for tid, size, _ in k0)
+    assert sorted(size for _, size, _ in i0) == [25_000, 25_000]
+    assert len({tid for tid, _, _ in i0}) == 2
+
+
+def test_a_continuum_edge_profile_runs_j0_on_the_i0_threads(monkeypatch):
+    # J0 was one serial call beside a fan-out for I0; now both share it
+    _cpus(monkeypatch, 2)
+    started = _started(monkeypatch)
+    j0, i0 = _spy(monkeypatch, "j0"), _spy(monkeypatch, "i0")
+    x = np.linspace(-1.0, 3.0, 40_000)  # 10,000 J0 points, 30,000 I0 points
+    vector_profile_continuum_edge(1.6, 1.0, 1.0, x)
+    assert len(started) == 1
+    assert sorted(size for _, size, _ in j0) == [5_000, 5_000]
+    assert sorted(size for _, size, _ in i0) == [15_000, 15_000]
+    assert {tid for tid, _, _ in j0} == {tid for tid, _, _ in i0}
+
+
+def test_a_failed_worker_in_a_shared_fan_out_is_raised_after_every_join(monkeypatch):
+    _cpus(monkeypatch, 3)
+    started = _started(monkeypatch)
+    caller, real = threading.get_ident(), sp.k0
+
+    def failing(x, **kwargs):
+        if threading.get_ident() != caller:
+            time.sleep(0.05)  # fails after the caller's own slice is done
+            raise ArithmeticError("a worker slice failed")
+        return real(x, **kwargs)
+
+    monkeypatch.setattr(sp, "k0", failing)
+    with pytest.raises(ArithmeticError, match="a worker slice failed"):
+        sf._bessel_i0_k0(np.full(3 * M, 0.5))
+    assert len(started) == 2 and not any(thread.is_alive() for thread in started)
+
+
+def test_a_shared_fan_out_refuses_zero_before_any_thread_starts(monkeypatch):
+    _cpus(monkeypatch, 4)
+    started = _started(monkeypatch)
+    x = np.linspace(1.0, 2.0, 4 * M)
+    x[-1] = 0.0
+    with pytest.raises(ValueError, match="bessel_k0 requires x > 0"):
+        sf._bessel_i0_k0(x)
+    assert started == []
