@@ -21,19 +21,10 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .model import RadialSolution, count_nodes
-# The public Airy and Bessel functions that are not called here stay importable
-# from this module, where a span tracer looks up every callee by name.
-from .specfun import (  # noqa: F401
-    _airy,
-    _bessel_i0_k0,
-    _bessel_j0_i0,
-    airy_ai,
-    airy_ai_prime,
-    airy_ai_zero,
-    bessel_i0,
-    bessel_j0,
-    bessel_k0,
-)
+from .specfun import _airy, _bessel_i0_k0, _bessel_j0_i0, airy_ai, airy_ai_zero
+# Not called here, but importable from this module, where a span tracer looks
+# up every callee by name.
+from .specfun import airy_ai_prime, bessel_i0, bessel_j0, bessel_k0  # noqa: F401
 
 
 @dataclass(frozen=True)
