@@ -288,8 +288,8 @@ def test_wavefunction_refuses_bad_scalars(monkeypatch, m, lam, E, match):
 
 
 def _masked_edge(E, m, A, x):
-    """The continuum-edge profile in its earlier masked form, from serial
-    scipy calls."""
+    """The continuum-edge profile from serial scipy calls on masked
+    arguments, each branch clipped to its sign: the bit-for-bit reference."""
     scaled = x / (E + m)
     free = x < 0
     out = np.empty_like(scaled)

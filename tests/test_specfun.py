@@ -209,9 +209,8 @@ def test_airy_matches_pairwise_reference(monkeypatch):
 
 
 def _per_function_airy(x, derivative):
-    """Ai or Ai' with its own masks, node index and Horner sum: the
-    evaluation as it stood before Ai and Ai' shared one pass, kept here as
-    the bit-for-bit reference."""
+    """Ai or Ai' alone, with its own masks, node index and Horner sum: the
+    bit-for-bit reference for the pass that Ai and Ai' share."""
     arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr).ravel()
     out = np.empty_like(flat)
@@ -534,7 +533,7 @@ def test_the_callers_errstate_holds_in_every_worker(monkeypatch, name):
 
 
 def test_a_turning_point_profile_starts_one_worker_on_two_cpus(monkeypatch):
-    # one fan-out for I0 and K0 together; one per function started two
+    # I0 and K0 share one fan-out: one worker on two CPUs, not one per function
     _cpus(monkeypatch, 2)
     started = _started(monkeypatch)
     i0, k0 = _spy(monkeypatch, "i0"), _spy(monkeypatch, "k0")
@@ -549,7 +548,7 @@ def test_a_turning_point_profile_starts_one_worker_on_two_cpus(monkeypatch):
 
 
 def test_a_continuum_edge_profile_runs_j0_on_the_i0_threads(monkeypatch):
-    # J0 was one serial call beside a fan-out for I0; now both share it
+    # J0 runs on the threads that the I0 points pay for
     _cpus(monkeypatch, 2)
     started = _started(monkeypatch)
     j0, i0 = _spy(monkeypatch, "j0"), _spy(monkeypatch, "i0")
