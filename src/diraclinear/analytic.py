@@ -115,7 +115,8 @@ def equal_mix_wavefunction(m: float, lam: float, E: float, grid) -> RadialSoluti
     v(0) is set to its limit 0.  The result is normalized
     to trapezoid(u^2 + v^2) = 1 on the grid and raises ConsistencyError
     when E is not an eigenvalue (Ai at the origin's argument fails to
-    vanish).  Ai and Ai' come from one pass over the grid.  Raises
+    vanish).  Ai and Ai' come from one pass over the grid, which also gives
+    Ai at the origin when the grid starts there.  Raises
     ValueError, before any Airy evaluation, unless m and lambda are
     positive and finite and E is finite and above m.
     """
@@ -135,7 +136,8 @@ def equal_mix_wavefunction(m: float, lam: float, E: float, grid) -> RadialSoluti
 
     u, v = _airy(xi, "equal_mix_wavefunction", (False, True))  # Ai, Ai'
     peak = float(np.max(np.abs(u)))
-    origin = abs(float(airy_ai(scale * shift)))
+    # Ai(scale * shift); where r[0] = 0, xi[0] is that argument, bit for bit
+    origin = abs(float(u[0] if r[0] == 0.0 else airy_ai(scale * shift)))
     if origin > 1e-4 * peak:
         raise ConsistencyError(
             f"E={E} is not an equal-mix eigenvalue: |Ai| at the origin is "
@@ -178,22 +180,24 @@ def vector_profile_continuum_edge(E: float, m: float, A: float, x):
     pure-vector barrier: oscillatory A*J0(2*sqrt(-x/(E+m))) on the free
     side x < 0, monotone A*I0(2*sqrt(x/(E+m))) inside the barrier; the two
     branches join continuously with value A at x = 0.  E, m and A must be
-    finite and E + m > 0."""
+    finite, E + m > 0, and x/(E + m) finite."""
     _require_finite("continuum-edge profile", E=E, m=m, A=A)
     if not (E + m > 0):
         raise ValueError("continuum-edge profile requires E + m > 0")
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
     # 2 sqrt|x/(E+m)| at every point; the sign of x picks J0 or I0, each
-    # evaluated in place on its gathered arguments
-    out = np.divide(flat, E + m)
+    # evaluated in place on its gathered arguments.  An overflow is refused
+    # with the rest of the non-finite arguments, by name, without a warning.
+    with np.errstate(over="ignore"):
+        out = np.divide(flat, E + m)
     np.abs(out, out=out)
     np.sqrt(out, out=out)
     out *= 2.0
     free = flat < 0
     barrier = ~free
     j0, i0 = out[free], out[barrier]
-    _bessel_j0_i0(j0, i0)
+    _bessel_j0_i0(j0, i0, "continuum-edge profile", "x/(E + m)")
     out[free] = j0
     out[barrier] = i0
     out *= A
@@ -203,19 +207,21 @@ def vector_profile_continuum_edge(E: float, m: float, A: float, x):
 def vector_profile_turning_point(E: float, m: float,
                                  coeffs: LocalProfileCoefficients, x):
     """Local wavefunction near the classical turning point r1 (x = 2m):
-    B*I0(2*sqrt(x/(E-m))) + C*K0(2*sqrt(x/(E-m))), valid for x > 0 and a
-    quasi-bound state with finite E > m.  I0 and K0 run on the same
-    threads, one fan-out per call."""
+    B*I0(2*sqrt(x/(E-m))) + C*K0(2*sqrt(x/(E-m))), valid for a quasi-bound
+    state with finite E > m where x/(E-m) is finite and positive.  I0 and
+    K0 run on the same threads, one fan-out per call."""
     _require_finite("turning-point profile", E=E, m=m)
     if not (E > m):
         raise ValueError("turning-point profile requires E > m")
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("turning-point profile requires x > 0 (K0 diverges at 0)")
-    arg = np.divide(arr.reshape(-1), E - m)
+    with np.errstate(over="ignore"):  # refused below, by name
+        arg = np.divide(arr.reshape(-1), E - m)
     np.sqrt(arg, out=arg)
     arg *= 2.0
-    out, k0 = _bessel_i0_k0(arg)  # out is arg, now holding I0
+    # out is arg, now holding I0
+    out, k0 = _bessel_i0_k0(arg, "turning-point profile", "x/(E - m)")
     out *= coeffs.B
     k0 *= coeffs.C
     out += k0

@@ -3,9 +3,11 @@ tunneling-lifetime reports, and parameter sweeps.
 
 Reports are line-oriented ``name: value`` pairs; tabular output is CSV
 with ``#``-prefixed comment lines, a header row, and full-precision
-decimal floats.  Energies are in GeV, radii in GeV^-1 (natural units),
-and the linear slope lambda in GeV^2.  A key=value config file can seed
-any run; explicit flags override file values.
+decimal floats.  The wavefunction profile is formatted and written a
+slice of rows at a time, so the whole file is never held in memory.
+Energies are in GeV, radii in GeV^-1 (natural units), and the linear
+slope lambda in GeV^2.  A key=value config file can seed any run;
+explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -148,8 +150,8 @@ def _write(path, chunks):
 
 
 def _write_csv(path, comment_fields, header, lines):
-    """Write the comment line, the header and the data `lines`, each of
-    which already ends in a newline."""
+    """Write the comment line, the header and the data `lines`, strings of
+    one or more whole lines, each ending in a newline."""
     comment = "# " + " ".join(f"{k}={_fmt(v)}" for k, v in comment_fields) + "\n"
     _write(path, chain([comment, ",".join(header) + "\n"], lines))
 
@@ -182,17 +184,29 @@ def _comment_fields(cfg: RunConfig):
     return [("m", cfg.m), ("lambda", cfg.lam), ("s", cfg.s), ("k", cfg.k)]
 
 
+def _float_lines(cols):
+    """The CSV lines of equal-length float arrays `cols`, one column each,
+    as one string: repr of the Python floats is what _fmt writes, without
+    its per-cell type dispatch."""
+    cells = (map(repr, c.tolist()) for c in cols)
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+# Rows the profile writer formats at a time: joining a slice's lines in
+# one call costs less than a join per row, and the slice's strings stay a
+# small fraction of the file (1024 rows is about 100 kB).
+_PROFILE_ROWS = 1024
+
+
 def _write_profile(cfg: RunConfig, e, sol):
     """Write the r, u, v, V, S profile CSV of the level at `e` to cfg.out,
-    shooting it when `sol` is None."""
+    shooting it when `sol` is None, formatted _PROFILE_ROWS rows at a time."""
     if sol is None:
         sol = integrate_radial(cfg.m, cfg.mix(), cfg.k, e, cfg.grid())
-    # all-float columns: repr of the Python floats is what _fmt writes,
-    # without its per-cell type dispatch
-    v_pot, s_pot = potentials(cfg.mix(), sol.r)
-    cols = [c.tolist() for c in (sol.r, sol.u, sol.v, v_pot, s_pot)]
+    cols = (sol.r, sol.u, sol.v, *potentials(cfg.mix(), sol.r))
     _write_csv(cfg.out, _comment_fields(cfg) + [("E", e)], ["r", "u", "v", "V", "S"],
-               (",".join(map(repr, row)) + "\n" for row in zip(*cols)))
+               (_float_lines(c[i:i + _PROFILE_ROWS] for c in cols)
+                for i in range(0, sol.r.size, _PROFILE_ROWS)))
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:

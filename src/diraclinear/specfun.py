@@ -111,11 +111,24 @@ for _k in range(1, _N_AIRY_ASY):
     _AIRY_C[_k] = _AIRY_C[_k - 1] * (6 * _k - 5) * (6 * _k - 1) / (72.0 * _k)
     _AIRY_D[_k] = -_AIRY_C[_k] * (6 * _k + 1) / (6 * _k - 1)
 
+# The signed sums the asymptotic branches take, indexed by derivative (Ai, then
+# Ai'): (-1)^k c_k past +AIRY_SWITCH, and past -AIRY_SWITCH the even and odd
+# terms, (-1)^j c_2j and (-1)^j c_2j+1.  Built once, read-only.
+_SIGNS = (-1.0) ** np.arange(_N_AIRY_ASY)
+_ASYM_POS = tuple(coef * _SIGNS for coef in (_AIRY_C, _AIRY_D))
+_ASYM_NEG = tuple((coef[0::2] * _SIGNS[: (_N_AIRY_ASY + 1) // 2],
+                   coef[1::2] * _SIGNS[: _N_AIRY_ASY // 2])
+                  for coef in (_AIRY_C, _AIRY_D))
+for _table in (*_ASYM_POS, *_ASYM_NEG[0], *_ASYM_NEG[1]):
+    _table.flags.writeable = False
 
-def _as_array(x, name):
+
+def _as_array(x, name, what="arguments"):
+    """x as a float array and whether it is a scalar; refused, naming the
+    caller `name` and its argument `what`, unless finite."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} requires finite arguments")
+        raise ValueError(f"{name} requires finite {what}")
     return arr, arr.ndim == 0
 
 
@@ -133,9 +146,7 @@ def _inv_powsum(z, coef):
 
 def _airy_asym_pos(x, derivative=False):
     zeta = (2.0 / 3.0) * x ** 1.5
-    coef = _AIRY_D if derivative else _AIRY_C
-    signed = coef * (-1.0) ** np.arange(_N_AIRY_ASY)
-    s = _inv_powsum(zeta, signed)
+    s = _inv_powsum(zeta, _ASYM_POS[derivative])
     # exp(-zeta) underflows gracefully to 0 for very large x
     pref = np.exp(-zeta) / (2.0 * _SQRT_PI)
     if derivative:
@@ -146,10 +157,7 @@ def _airy_asym_pos(x, derivative=False):
 def _airy_asym_neg(x, derivative=False):
     z = -x
     zeta = (2.0 / 3.0) * z ** 1.5
-    coef = _AIRY_D if derivative else _AIRY_C
-    ks = np.arange(_N_AIRY_ASY)
-    even = coef[0::2] * (-1.0) ** ks[: (_N_AIRY_ASY + 1) // 2]
-    odd = coef[1::2] * (-1.0) ** ks[: _N_AIRY_ASY // 2]
+    even, odd = _ASYM_NEG[derivative]
     inv2 = zeta * zeta
     p = _inv_powsum(inv2, even)
     q = _inv_powsum(inv2, odd) / zeta
@@ -310,11 +318,11 @@ def bessel_i0(x):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def _k0_domain(x, name):
+def _k0_domain(x, name, what="x"):
     """x as a float array, refused unless finite and positive."""
-    arr, scalar = _as_array(x, name)
+    arr, scalar = _as_array(x, name, what)
     if np.any(arr <= 0.0):
-        raise ValueError(f"{name} requires x > 0 (divergent at x = 0)")
+        raise ValueError(f"{name} requires {what} > 0 (K0 diverges at 0)")
     return arr, scalar
 
 
@@ -335,12 +343,13 @@ def bessel_k0(x):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def _bessel_i0_k0(x):
+def _bessel_i0_k0(x, name, what):
     """(I0(x), K0(x)) for a 1-d float array x > 0, from one fan-out: each
     thread takes K0 and then I0 of the same slice, I0 overwriting x there.
-    x is validated once, as bessel_k0 does, before any thread starts, and
-    the bits equal bessel_i0(x) and bessel_k0(x)."""
-    _k0_domain(x, "bessel_k0")
+    x is validated once, as bessel_k0 does, before any thread starts; a
+    refusal names the caller `name` and the quantity `what` that x is
+    built from.  The bits equal bessel_i0(x) and bessel_k0(x)."""
+    _k0_domain(x, name, what)
     from scipy import special
 
     k0 = np.empty_like(x)
@@ -348,14 +357,16 @@ def _bessel_i0_k0(x):
     return x, k0
 
 
-def _bessel_j0_i0(j0_args, i0_args):
+def _bessel_j0_i0(j0_args, i0_args, name, what):
     """J0(j0_args) and I0(i0_args), each overwriting its 1-d float array of
     arguments >= 0, from one fan-out with as many slices as I0 alone would
     take: the J0 points, about a sixth of an I0 point's cost, ride along on
     the same threads.  Both arrays are validated before any thread starts,
-    and the bits equal bessel_j0 and bessel_i0 of the arguments."""
-    _as_array(j0_args, "bessel_j0")
-    _as_array(i0_args, "bessel_i0")
+    a refusal naming the caller `name` and the quantity `what` that the
+    arguments are built from, and the bits equal bessel_j0 and bessel_i0
+    of the arguments."""
+    _as_array(j0_args, name, what)
+    _as_array(i0_args, name, what)
     from scipy import special
 
     _split([(special.j0, j0_args, j0_args), (special.i0, i0_args, i0_args)], i0_args.size)

@@ -3,6 +3,7 @@
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,34 @@ def test_wavefunction_first_order_system_residuals():
     assert np.max(np.abs(res2)) <= 1e-5 * scale
 
 
+def test_wavefunction_origin_check_reads_the_airy_pass_on_a_grid_from_0(monkeypatch):
+    # where r[0] = 0 the Airy pass's first point is the origin's argument;
+    # any other grid evaluates Ai there on its own
+    calls = []
+    real = analytic.airy_ai
+    monkeypatch.setattr(analytic, "airy_ai", lambda x: calls.append(x) or real(x))
+    equal_mix_wavefunction(M, LAM, E1, np.linspace(0.0, 12.0, 1201))
+    with pytest.raises(ConsistencyError):
+        equal_mix_wavefunction(M, LAM, 1.7, np.linspace(0.0, 12.0, 1201))
+    assert calls == []
+    equal_mix_wavefunction(M, LAM, E1, np.linspace(0.05, 12.0, 1201))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m, lam", [(1.0, 0.2), (0.1, 3.0), (5.0, 0.05)])
+def test_airy_pass_at_r_0_has_the_bits_of_airy_ai_at_the_origin(m, lam):
+    # levels 1-60 put the origin's argument on both sides of the Taylor
+    # nodes' edge at -12 (a_60 is about -42)
+    from diraclinear.specfun import _airy
+
+    r = np.linspace(0.0, 10.0, 101)
+    for level in range(1, 61):
+        e = equal_mix_energy(m, lam, level)
+        scale, shift = (lam * (m + e)) ** (1.0 / 3.0), (m - e) / lam
+        (u,) = _airy(scale * (r + shift), "test", (False,))
+        assert u[0] == analytic.airy_ai(scale * shift)
+
+
 def test_eigencondition_airy_value_at_origin():
     from diraclinear import airy_ai
 
@@ -266,6 +295,27 @@ def test_turning_point_refuses_bad_scalars(monkeypatch, E, m, match):
     _forbid_special_functions(monkeypatch)
     with pytest.raises(ValueError, match=match):
         vector_profile_turning_point(E, m, LocalProfileCoefficients(), [0.5, 1.0])
+
+
+@pytest.mark.parametrize("profile, args, match", [
+    (vector_profile_continuum_edge, (1.6, 1.0, 1.0, [math.nan]),
+     r"^continuum-edge profile requires finite x/\(E \+ m\)$"),
+    # x/(E + m) overflows to inf
+    (vector_profile_continuum_edge, (1e-300, 1e-300, 1.0, [1e10]),
+     r"^continuum-edge profile requires finite x/\(E \+ m\)$"),
+    # x/(E - m) underflows to 0
+    (vector_profile_turning_point, (3.0, 1.0, LocalProfileCoefficients(), [5e-324, 1.0]),
+     r"^turning-point profile requires x/\(E - m\) > 0"),
+    (vector_profile_turning_point, (3.0, 1.0, LocalProfileCoefficients(), [1.0, math.nan]),
+     r"^turning-point profile requires finite x/\(E - m\)$"),
+    (vector_profile_turning_point, (1.0 + 1e-15, 1.0, LocalProfileCoefficients(), [1e300]),
+     r"^turning-point profile requires finite x/\(E - m\)$"),
+])
+def test_profiles_refuse_bad_x_by_name_without_a_warning(profile, args, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            profile(*args)
 
 
 @pytest.mark.parametrize("m, lam, E, match", [

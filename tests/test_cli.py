@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -419,6 +420,46 @@ def test_profile_csv_bytes_golden(tmp_path, capsys):
     expected = _reference_csv([("m", 1.0), ("lambda", 0.2), ("s", 0.75), ("k", 1),
                                ("E", sol.E)], ["r", "u", "v", "V", "S"], rows)
     assert out_path.read_bytes() == expected
+
+
+ROWS = cli._PROFILE_ROWS
+
+
+@pytest.mark.parametrize("rows", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1, 101],
+                         ids=["slice-minus-1", "one-slice", "slice-plus-1",
+                              "two-slices-plus-1", "within-one-slice"])
+def test_profile_csv_bytes_across_slice_boundaries(tmp_path, rows):
+    # the writer formats a slice of rows at a time; a grid of n steps has
+    # n + 1 rows
+    out_path = tmp_path / "profile.csv"
+    cfg = RunConfig(s=0.75, k=1, r_max=20.0, n=rows - 1, out=str(out_path)).validate()
+    mix, grid = cfg.mix(), cfg.grid()
+    sol = find_bound_state(1.0, mix, 1, suggest_bracket(1.0, mix, 1, grid, nodes=0),
+                           grid, nodes=0)
+    cli._write_profile(cfg, sol.E, sol)
+    data = zip(sol.r, sol.u, sol.v, 0.25 * 0.2 * sol.r, 0.75 * 0.2 * sol.r)
+    expected = _reference_csv([("m", 1.0), ("lambda", 0.2), ("s", 0.75), ("k", 1),
+                               ("E", sol.E)], ["r", "u", "v", "V", "S"], data)
+    assert out_path.read_bytes() == expected
+    assert expected.count(b"\n") == rows + 2
+
+
+def test_profile_writer_never_holds_the_whole_file(tmp_path):
+    # at n = 20000 the writer's traced peak, its potentials included, stays
+    # below half the size of the file it writes
+    out_path = tmp_path / "profile.csv"
+    cfg = RunConfig(n=20000, out=str(out_path)).validate()
+    mix, grid = cfg.mix(), cfg.grid()
+    sol = find_bound_state(1.0, mix, -1, suggest_bracket(1.0, mix, -1, grid), grid)
+    tracemalloc.start()
+    try:
+        cli._write_profile(cfg, sol.E, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out_path.stat().st_size
+    assert size > 1_500_000
+    assert peak < size / 2, f"peak {peak} bytes for a file of {size}"
 
 
 def test_sweep_csv_bytes_golden(tmp_path, capsys):

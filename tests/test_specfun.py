@@ -251,6 +251,19 @@ def test_one_airy_pass_has_the_per_function_bits():
                     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+def test_asymptotic_tables_are_the_signed_coefficients_read_only():
+    # built once at import with the bits of (-1)^k c_k and, past -12, of
+    # the even and odd terms (-1)^j c_2j and (-1)^j c_2j+1
+    k = np.arange(sf._N_AIRY_ASY)
+    for derivative, coef in ((False, sf._AIRY_C), (True, sf._AIRY_D)):
+        even, odd = sf._ASYM_NEG[derivative]
+        for table, want in ((sf._ASYM_POS[derivative], coef * (-1.0) ** k),
+                            (even, coef[0::2] * (-1.0) ** k[:(k.size + 1) // 2]),
+                            (odd, coef[1::2] * (-1.0) ** k[:k.size // 2])):
+            assert table.tobytes() == want.tobytes()
+            assert not table.flags.writeable
+
+
 def test_airy_rejects_nonfinite():
     for fn in (sf.airy_ai, sf.airy_ai_prime):
         # the message names the function that was called
@@ -573,7 +586,7 @@ def test_a_failed_worker_in_a_shared_fan_out_is_raised_after_every_join(monkeypa
 
     monkeypatch.setattr(sp, "k0", failing)
     with pytest.raises(ArithmeticError, match="a worker slice failed"):
-        sf._bessel_i0_k0(np.full(3 * M, 0.5))
+        sf._bessel_i0_k0(np.full(3 * M, 0.5), "a profile", "x")
     assert len(started) == 2 and not any(thread.is_alive() for thread in started)
 
 
@@ -582,6 +595,6 @@ def test_a_shared_fan_out_refuses_zero_before_any_thread_starts(monkeypatch):
     started = _started(monkeypatch)
     x = np.linspace(1.0, 2.0, 4 * M)
     x[-1] = 0.0
-    with pytest.raises(ValueError, match="bessel_k0 requires x > 0"):
-        sf._bessel_i0_k0(x)
+    with pytest.raises(ValueError, match=r"^a profile requires x/\(E - m\) > 0"):
+        sf._bessel_i0_k0(x, "a profile", "x/(E - m)")
     assert started == []

@@ -38,6 +38,23 @@ def test_ledger_names_a_moved_answer():
     assert [line.split(":")[0] for line in moved] == ["bound[3] E", "cli[1] codes"]
 
 
+def test_ledger_counts_identical_answers_above_the_moved_ones(monkeypatch, capsys):
+    ledger = _tool("answer_ledger")
+    reference = ledger.read_reference()
+    current = {name: [dict(row) for row in rows] for name, rows in reference.items()}
+    monkeypatch.setattr(ledger, "answers", lambda: current)
+    assert ledger.main([]) == 0
+    assert capsys.readouterr().out == (
+        "93 of 93 answers identical "
+        "(analytic 16/16, bound 24/24, cli 14/14, quasibound 39/39)\n")
+    current["cli"][1]["codes"] = [1]
+    assert ledger.main([]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "92 of 93 answers identical "
+        "(analytic 16/16, bound 24/24, cli 13/14, quasibound 39/39)",
+        *ledger.moved(reference, current)]
+
+
 def test_ledger_gives_a_moved_estimates_shift_in_spreads():
     ledger = _tool("answer_ledger")
     reference = dict(quasibound=[dict(estimates=["2.0", "2.01", "1.99"], gamma="1.5")])

@@ -17,6 +17,7 @@ grids, since the workload returns only summaries; for `cli` the
 exit codes, stdout with the work directory written as {dir}, and each
 CSV's sha256.  A request that raises
 records the exception's type and message.  The comparison is exact and
+prints how many answers are identical, per workload and in total, then
 names every request whose answer moved, giving a quasi-bound estimate's
 absolute shift |dE| and its shift as a fraction of the reference's
 truncation spread |E(1.1) - E(0.9)|, which alone overstates the move
@@ -144,6 +145,17 @@ def moved(reference, current):
     return lines
 
 
+def summary(reference, current):
+    """One line: how many of the reference's answers are identical now, in
+    total and per workload."""
+    counts = {name: (sum(a == b for a, b in zip(rows, current.get(name, []))), len(rows))
+              for name, rows in sorted(reference.items())}
+    same = sum(n for n, _ in counts.values())
+    total = sum(t for _, t in counts.values())
+    per = ", ".join(f"{name} {n}/{t}" for name, (n, t) in counts.items())
+    return f"{same} of {total} answers identical ({per})"
+
+
 def read_reference():
     return json.loads(REFERENCE.read_text(encoding="utf-8"))
 
@@ -159,8 +171,9 @@ def main(argv=None) -> int:
     if args:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    lines = moved(read_reference(), current)
-    print("\n".join(lines) if lines else "every answer is identical to the reference")
+    reference = read_reference()
+    lines = moved(reference, current)
+    print("\n".join([summary(reference, current), *lines]))
     return 1 if lines else 0
 
 
