@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, finite, integer, nonnegative, positive, require
 from .model import RadialSolution, count_nodes
 from .specfun import _airy, _bessel_i0_k0, _bessel_j0_i0, airy_ai, airy_ai_zero
 # Not called here, but importable from this module, where a span tracer looks
@@ -51,24 +51,8 @@ class LocalProfileCoefficients:
     C: float = 0.0
 
     def __post_init__(self):
-        vals = (self.A, self.B, self.C)
-        if not all(np.isfinite(vals)):
-            raise ValueError("profile coefficients must be finite")
-        if self.A == 0.0 and self.B == 0.0 and self.C == 0.0:
-            raise ValueError("profile coefficients must not all vanish")
-
-
-def _require_mass_and_slope(m, lam):
-    if not (0.0 < m < np.inf):
-        raise ValueError(f"mass m must be positive and finite, got {m!r}")
-    if not (0.0 < lam < np.inf):
-        raise ValueError(f"slope lam must be positive and finite, got {lam!r}")
-
-
-def _require_finite(what, **params):
-    for name, value in params.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{what} requires a finite {name}, got {value!r}")
+        finite("LocalProfileCoefficients", A=self.A, B=self.B, C=self.C)
+        require("LocalProfileCoefficients", any((self.A, self.B, self.C)), "A, B and C not all 0")
 
 
 def equal_mix_energy(m: float, lam: float, zero_index: int = 1) -> float:
@@ -83,7 +67,8 @@ def equal_mix_energy(m: float, lam: float, zero_index: int = 1) -> float:
     is the ground state.  Raises ValueError unless m and lambda are
     positive and finite.
     """
-    _require_mass_and_slope(m, lam)
+    positive("equal_mix_energy", m=m, lam=lam)
+    integer("equal_mix_energy", "zero_index", zero_index, 1)
     c = abs(airy_ai_zero(zero_index)) * lam ** (2.0 / 3.0)
     w = (2.0 * m) ** (1.0 / 3.0) + c ** 0.25
     while True:
@@ -100,7 +85,7 @@ def equal_mix_solution(m: float, lam: float, zero_index: int = 1) -> EqualMixSol
     e = equal_mix_energy(m, lam, zero_index)
     return EqualMixSolution(
         E=e,
-        scale=(lam * (m + e)) ** (1.0 / 3.0),
+        scale=lam ** (1.0 / 3.0) * (m + e) ** (1.0 / 3.0),  # no product to overflow
         q2=(m - e) * (m + e),
         zero_index=zero_index,
     )
@@ -120,21 +105,19 @@ def equal_mix_wavefunction(m: float, lam: float, E: float, grid) -> RadialSoluti
     ValueError, before any Airy evaluation, unless m and lambda are
     positive and finite and E is finite and above m.
     """
-    _require_mass_and_slope(m, lam)
+    positive("equal_mix_wavefunction", m=m, lam=lam)
+    require("equal_mix_wavefunction", m < E < np.inf, "finite E > m")
     r = np.asarray(grid, dtype=float)
-    if r.ndim != 1 or r.size < 2:
-        raise ValueError("grid must be a 1-d array of at least two radii")
-    if np.any(np.diff(r) <= 0) or r[0] < 0:
-        raise ValueError("grid must be sorted, strictly increasing, and nonnegative")
-    _require_finite("equal_mix_wavefunction", E=E)
-    if not (E > m):
-        raise ValueError("equal-mix bound states require E > m")
+    nonnegative("equal_mix_wavefunction", grid=r)
+    require("equal_mix_wavefunction", r.ndim == 1 and r.size >= 2 and np.all(np.diff(r) > 0),
+            "a strictly increasing grid of two radii or more")
 
     scale = (lam * (m + E)) ** (1.0 / 3.0)
     shift = (m - E) / lam
-    xi = scale * (r + shift)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _airy, by name
+        xi = scale * (r + shift)
 
-    u, v = _airy(xi, "equal_mix_wavefunction", (False, True))  # Ai, Ai'
+    u, v = _airy(xi, "equal_mix_wavefunction", (False, True), "xi")  # Ai, Ai'
     peak = float(np.max(np.abs(u)))
     # Ai(scale * shift); where r[0] = 0, xi[0] is that argument, bit for bit
     origin = abs(float(u[0] if r[0] == 0.0 else airy_ai(scale * shift)))
@@ -162,15 +145,20 @@ def equal_mix_wavefunction(m: float, lam: float, E: float, grid) -> RadialSoluti
 def scalar_asymptote(lam: float, A: float, r):
     """Pure-scalar large-r envelope A*exp(-lambda r^2 / 2)."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("radius must be nonnegative")
-    out = A * np.exp(-0.5 * lam * arr * arr)
+    positive("scalar_asymptote", lam=lam)
+    finite("scalar_asymptote", A=A)
+    nonnegative("scalar_asymptote", r=arr)
+    with np.errstate(over="ignore"):  # lambda r^2 past DBL_MAX: the envelope is 0
+        out = A * np.exp(-0.5 * lam * arr * arr)
     return float(out) if arr.ndim == 0 else out
 
 
 def x_of_r(m: float, E: float, lam: float, r):
     """Barrier coordinate x = E + m - lambda*r: x = 0 at r2 and x = 2m at r1."""
+    positive("x_of_r", m=m, lam=lam)
+    finite("x_of_r", E=E)
     arr = np.asarray(r, dtype=float)
+    nonnegative("x_of_r", r=arr)
     out = E + m - lam * arr
     return float(out) if arr.ndim == 0 else out
 
@@ -179,11 +167,11 @@ def vector_profile_continuum_edge(E: float, m: float, A: float, x):
     """Local wavefunction near the continuum edge r2 (x = 0) of the
     pure-vector barrier: oscillatory A*J0(2*sqrt(-x/(E+m))) on the free
     side x < 0, monotone A*I0(2*sqrt(x/(E+m))) inside the barrier; the two
-    branches join continuously with value A at x = 0.  E, m and A must be
-    finite, E + m > 0, and x/(E + m) finite."""
-    _require_finite("continuum-edge profile", E=E, m=m, A=A)
-    if not (E + m > 0):
-        raise ValueError("continuum-edge profile requires E + m > 0")
+    branches join continuously with value A at x = 0.  E and A must be
+    finite, m > 0 finite, E + m > 0, and x/(E + m) finite."""
+    finite("continuum-edge profile", E=E, A=A)
+    positive("continuum-edge profile", m=m)
+    require("continuum-edge profile", E + m > 0, "E + m > 0")
     arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
     # 2 sqrt|x/(E+m)| at every point; the sign of x picks J0 or I0, each
@@ -194,10 +182,11 @@ def vector_profile_continuum_edge(E: float, m: float, A: float, x):
     np.abs(out, out=out)
     np.sqrt(out, out=out)
     out *= 2.0
+    finite("continuum-edge profile", **{"x/(E + m)": out})
     free = flat < 0
     barrier = ~free
     j0, i0 = out[free], out[barrier]
-    _bessel_j0_i0(j0, i0, "continuum-edge profile", "x/(E + m)")
+    _bessel_j0_i0(j0, i0)
     out[free] = j0
     out[barrier] = i0
     out *= A
@@ -210,12 +199,10 @@ def vector_profile_turning_point(E: float, m: float,
     B*I0(2*sqrt(x/(E-m))) + C*K0(2*sqrt(x/(E-m))), valid for a quasi-bound
     state with finite E > m where x/(E-m) is finite and positive.  I0 and
     K0 run on the same threads, one fan-out per call."""
-    _require_finite("turning-point profile", E=E, m=m)
-    if not (E > m):
-        raise ValueError("turning-point profile requires E > m")
+    positive("turning-point profile", m=m)
+    require("turning-point profile", m < E < np.inf, "finite E > m")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("turning-point profile requires x > 0 (K0 diverges at 0)")
+    require("turning-point profile", not np.any(arr <= 0), "x > 0 (K0 diverges at 0)")
     with np.errstate(over="ignore"):  # refused below, by name
         arg = np.divide(arr.reshape(-1), E - m)
     np.sqrt(arg, out=arg)

@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .analytic import equal_mix_energy
-from .errors import ScanError
+from .errors import ScanError, integer
 from .model import (
     BindingClass,
     Particle,
@@ -80,8 +80,7 @@ class RunConfig:
         Particle(self.m)
         PotentialMix(self.lam, self.s)
         QuantumNumbers(self.k)
-        if self.zero_index < 1:
-            raise UsageError("zero_index must be >= 1")
+        integer("RunConfig", "zero_index", self.zero_index, 1)
         self.grid()  # validates r_max and n
         return self
 

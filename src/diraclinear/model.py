@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .errors import integer, nonnegative, positive, require
+
 
 class BindingClass(enum.Enum):
     """Whether a state is truly bound or can decay by Klein tunneling."""
@@ -29,8 +31,7 @@ class Particle:
     m: float
 
     def __post_init__(self):
-        if not (0 < self.m < np.inf):
-            raise ValueError(f"mass must be positive and finite, got {self.m}")
+        positive("Particle", m=self.m)
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,8 @@ class PotentialMix:
     s: float
 
     def __post_init__(self):
-        if not (0 < self.lam < np.inf):
-            raise ValueError(f"slope lam must be positive and finite, got {self.lam}")
-        if not (0.0 <= self.s <= 1.0):
-            raise ValueError(f"scalar fraction s must lie in [0, 1], got {self.s}")
+        positive("PotentialMix", lam=self.lam)
+        require("PotentialMix", 0.0 <= self.s <= 1.0, "scalar fraction s in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,8 @@ class QuantumNumbers:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
-            raise ValueError("k must be an integer")
-        if self.k == 0:
-            raise ValueError("k = 0 is not a valid Dirac quantum number")
+        integer("QuantumNumbers", "k", self.k)
+        require("QuantumNumbers", self.k != 0, "k != 0")
 
     @property
     def j(self) -> float:
@@ -82,12 +79,10 @@ class TurningPoints:
     r3: float | None = None
 
     def __post_init__(self):
-        if not (self.r1 > 0):
-            raise ValueError("r1 must be positive")
-        if (self.r2 is None) != (self.r3 is None):
-            raise ValueError("r2 and r3 must be present or absent together")
-        if self.r2 is not None and not (self.r1 < self.r2 <= self.r3):
-            raise ValueError("turning points must satisfy r1 < r2 <= r3")
+        positive("TurningPoints", r1=self.r1)
+        require("TurningPoints", (self.r2 is None) == (self.r3 is None), "r2 and r3 together")
+        if self.r2 is not None:
+            require("TurningPoints", self.r1 < self.r2 <= self.r3 < np.inf, "r1 < r2 <= r3 < inf")
 
 
 @dataclass(frozen=True)
@@ -101,10 +96,9 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("grid requires 0 < r_min < r_max")
-        if self.n < 100:
-            raise ValueError("grid requires n >= 100 steps")
+        positive("RadialGrid", r_min=self.r_min)
+        require("RadialGrid", self.r_min < self.r_max < np.inf, "finite r_max > r_min")
+        integer("RadialGrid", "n", self.n, 100)
 
     @property
     def h(self) -> float:
@@ -193,8 +187,7 @@ def potentials(mix: PotentialMix, r):
     V + S = lambda*r exactly for any scalar fraction.
     """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("radius must be nonnegative")
+    nonnegative("potentials", r=arr)
     v = (1.0 - mix.s) * mix.lam * arr
     s = mix.s * mix.lam * arr
     if arr.ndim == 0:
@@ -211,10 +204,8 @@ def turning_points(m: float, E: float, mix: PotentialMix) -> TurningPoints:
     lifted to E and r2, r3 are absent.  Raises ValueError, naming m and E,
     when E is so far above m that r1 and r2 round to the same value.
     """
-    if not (m > 0):
-        raise ValueError("mass must be positive")
-    if not (E > m):
-        raise ValueError(f"turning points require E > m (got E={E}, m={m})")
+    positive("turning_points", m=m)
+    require("turning_points", m < E < math.inf, "finite E > m")
     r1 = (E - m) / mix.lam
     if mix.s >= 0.5:
         return TurningPoints(r1=r1)

@@ -38,13 +38,12 @@ the outward recurrence run backwards through the same step matrices
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._kernels import _prime, _transfer_matrices, rk4_inward, rk4_path
-from .errors import BracketError, ConsistencyError, ScanError
+from .errors import BracketError, ConsistencyError, ScanError, finite, integer, positive, require
 from .model import (
     PotentialMix,
     QuantumNumbers,
@@ -59,11 +58,9 @@ def _launch(m, mix, k, E, r_min):
     """Launch values (u0, v0) at r_min for a shot at energy E, from the
     series behavior at the regular singular point: the leading component
     goes like r^|k| and the other follows from the leading-order relation.
-    Raises ValueError on a non-finite E, when r_min^(|k| + 1) overflows,
-    and when r_min^|k| underflows so that both values vanish and the shot
-    would be identically zero."""
-    if not math.isfinite(E):
-        raise ValueError("E must be finite")
+    Raises ValueError when r_min^(|k| + 1) overflows, and when r_min^|k|
+    underflows so that both values vanish and the shot would be
+    identically zero."""
     kk = abs(k)
     p0 = E + m - (1.0 - 2.0 * mix.s) * mix.lam * r_min
     q0 = E - m - mix.lam * r_min
@@ -125,10 +122,15 @@ def integrate_radial(m: float, mix: PotentialMix, k: int, E: float,
     the representable range is not an error: the solution is marked
     diverged, entries past the overflow point are NaN, and divergence_sign
     records the sign of u there; the solvers go by the node count.  Raises
-    ValueError when r_min^|k| underflows, so that both launch values are 0.
+    ValueError, before the shot, unless m is finite and > 0 and E is
+    finite, and when r_min^|k| underflows, so that both launch values
+    are 0.
     """
-    if type(k) is not int or k == 0:  # a plain nonzero int needs no check
+    # a plain nonzero int k, a finite m > 0 and a finite E need no rule
+    if not (type(k) is int and k != 0 and 0.0 < m < math.inf and math.isfinite(E)):
         QuantumNumbers(k)
+        positive("integrate_radial", m=m)
+        finite("integrate_radial", E=E)
     u, v, stop, sign = _shoot(m, mix, k, E, grid)
     return RadialSolution(
         r=grid.radii(), u=u, v=v, E=E, node_count=count_nodes(u, end=True),
@@ -241,16 +243,19 @@ def find_bound_state(m: float, mix: PotentialMix, k: int, bracket,
     end unless it holds this problem's stack (see _prime_grid); the inward
     tail takes its step matrices from that stack and frees it, and the grid
     holds no stack when this returns or raises.  The solution's r is
-    the grid's shared, read-only radii().  Raises ConsistencyError when the
-    outward shot overflows before r1 or the inward path before reaching it.
+    the grid's shared, read-only radii().  Raises ValueError, before any
+    shot, unless m is finite and > 0, s >= 1/2, 0 < lo < hi < inf and
+    nodes, when given, is an integer >= 0; raises ConsistencyError when
+    the outward shot overflows before r1 or the inward path before
+    reaching it.
     """
-    if mix.s < 0.5:
-        raise ValueError(
-            "s < 0.5 gives only quasi-bound states; use estimate_quasibound_energy")
+    positive("find_bound_state", m=m)
+    require("find_bound_state", mix.s >= 0.5, "s >= 0.5; use estimate_quasibound_energy below")
     QuantumNumbers(k)
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    require("find_bound_state", 0.0 < lo < hi < math.inf, "a bracket with 0 < lo < hi < inf")
+    if nodes is not None:
+        integer("find_bound_state", "nodes", nodes, 0)
 
     # the first shot is at lo; a no-op on the grid suggest_bracket shot
     _prime_grid(m, mix, k, lo, grid)
@@ -499,16 +504,17 @@ def suggest_bracket(m: float, mix: PotentialMix, k: int, grid: RadialGrid,
     one pass, centred at its own energy, unless the grid holds this
     problem's stack already, and the grid keeps it for find_bound_state.
 
-    Raises ValueError unless steps >= 1 and nodes >= 0 are integers.
+    Raises ValueError unless m > 0 is finite and steps >= 1 and
+    nodes >= 0 are integers.
     Raises ScanError when there is no such transition; its message names
     the r_max that the next scan energy needs when the scan went past the
     window.  Also raises ScanError when the grid does not resolve the Airy
     length at the level (its message names the n that does), when more
     than 2^52 scan energies lie past the window, and as _scan does."""
+    positive("suggest_bracket", m=m)
     QuantumNumbers(k)
-    for name, value, least in (("steps", steps, 1), ("nodes", nodes, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    integer("suggest_bracket", "steps", steps, 1)
+    integer("suggest_bracket", "nodes", nodes, 0)
     steps, nodes = int(steps), int(nodes)
     width = 10.0 * math.sqrt(mix.lam)
     level = _wkb_level(m, mix.lam, mix.s, k, nodes)
@@ -603,6 +609,8 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
 
     Every shot goes through _dirichlet_u, which returns u(r_mid), and
     for scan shots the sign-change count.
+    Raises ValueError, before any shot, unless m is finite and > 0,
+    s < 1/2 and midpoint_scale lies in [0.5, 1.5].
     Raises ScanError when even the first scan energy E is so far above m,
     as for a huge lambda, that E - m and E + m round to the same value,
     when either scan's bracket is refused (as above), when a shot in the
@@ -622,11 +630,11 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     """
     from scipy.optimize import brentq
 
-    if mix.s >= 0.5:
-        raise ValueError("s >= 0.5 is strictly bound; use find_bound_state")
+    positive("estimate_quasibound_energy", m=m)
+    require("estimate_quasibound_energy", mix.s < 0.5, "s < 0.5; use find_bound_state above")
     QuantumNumbers(k)
-    if not (0.5 <= midpoint_scale <= 1.5):
-        raise ValueError("midpoint_scale outside [0.5, 1.5] leaves the barrier")
+    require("estimate_quasibound_energy", 0.5 <= midpoint_scale <= 1.5,
+            "midpoint_scale in [0.5, 1.5]: one outside [0.5, 1.5] leaves the barrier")
 
     def dirichlet_radius(e):
         tp = turning_points(m, e, mix)

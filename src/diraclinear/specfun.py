@@ -48,6 +48,8 @@ import threading
 
 import numpy as np
 
+from .errors import finite, integer, positive, require
+
 _SQRT_PI = math.sqrt(math.pi)
 
 # Switchover between the Taylor nodes and the asymptotic branches.  The textbook
@@ -61,6 +63,11 @@ AIRY_SWITCH = 12.0
 # part of both Ai and Ai' is below 1e-18 of max(|Ai|, |Ai'|) at |t| = 1/16.
 _NODE_STEP = 0.125
 _N_TAYLOR = 13
+
+# Below this x the far-negative branch's phase zeta = (2/3)|x|^(3/2) is
+# 2^53 or more: its ulp of 2 exceeds pi/2, so cos and sin of the rounded
+# phase have no correct digit, and Ai and Ai' are refused there.
+_AIRY_PHASE_END = -(1.5 * 2.0 ** 53) ** (2.0 / 3.0)
 
 
 def _powsum(y, coef):
@@ -123,12 +130,11 @@ for _table in (*_ASYM_POS, *_ASYM_NEG[0], *_ASYM_NEG[1]):
     _table.flags.writeable = False
 
 
-def _as_array(x, name, what="arguments"):
-    """x as a float array and whether it is a scalar; refused, naming the
-    caller `name` and its argument `what`, unless finite."""
+def _as_array(x, name, rule=finite, what="x"):
+    """x as a float array and whether it is a scalar; refused by `rule`,
+    naming the caller `name` and its argument `what`."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} requires finite {what}")
+    rule(name, **{what: arr})
     return arr, arr.ndim == 0
 
 
@@ -145,7 +151,8 @@ def _inv_powsum(z, coef):
 # Airy Ai
 
 def _airy_asym_pos(x, derivative=False):
-    zeta = (2.0 / 3.0) * x ** 1.5
+    with np.errstate(over="ignore"):  # an inf zeta: exp(-zeta) is 0
+        zeta = (2.0 / 3.0) * x ** 1.5
     s = _inv_powsum(zeta, _ASYM_POS[derivative])
     # exp(-zeta) underflows gracefully to 0 for very large x
     pref = np.exp(-zeta) / (2.0 * _SQRT_PI)
@@ -168,15 +175,19 @@ def _airy_asym_neg(x, derivative=False):
     return (c * p + s * q) / (_SQRT_PI * z ** 0.25)
 
 
-def _airy(x, name, derivatives):
+def _airy(x, name, derivatives, what="x"):
     """Ai (False) or Ai' (True) at x for each entry of `derivatives`, from
-    one pass: the input is validated, the branch masks are built, and the
-    node index j and offset t = x - x_j are computed once for them all.
+    one pass: the input is validated (a refusal names the caller `name`
+    and its argument `what`), the branch masks are built, and the node
+    index j and offset t = x - x_j are computed once for them all.
     Horner's rule then runs on the nearest node's row of each table, one
     row at a time, and the asymptotic branches take |x| > AIRY_SWITCH.
     Returns a tuple of floats for a scalar, else of arrays of x's shape."""
-    arr, scalar = _as_array(x, name)
+    arr, scalar = _as_array(x, name, what=what)
     flat = arr.reshape(-1)
+    require(name, np.min(flat, initial=0.0) > _AIRY_PHASE_END,
+            f"{what} above about -5.6727e10, where the phase (2/3)|{what}|^(3/2) "
+            "stays below 2^53: an ulp of 2 leaves its cos and sin no correct digit")
     ser = np.abs(flat) <= AIRY_SWITCH
     far = [(mask, branch, flat[mask])
            for mask, branch in (((~ser) & (flat > 0), _airy_asym_pos),
@@ -205,7 +216,8 @@ def airy_ai(x):
     """Airy function Ai(x), the solution of u'' = x u that decays as x -> +inf.
 
     Accurate to a few 1e-15 absolute for |x| <= 12 (contract: 1e-10).
-    Raises ValueError on non-finite input.
+    Raises ValueError on non-finite input, and below about -5.67e10, where
+    the rounded phase of the oscillation has no correct digit left.
     """
     return _airy(x, "airy_ai", (False,))[0]
 
@@ -223,10 +235,7 @@ def airy_ai_zero(index):
     the first 200 (scipy's value alone is off by 8.1e-12 at index 5).  The
     last 256 indices asked for are cached.
     """
-    if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
-        raise ValueError("zero index must be a positive integer")
-    if index < 1:
-        raise ValueError("zero index must be >= 1")
+    integer("airy_ai_zero", "index", index, 1)
     return _ai_zero(int(index))
 
 
@@ -245,6 +254,11 @@ def _ai_zero(index):
 # more than the slice saves: scipy's i0 and k0 on the `analytic` workload's
 # arguments gain from 2 slices of 8192 points on, and break even at 2 of 4096.
 _MIN_POINTS = 8192
+
+# scipy's k0 halves x, which rounds the least subnormal to 0 and returns
+# inf; there K0 = ln 2 - ln x - gamma_Euler, the rest of its series far
+# below an ulp
+_K0_LEAST = math.log(2.0) - math.log(math.ulp(0.0)) - np.euler_gamma
 
 
 def _split(jobs, points):
@@ -318,28 +332,22 @@ def bessel_i0(x):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def _k0_domain(x, name, what="x"):
-    """x as a float array, refused unless finite and positive."""
-    arr, scalar = _as_array(x, name, what)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"{name} requires {what} > 0 (K0 diverges at 0)")
-    return arr, scalar
-
-
 def bessel_k0(x):
     """Modified Bessel function of the second kind K0(x), x > 0.
 
     Diverges logarithmically at x = 0; zero and negative arguments raise
     ValueError before any thread starts.  Positive and strictly decreasing.
     scipy.special.k0, split across threads like bessel_i0, with the same
-    bits as one serial call.
+    bits as one serial call, except at the least subnormal, where scipy
+    halves x to 0 and returns inf.
     """
-    arr, scalar = _k0_domain(x, "bessel_k0")
+    arr, scalar = _as_array(x, "bessel_k0", positive)
     from scipy import special
 
     src = arr.reshape(-1)  # C order: a view when arr is C-contiguous, else a copy
     out = np.empty(src.size)
     _split([(special.k0, src, out)], src.size)
+    out[src == math.ulp(0.0)] = _K0_LEAST
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -349,7 +357,7 @@ def _bessel_i0_k0(x, name, what):
     x is validated once, as bessel_k0 does, before any thread starts; a
     refusal names the caller `name` and the quantity `what` that x is
     built from.  The bits equal bessel_i0(x) and bessel_k0(x)."""
-    _k0_domain(x, name, what)
+    positive(name, **{what: x})
     from scipy import special
 
     k0 = np.empty_like(x)
@@ -357,16 +365,12 @@ def _bessel_i0_k0(x, name, what):
     return x, k0
 
 
-def _bessel_j0_i0(j0_args, i0_args, name, what):
+def _bessel_j0_i0(j0_args, i0_args):
     """J0(j0_args) and I0(i0_args), each overwriting its 1-d float array of
-    arguments >= 0, from one fan-out with as many slices as I0 alone would
-    take: the J0 points, about a sixth of an I0 point's cost, ride along on
-    the same threads.  Both arrays are validated before any thread starts,
-    a refusal naming the caller `name` and the quantity `what` that the
-    arguments are built from, and the bits equal bessel_j0 and bessel_i0
-    of the arguments."""
-    _as_array(j0_args, name, what)
-    _as_array(i0_args, name, what)
+    finite arguments >= 0, which the caller has validated, from one
+    fan-out with as many slices as I0 alone would take: the J0 points,
+    about a sixth of an I0 point's cost, ride along on the same threads.
+    The bits equal bessel_j0 and bessel_i0 of the arguments."""
     from scipy import special
 
     _split([(special.j0, j0_args, j0_args), (special.i0, i0_args, i0_args)], i0_args.size)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import finite, nonnegative, positive, require
 from .model import PotentialMix, turning_points
 
 _QUAD_KW = dict(epsabs=0.0, epsrel=1e-11, limit=200)
@@ -51,12 +52,14 @@ def momentum_modulus(m: float, E: float, V: float) -> float:
     beyond the continuum edge the roles of the terms swap and the caller
     should use the continued form (E - V)^2 - m^2 instead.
     """
-    val = m * m - (E - V) * (E - V)
-    if val < 0.0:
+    positive("momentum_modulus", m=m)
+    finite("momentum_modulus", E=E, V=V)
+    d = abs(E - V)
+    if d > m:
         raise ValueError(
             f"m^2 < (E-V)^2 at V={V}: point is classically allowed, "
             "not inside the barrier")
-    return math.sqrt(val)
+    return math.sqrt(m - d) * math.sqrt(m + d)  # no square to overflow
 
 
 def gamma_pure_vector(m: float, lam: float) -> float:
@@ -65,8 +68,7 @@ def gamma_pure_vector(m: float, lam: float) -> float:
     Independent of the state energy; the turning points shift with E but
     the integral between them does not.
     """
-    if not (m > 0 and lam > 0):
-        raise ValueError("gamma_pure_vector requires m > 0 and lambda > 0")
+    positive("gamma_pure_vector", m=m, lam=lam)
     return math.pi * m * m / (2.0 * lam)
 
 
@@ -79,14 +81,13 @@ def gamma_barrier_quadrature(m: float, lam: float, E: float | None = None) -> fl
     Gauss-Kronrod subdivision sees it.  Cross-checks gamma_pure_vector
     (and is E-independent like it).
     """
-    if not (m > 0 and lam > 0):
-        raise ValueError("gamma_barrier_quadrature requires m > 0 and lambda > 0")
+    positive("gamma_barrier_quadrature", m=m, lam=lam)
     if E is None:
         E = 2.0 * m
-    if not (E > m):
-        raise ValueError("barrier integration needs E > m")
+    require("gamma_barrier_quadrature", m < E < math.inf, "finite E > m")
     r1 = (E - m) / lam
     r2 = (E + m) / lam
+    finite("gamma_barrier_quadrature", **{"r2 = (E + m)/lambda": r2})
     # m - (E - lam r) = lam (r - r1) and m + (E - lam r) = lam (r2 - r),
     # so the integrand is lam * sqrt((r - r1)(r2 - r)), symmetric about the
     # barrier center; substituting r = r1 + t^2 on the left half (and the
@@ -110,12 +111,7 @@ def gamma_mixed(m: float, mix: PotentialMix, E: float) -> TunnelingReport:
     by adaptive quadrature; Q = 0 exactly for a pure vector potential
     (r3 = r2) and grows with s, diverging as s -> 1/2.
     """
-    if mix.s >= 0.5:
-        raise ValueError(
-            "s >= 0.5 is a true bound state: the barrier never ends and "
-            "gamma is not defined")
-    if not (E > m):
-        raise ValueError("gamma_mixed requires E > m")
+    require("gamma_mixed", mix.s < 0.5, "s < 0.5: past it the barrier never ends")
     tp = turning_points(m, E, mix)
     lam = mix.lam
     first = gamma_pure_vector(m, lam)
@@ -133,7 +129,9 @@ def gamma_mixed(m: float, mix: PotentialMix, E: float) -> TunnelingReport:
 
         q, _ = quad(integrand, 0.0, math.sqrt(tp.r3 - tp.r2), **_QUAD_KW)
     gamma = first + q
-    return TunnelingReport(gamma=gamma, tau_ratio=lifetime_ratio(gamma),
+    # a gamma past DBL_MAX saturates the ratio, which lifetime_ratio would refuse
+    tau = math.inf if gamma == math.inf else lifetime_ratio(gamma)
+    return TunnelingReport(gamma=gamma, tau_ratio=tau,
                            r1=tp.r1, r2=tp.r2, r3=tp.r3, s=mix.s, E=E)
 
 
@@ -143,8 +141,7 @@ def lifetime_ratio(gamma: float) -> float:
     Saturates to math.inf when 2*gamma exceeds the floating-point range;
     gamma itself is the retained log-scale value in that case.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    nonnegative("lifetime_ratio", gamma=gamma)
     try:
         return math.exp(2.0 * gamma)
     except OverflowError:
@@ -159,6 +156,5 @@ def sauter_transmission(m: float, v: float) -> float:
 
     For v = lambda this is exactly exp(-2 * gamma_pure_vector).
     """
-    if not (v > 0):
-        raise ValueError("field slope v must be positive")
+    positive("sauter_transmission", m=m, v=v)
     return math.exp(-math.pi * m * m / v)

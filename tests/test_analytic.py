@@ -373,3 +373,36 @@ def test_profiles_have_the_bits_of_serial_scipy_calls(monkeypatch, cpus):
     got = vector_profile_turning_point(e, m, LocalProfileCoefficients(B=1.0, C=0.5), 1e-300)
     assert type(got) is float
     assert got == float(_serial_turning_point(e, m, 1.0, 0.5, np.array([1e-300]))[0])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: scalar_asymptote(1.0, 0.2, [math.nan]), "^scalar_asymptote requires finite r$"),
+    (lambda: scalar_asymptote(1.0, 0.2, [-1.0]), "^scalar_asymptote requires r >= 0$"),
+    (lambda: scalar_asymptote(math.inf, 0.2, 1.0), "^scalar_asymptote requires finite slope lam"),
+    (lambda: x_of_r(1.0, 1.5, 0.2, [math.nan, -1.0]), "^x_of_r requires finite r$"),
+    (lambda: x_of_r(1.0, 1.5, 0.2, [1.0, -1.0]), "^x_of_r requires r >= 0$"),
+    (lambda: x_of_r(1.0, math.nan, 0.2, 1.0), "^x_of_r requires finite E"),
+], ids=["asymptote-nan", "asymptote-negative", "asymptote-lam", "x-nan", "x-negative", "x-E"])
+def test_radius_functions_refuse_bad_inputs_by_name(call, match):
+    # scalar_asymptote gave [nan] and x_of_r [nan, 2.7]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_scalar_asymptote_far_out_is_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scalar_asymptote(1.0, 0.2, [1e300]).tolist() == [0.0]
+        assert scalar_asymptote(1.0, 0.2, 1e300) == 0.0
+
+
+def test_equal_mix_scale_of_a_huge_slope_is_finite():
+    sol = equal_mix_solution(1.0, 1e300, 1)
+    # [lambda (m + E)]^(1/3) overflowed to inf in the product
+    assert sol.scale == pytest.approx(1e100 * (1.0 + sol.E) ** (1.0 / 3.0))
+
+
+@pytest.mark.parametrize("index", [0, 1.0, True, -3])
+def test_equal_mix_energy_refuses_a_bad_zero_index_by_name(index):
+    with pytest.raises(ValueError, match="^equal_mix_energy: zero_index must be an integer >= 1"):
+        equal_mix_energy(1.0, 0.2, index)

@@ -208,3 +208,52 @@ def test_count_nodes_matches_its_definition(values, strided):
     if strided:  # a shot's u is a strided view of its interleaved path
         u = np.stack([u, -u], axis=1)[:, 0]
     assert count_nodes(u) == _two_pass_nodes(u)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1e-6, np.inf, 200), "finite r_max"),
+    ((np.nan, 10.0, 200), "finite r_min"),
+    ((1e-6, 10.0, 200.5), "n must be an integer"),  # radii() gave 202 points
+    ((1e-6, 10.0, True), "n must be an integer"),
+    ((1e-6, 10.0, 99), r"n must be an integer >= 100"),
+])
+def test_grid_refuses_non_finite_radii_and_a_non_integer_n(args, match):
+    with pytest.raises(ValueError, match=rf"^RadialGrid.*{match}"):
+        RadialGrid(*args)
+
+
+def test_grid_takes_a_numpy_integer_n():
+    assert RadialGrid(1e-6, 10.0, np.int64(200)).radii().size == 201
+
+
+@pytest.mark.parametrize("args, match", [
+    ((np.inf,), "finite r1"),
+    ((np.nan,), "finite r1"),
+    ((1.0, 2.0, np.inf), r"r1 < r2 <= r3 < inf"),
+    ((1.0, np.nan, 3.0), r"r1 < r2 <= r3 < inf"),
+])
+def test_turning_points_refuse_non_finite_radii(args, match):
+    with pytest.raises(ValueError, match=rf"^TurningPoints requires {match}"):
+        TurningPoints(*args)
+
+
+@pytest.mark.parametrize("r, match", [
+    ([np.nan], "finite r$"),
+    ([1.0, -1.0], "r >= 0$"),
+    (-1.0, r"r >= 0, got -1.0"),
+])
+def test_potentials_refuse_a_bad_radius_by_name(r, match):
+    with pytest.raises(ValueError, match=rf"^potentials requires {match}"):
+        potentials(PotentialMix(0.2, 0.5), r)
+
+
+@pytest.mark.parametrize("k", [0, 1.0, True, np.nan])
+def test_quantum_numbers_refuse_by_name(k):
+    with pytest.raises(ValueError, match=r"^QuantumNumbers.*\bk\b"):
+        QuantumNumbers(k)
+
+
+def test_turning_points_refuse_a_bad_mass_by_name():
+    for m in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^turning_points requires .*mass m"):
+            turning_points(m, 2.0, PotentialMix(0.2, 0.25))

@@ -980,3 +980,60 @@ def test_node_scan_past_its_window_stops_at_r_max(monkeypatch):
     with pytest.raises(ScanError, match=r"in \(m, m \+ 10\*sqrt\(lambda\)\)"):
         suggest_bracket(M, EQUAL, -1, short, nodes=39)
     assert max(shot) == 1.0 + 10.0 * math.sqrt(LAM)
+
+
+# ---------------------------------------------------------------------------
+# A mass outside m > 0, finite, is refused by name before any shot
+
+BAD_MASSES = [-1.0, 0.0, math.inf, math.nan]
+
+
+def _no_shots(monkeypatch):
+    monkeypatch.setattr(shooting, "rk4_path", None)
+    monkeypatch.setattr(shooting, "integrate_radial", None)
+
+
+@pytest.mark.parametrize("m", BAD_MASSES)
+def test_find_bound_state_refuses_a_bad_mass(monkeypatch, m):
+    # m = -1 gave E = 1.0586 and m = nan a BracketError
+    _no_shots(monkeypatch)
+    with pytest.raises(ValueError, match=r"^find_bound_state requires .*mass m"):
+        find_bound_state(m, EQUAL, -1, (1.0, 2.0), RadialGrid(1e-6, 25, 1000))
+
+
+@pytest.mark.parametrize("m", BAD_MASSES)
+def test_suggest_bracket_refuses_a_bad_mass(monkeypatch, m):
+    # m = 0 gave (0.8385, 0.9084) and m = inf a ScanError "near m = inf"
+    _no_shots(monkeypatch)
+    with pytest.raises(ValueError, match=r"^suggest_bracket requires .*mass m"):
+        suggest_bracket(m, EQUAL, -1, RadialGrid(1e-6, 25, 1000))
+
+
+@pytest.mark.parametrize("m", BAD_MASSES)
+def test_estimate_quasibound_energy_refuses_a_bad_mass(monkeypatch, m):
+    _no_shots(monkeypatch)
+    monkeypatch.setattr(shooting, "_dirichlet_u", None)
+    with pytest.raises(ValueError, match=r"^estimate_quasibound_energy requires .*mass m"):
+        estimate_quasibound_energy(m, VECTOR, -1, RadialGrid(1e-6, 25, 1000))
+
+
+@pytest.mark.parametrize("m", BAD_MASSES)
+def test_integrate_radial_refuses_a_bad_mass(monkeypatch, m):
+    # m = nan gave an all-NaN "diverged" shot
+    monkeypatch.setattr(shooting, "rk4_path", None)
+    with pytest.raises(ValueError, match=r"^integrate_radial requires .*mass m"):
+        integrate_radial(m, EQUAL, -1, E1, RadialGrid(1e-6, 25, 1000))
+
+
+@pytest.mark.parametrize("E", [math.inf, -math.inf, math.nan])
+def test_integrate_radial_refuses_a_non_finite_energy(monkeypatch, E):
+    monkeypatch.setattr(shooting, "rk4_path", None)
+    with pytest.raises(ValueError, match=r"^integrate_radial requires finite E"):
+        integrate_radial(M, EQUAL, -1, E, RadialGrid(1e-6, 25, 1000))
+
+
+@pytest.mark.parametrize("nodes", [-1, 0.5, True])
+def test_find_bound_state_refuses_a_bad_node_count(monkeypatch, nodes):
+    _no_shots(monkeypatch)
+    with pytest.raises(ValueError, match="nodes must be an integer >= 0"):
+        find_bound_state(M, EQUAL, -1, (1.0, 2.0), RadialGrid(1e-6, 25, 1000), nodes)

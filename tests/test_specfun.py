@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -598,3 +599,53 @@ def test_a_shared_fan_out_refuses_zero_before_any_thread_starts(monkeypatch):
     with pytest.raises(ValueError, match=r"^a profile requires x/\(E - m\) > 0"):
         sf._bessel_i0_k0(x, "a profile", "x/(E - m)")
     assert started == []
+
+
+# ---------------------------------------------------------------------------
+# The extremes of the real line
+
+def test_airy_far_right_is_zero_without_a_warning():
+    # x^1.5 overflowed with a RuntimeWarning before the 0 came back
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.airy_ai(1e300) == 0.0
+        assert sf.airy_ai_prime(1e300) == 0.0
+        assert sf.airy_ai(np.array([1e300, 1e200])).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("x", [-1e300, -6e10, np.array([-1.0, -1e11])])
+def test_airy_refuses_x_where_the_phase_has_no_digit(x):
+    # ai_prime(-1e300) was nan, after an "invalid value in cos" warning
+    for fn in (sf.airy_ai, sf.airy_ai_prime):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{fn.__name__} requires x above about"):
+                fn(x)
+
+
+def test_airy_answers_up_to_the_phase_limit():
+    # zeta = (2/3) 5e10^1.5 is 7.5e15 < 2^53: the phase's ulp is 1 at most
+    assert (2.0 / 3.0) * 5e10 ** 1.5 < 2.0 ** 53
+    for x in (-5e10, np.nextafter(sf._AIRY_PHASE_END, 0.0)):
+        assert math.isfinite(sf.airy_ai(x)) and math.isfinite(sf.airy_ai_prime(x))
+    with pytest.raises(ValueError, match="requires x above about"):
+        sf.airy_ai(sf._AIRY_PHASE_END)
+
+
+def test_k0_of_the_least_subnormal_is_finite():
+    # scipy halves x to 0 there and returned inf; K0 ~ ln 2 - ln x - gamma_Euler
+    least = math.ulp(0.0)
+    want = math.log(2.0) - math.log(least) - np.euler_gamma
+    assert sf.bessel_k0(least) == pytest.approx(want, rel=1e-15)
+    assert sf.bessel_k0(np.array([least, 1.0]))[0] == sf.bessel_k0(least)
+
+
+def test_k0_keeps_scipys_bits_everywhere_else():
+    x = np.array([2 * math.ulp(0.0), 1e-310, 1e-300, 0.5, 700.0, 1e300])
+    assert sf.bessel_k0(x).tobytes() == sp.k0(x).tobytes()
+
+
+@pytest.mark.parametrize("index", [0, -1, 1.5, True, math.nan])
+def test_airy_zero_refuses_a_bad_index_by_name(index):
+    with pytest.raises(ValueError, match="^airy_ai_zero: index must be an integer >= 1"):
+        sf.airy_ai_zero(index)

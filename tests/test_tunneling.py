@@ -142,3 +142,29 @@ def test_sauter_identity_with_pure_vector_gamma():
         prod = (sauter_transmission(m, lam)
                 * lifetime_ratio(gamma_pure_vector(m, lam)))
         assert prod == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: lifetime_ratio(math.nan), "^lifetime_ratio requires finite gamma"),  # gave nan
+    (lambda: lifetime_ratio(-1.0), "^lifetime_ratio requires gamma >= 0"),
+    (lambda: sauter_transmission(math.nan, 0.2), "^sauter_transmission requires finite mass m"),
+    (lambda: sauter_transmission(1.0, math.inf), "^sauter_transmission requires finite v"),
+    (lambda: gamma_barrier_quadrature(1.0, math.inf),
+     "^gamma_barrier_quadrature requires finite slope lam"),  # gave 0.0
+    (lambda: gamma_pure_vector(math.inf, 1.0), "^gamma_pure_vector requires finite mass m"),
+    (lambda: momentum_modulus(math.nan, 1.0, 1.0), "^momentum_modulus requires finite mass m"),
+    (lambda: momentum_modulus(1.0, 1.0, math.inf), "^momentum_modulus requires finite V"),
+], ids=["lifetime-nan", "lifetime-negative", "sauter-m", "sauter-v", "quadrature-lam",
+        "pure-vector-m", "modulus-m", "modulus-V"])
+def test_non_finite_inputs_are_refused_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_a_huge_gamma_still_saturates_the_lifetime_ratio():
+    assert lifetime_ratio(1e300) == math.inf
+
+
+def test_momentum_modulus_of_a_huge_mass_is_finite():
+    # m^2 overflowed: the modulus was inf
+    assert momentum_modulus(1e300, 1.5, 1.0) == pytest.approx(1e300, rel=1e-15)
