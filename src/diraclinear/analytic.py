@@ -149,7 +149,8 @@ def scalar_asymptote(lam: float, A: float, r):
     finite("scalar_asymptote", A=A)
     nonnegative("scalar_asymptote", r=arr)
     with np.errstate(over="ignore"):  # lambda r^2 past DBL_MAX: the envelope is 0
-        out = A * np.exp(-0.5 * lam * arr * arr)
+        # lambda first: -0.5 * lambda would round a least subnormal to -0
+        out = A * np.exp(lam * arr * arr * -0.5)
     return float(out) if arr.ndim == 0 else out
 
 

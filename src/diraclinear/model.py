@@ -88,8 +88,10 @@ class TurningPoints:
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform radial grid of n steps on [r_min, r_max].  Like radii(),
-    the solvers keep the state their calls share in its instance dict
-    (see shooting)."""
+    the solvers keep the state their calls share in its instance dict:
+    a coefficient stack, and on the quasi-bound estimator's grid hint one
+    record of the last problem, its scan's index and bracket and the
+    fixed grid its three estimates share (see shooting)."""
 
     r_min: float
     r_max: float

@@ -10,22 +10,24 @@ by Brent's method on the Dirichlet residual.
 Every shot is one rk4_path call.  Both solvers start from an energy
 scan, suggest_bracket's node scan and the estimator's Dirichlet scan, and
 _scan is the one routine that runs both: their energies, the start of
-their one search, and their refusals are described there.  The
-estimator runs it twice, the second time on its fixed grid, so every
-bracket it converges in comes from _scan.  The node count rises with E
-only on a grid that resolves the Airy length, so suggest_bracket refuses
-a coarser grid before any shot (_require_resolved); the Dirichlet scan
-has no such guard.  The estimator reads only u at the Dirichlet point, and
-for scan shots its sign changes, so its shots build no RadialSolution.
+their one search, and their refusals are described there.  A central
+estimate runs it twice, the second time on its fixed grid, and a spread
+estimate, which reuses the first scan's bracket, once, on that grid, so
+every bracket the estimator converges in comes from _scan.  The node
+count rises with E only on a grid that resolves the Airy length, so
+suggest_bracket refuses a coarser grid before any shot
+(_require_resolved); the Dirichlet scan has no such guard.  The
+estimator reads only u at the Dirichlet point, and for scan shots its
+sign changes, so its shots build no RadialSolution.
 
 No module holds solver state: a grid keeps its coefficient stack (see
-_prime_grid), and a grid hint the last index and the shots of its last
-Dirichlet scan, which no midpoint_scale changes, so that the spread
-estimates replay the central estimate's scan, and the fixed grid that
-the three estimates share, with its stack and its scan shots.
-_splice_tail frees a bound state's stack once it has taken the tail's
-step matrices from it; the fixed grid's stack lives as long as the hint
-holds it, and a hint holds at most one.
+_prime_grid), and a grid hint one record of its last quasi-bound
+problem: the index and bracket of its first Dirichlet scan, which no
+midpoint_scale changes, so that the spread estimates skip that scan, and
+the fixed grid that the three estimates share, with its stack and its
+scan shots.  _splice_tail frees a bound state's stack once it has taken
+the tail's step matrices from it; the fixed grid's stack lives as long
+as the hint's record holds it, and a hint holds at most one.
 
 The raw outward shot of a bound state always ends in an exponentially
 growing admixture seeded by roundoff.  find_bound_state therefore keeps
@@ -572,12 +574,13 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
        energy shot to its own Dirichlet point, brackets the lowest sign
        change of u there: the pair of adjacent scan energies across which
        the count of the shot's sign changes over u[1:] first exceeds 0.
-       No midpoint_scale changes this stage, so grid_hint keeps its index
-       and its shots (energy -> (u, sign changes)), tagged with m, lambda,
-       s and k.  A later scan of the same problem on that hint starts at
-       that index and reads the kept shots, so the 0.9 and 1.1 estimates
-       after the central one shoot nothing here; a scan of another
-       problem starts at the WKB level of the ground state (_wkb_level);
+       Its search starts at the WKB level of the ground state
+       (_wkb_level).  No midpoint_scale changes this stage, so once its
+       bracket is accepted grid_hint keeps one record, in place of the
+       last problem's: the tag (m, lambda, s, k), the index, the bracket
+       and the fixed grid of stage 2.  A later estimate of the same
+       problem on that hint skips this stage, so the 0.9 and 1.1
+       estimates after the central one shoot nothing here;
     2. the fixed grid is the central one: n steps (n from grid_hint) from
        r_min to the Dirichlet point of the bracket's midpoint, run on at
        the same step h to L = max(round(1.1*n), round(midpoint_scale*n))
@@ -599,13 +602,14 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     Stages 2 and 3 shoot the fixed grid at and between scan energies near
     stage 1's bracket, so its whole coefficient stack, over L steps, is
     built in one pass, centred at that bracket's lower end, before the
-    first of them.  grid_hint keeps the fixed grid, its stack and its
-    stage-2 shots, tagged with m, lambda, s, k and that lower end, in
-    place of the last problem's, so the three scales of one problem prime
-    it once and shoot each scan energy at most once; a scale that needs
-    more than L steps rebuilds it.  A j-step shot reads a prefix of the
-    stack, the bits of a j-step stack, so every estimate is the one that
-    a fresh hint gives, whatever ran on the hint before.
+    first of them.  grid_hint's record keeps the fixed grid, its stack
+    and its stage-2 shots, so the three scales of one problem prime it
+    once and shoot each scan energy at most once; a scale that needs more
+    than L steps rebuilds it, and the old record is dropped before the
+    new stack is built.  An estimate refused in stage 1 leaves the
+    record alone.  A j-step shot reads a prefix of the stack, the bits of
+    a j-step stack, so every estimate is the one that a fresh hint gives,
+    whatever ran on the hint before.
 
     Every shot goes through _dirichlet_u, which returns u(r_mid), and
     for scan shots the sign-change count.
@@ -680,45 +684,37 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
     width = 10.0 * math.sqrt(mix.lam)
     steps = 96
     step = width / steps
-    # the spread estimates share the central estimate's grid hint, its
-    # index and its shots, which no midpoint_scale changes: start there,
-    # replaying the shots; else at the WKB level
+    # the hint's record of its last problem, read once: stage 1's index
+    # and bracket, which no midpoint_scale changes, and the fixed grid
     tag = (m, mix.lam, mix.s, k)
-    hint_tag, start = grid_hint.__dict__.get("_scan", (None, None))
-    shots_tag, scan = grid_hint.__dict__.get("_shots", (None, None))
-    if shots_tag != tag:
+    held, i, (lo, hi), fixed = grid_hint.__dict__.get("_estimate", (None, None, (None, None), None))
+    if held != tag:
         scan = {}
-    hinted = hint_tag == tag
-    i, _, energy = _scan(m, width, steps, 0.5, probe(scan, lambda e: grid_at(dirichlet_radius(e))),
-                         last, "a Dirichlet level",
-                         level=None if hinted else _wkb_level(m, mix.lam, mix.s, k, 0),
-                         start=start if hinted else None)
-    grid_hint.__dict__["_scan"] = tag, i
-    grid_hint.__dict__["_shots"] = tag, scan
-    lo, hi = bracket(i, scan, f"in the scan window ({m}, {m + width}); "
-                              f"no quasi-bound level found")
+        i, _, energy = _scan(m, width, steps, 0.5,
+                             probe(scan, lambda e: grid_at(dirichlet_radius(e))), last,
+                             "a Dirichlet level", level=_wkb_level(m, mix.lam, mix.s, k, 0))
+        lo, hi = bracket(i, scan, f"in the scan window ({m}, {m + width}); "
+                                  f"no quasi-bound level found")
 
     # converge at one fixed radius, on the fixed grid that the three
-    # scales share: held by the hint unless another problem or a shorter
-    # reach left it, and then freed before the new stack is built
+    # scales share: held by the record unless another problem or a
+    # shorter reach left it, and then freed before the new stack is built
     j = round(midpoint_scale * grid_hint.n)
     reach = max(round(1.1 * grid_hint.n), j)
-    key = (*tag, lo)
-    held, fixed = grid_hint.__dict__.get("_fixed", (None, None))
-    if held != key or fixed.__dict__["_kept"][0] < reach:
-        grid_hint.__dict__.pop("_fixed", None)
+    if held != tag or fixed.__dict__["_kept"][0] < reach:
+        grid_hint.__dict__.pop("_estimate", None)
         fixed = grid_at(dirichlet_radius(0.5 * (lo + hi)))
         # every shot from here on is near lo: its whole stack, centred at
         # lo, is built in one pass
         _prime_grid(m, mix, k, lo, fixed, reach)
         fixed.__dict__["_kept"] = reach, {}
-        grid_hint.__dict__["_fixed"] = key, fixed
+        grid_hint.__dict__["_estimate"] = tag, i, (lo, hi), fixed
     r_mid = fixed.r_min + j * fixed.h
     # the scan's radius moved with the energy, so its sign change need not
     # hold at r_mid: scan the same energies there, from the scan's index
     at_r_mid = {}
-    i, _, _ = _scan(m, width, steps, 0.5, probe(at_r_mid, lambda e: fixed, j), last,
-                    f"a Dirichlet level at r_mid = {r_mid}", start=i)
+    i, _, energy = _scan(m, width, steps, 0.5, probe(at_r_mid, lambda e: fixed, j), last,
+                         f"a Dirichlet level at r_mid = {r_mid}", start=i)
     lo, hi = bracket(i, at_r_mid, f"at r_mid = {r_mid} within the scan window "
                                   f"({m}, {m + width}) around ({lo}, {hi})")
 

@@ -59,6 +59,8 @@ def momentum_modulus(m: float, E: float, V: float) -> float:
         raise ValueError(
             f"m^2 < (E-V)^2 at V={V}: point is classically allowed, "
             "not inside the barrier")
+    if m + d == math.inf:  # halved, with its factor 2 taken out of the root
+        return math.sqrt(m - d) * math.sqrt(0.5 * m + 0.5 * d) * math.sqrt(2.0)
     return math.sqrt(m - d) * math.sqrt(m + d)  # no square to overflow
 
 

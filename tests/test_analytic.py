@@ -192,6 +192,8 @@ def test_scalar_asymptote_values():
     assert scalar_asymptote(0.2, 1.0, 0.0) == 1.0
     assert scalar_asymptote(0.2, 1.0, 3.0) == pytest.approx(math.exp(-0.9), rel=1e-15)
     assert scalar_asymptote(0.2, 1.0, 3.0) == pytest.approx(0.40657, abs=1e-5)
+    # the least subnormal lambda at a large r: lambda r^2 / 2 is about 2.5e276
+    assert scalar_asymptote(5e-324, 1.0, 1e300) == 0.0
 
 
 def test_scalar_asymptote_log_derivative():

@@ -149,11 +149,11 @@ def test_radial_grid_points():
 def test_radial_grid_radii_cache_takes_no_part_in_equality():
     grid = RadialGrid(r_min=1e-4, r_max=10.0, n=100)
     grid.radii()
-    # the solvers' stack, Dirichlet scan index and the estimator's fixed
-    # grid sit beside the radii
+    # the solvers' stack and the estimator's one record, its scan's index
+    # and bracket and its fixed grid, sit beside the radii
     suggest_bracket(1.0, PotentialMix(0.2, 0.5), -1, grid)
     estimate_quasibound_energy(1.0, PotentialMix(0.2, 0.0), -1, grid)
-    assert {"_radii", "_stack", "_scan", "_fixed"} <= vars(grid).keys()
+    assert vars(grid).keys() - {"r_min", "r_max", "n"} == {"_radii", "_stack", "_estimate"}
     twin = RadialGrid(r_min=1e-4, r_max=10.0, n=100)
     assert twin == grid and hash(twin) == hash(grid) and repr(twin) == repr(grid)
     # copies and pickles carry the fields alone

@@ -397,7 +397,7 @@ def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
     mix = PotentialMix(lam, s)
     hint = RadialGrid(25e-6, 25.0, n)
     e0 = m + 10.0 * math.sqrt(lam) / 192
-    if warm:  # leaves its scan index on the hint
+    if warm:  # leaves its record, with its scan index, on the hint
         _outcome(estimate_quasibound_energy, m, mix, k, hint, 1.0)
     scanned, fixed = [], []
     real = shooting._dirichlet_u
@@ -412,7 +412,7 @@ def test_energy_0_is_shot_only_when_the_scan_closes_next_to_it(m, lam, s, k, n,
         _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale)
     finally:
         shooting._dirichlet_u = real
-    i = hint.__dict__["_scan"][1]
+    i = hint.__dict__["_estimate"][1]
     assert len(scanned) == len(set(scanned))  # each scan energy is shot once
     assert len(fixed) == len(set(fixed))  # and each energy at r_mid
     # a search that closes at index 0 or 1 has shot energy 0; one that

@@ -495,7 +495,7 @@ def _record_shots(monkeypatch):
 def _fixed(hint):
     """The fixed grid that the hint's last estimate converged on: the
     central grid, whose stack runs on past its n steps."""
-    return hint.__dict__["_fixed"][1]
+    return hint.__dict__["_estimate"][3]
 
 
 @pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
@@ -633,9 +633,9 @@ def test_each_estimate_builds_one_stack_per_grid(monkeypatch, grid):
 
 @pytest.mark.parametrize("grid", [QB_GRID, GRID], ids=["n500", "n20000"])
 def test_spread_estimates_replay_the_central_scan(monkeypatch, grid):
-    # the central estimate leaves its scan's shots and its fixed grid on
-    # the hint, and no midpoint_scale changes them: the 0.9 and 1.1
-    # estimates replay the scan and share the grid's stack, so they build
+    # the central estimate leaves its scan's bracket and its fixed grid in
+    # the hint's record, and no midpoint_scale changes them: the 0.9 and
+    # 1.1 estimates skip the scan and share the grid's stack, so they build
     # nothing and call only the fixed grid, at their own step count; an
     # energy that the central estimate's scan shot there is not shot again
     builds = _record_builds(monkeypatch)
@@ -663,6 +663,32 @@ def test_spread_estimates_replay_the_central_scan(monkeypatch, grid):
             assert _fixed(hint) is fixed
             assert all(g is fixed and steps == round(scale * grid.n) for _, g, steps in shots)
             assert not scanned & set(paths)
+
+
+def test_spread_estimates_scan_only_on_the_fixed_grid(monkeypatch):
+    # the central estimate scans twice, the second time on the fixed grid
+    # from the first scan's index; the spread estimates take that index
+    # and its bracket from the hint's record and scan only the fixed grid
+    starts = []
+    real = shooting._scan
+
+    def recording(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "_scan", recording)
+    shots = _record_shots(monkeypatch)
+    for m, mix in ((M, VECTOR), (0.8, PotentialMix(0.6, 0.25)), (1.2, PotentialMix(0.4, 0.45))):
+        hint = _fresh(QB_GRID)
+        for scale in (1.0, 0.9, 1.1):
+            starts.clear()
+            shots.clear()
+            estimate_quasibound_energy(m, mix, -1, hint, midpoint_scale=scale)
+            i = hint.__dict__["_estimate"][1]
+            assert starts == ([None, i] if scale == 1.0 else [i])
+            # a scan shot to its own Dirichlet point is given no step count
+            first = [e for e, _, steps in shots if steps is None]
+            assert bool(first) == (scale == 1.0)
 
 
 def test_a_bound_solve_builds_its_grids_stack_once(monkeypatch):
@@ -744,11 +770,13 @@ def test_a_solve_leaves_no_stack_alive(monkeypatch):
                 estimate_quasibound_energy(m, mix, -1, hint, scale)
                 assert alive() == 1
         assert len(stacks) == 1 + 2 * len(problems)
-        # a refusal before the fixed grid leaves the hint's stack as it is
+        # a refusal before the fixed grid leaves the hint's record and its
+        # stack as they are
+        record = hint.__dict__["_estimate"]
         with pytest.raises(ScanError):
             estimate_quasibound_energy(1.0, PotentialMix(1e300, 0.0), -1, hint)
-        assert alive() == 1
-        del hint
+        assert alive() == 1 and hint.__dict__["_estimate"] is record
+        del hint, record
         assert alive() == 0
     finally:
         gc.enable()
@@ -798,21 +826,25 @@ def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale):
     guess = shooting._scan_index
     monkeypatch.setattr(shooting, "_scan_index", lambda *args: None)
     cold = repr(estimate_quasibound_energy(m, mix, -1, hint, scale))  # a bisection
-    tag, i = hint.__dict__["_scan"]
-    hints = [i + off for off in range(-3, 4)] + [0, 97]
-    for start in hints:
-        hint.__dict__["_scan"] = (tag, start)
-        assert repr(estimate_quasibound_energy(m, mix, -1, hint, scale)) == cold, start
-    # a scan with no hint for its problem starts at the WKB start, here wild
-    for start in hints:
+    # the hint's record: the problem's tag, the scan's index and bracket
+    record = hint.__dict__["_estimate"][:3]
+    tag, i, _ = record
+
+    def estimate(grid):
+        got = repr(estimate_quasibound_energy(m, mix, -1, grid, scale))
+        return got, grid.__dict__["_estimate"][:3]
+
+    # a scan with no record for its problem starts at the WKB start, here
+    # wild, and records the bisection's index and bracket
+    for start in [i + off for off in range(-3, 4)] + [0, 97]:
         monkeypatch.setattr(shooting, "_scan_index", lambda *args, start=start: start)
-        assert repr(estimate_quasibound_energy(m, mix, -1, _fresh(hint), scale)) == cold, start
+        assert estimate(_fresh(hint)) == (cold, record), start
     monkeypatch.setattr(shooting, "_scan_index", guess)
-    assert repr(estimate_quasibound_energy(m, mix, -1, _fresh(hint), scale)) == cold
-    # another problem's tag and index, left on the grid by the call before
+    assert estimate(_fresh(hint)) == (cold, record)
+    # another problem's record, left on the grid by the call before
     estimate_quasibound_energy(1.2, VECTOR, -1, hint, scale)
-    assert hint.__dict__["_scan"][0] != tag
-    assert repr(estimate_quasibound_energy(m, mix, -1, hint, scale)) == cold
+    assert hint.__dict__["_estimate"][0] != tag
+    assert estimate(hint) == (cold, record)
 
 
 def test_threads_estimating_different_problems_match_serial():
@@ -825,7 +857,7 @@ def test_threads_estimating_different_problems_match_serial():
         serial[p] = []
         for c in scales:
             serial[p].append(estimate_quasibound_energy(*p, hint, midpoint_scale=c))
-            tag, i = hint.__dict__["_scan"]
+            tag, i = hint.__dict__["_estimate"][:2]
             indices.setdefault(tag, set()).add(i)
     shared, twin = _fresh(QB_GRID), _fresh(QB_GRID)
     got, errors = {}, []
@@ -859,8 +891,8 @@ def test_threads_estimating_different_problems_match_serial():
     # get the serial answers exactly
     for p, _, name in jobs:
         assert got[name] == 3 * serial[p]
-    # the hint left on the shared grid pairs one problem with its index
-    tag, i = shared.__dict__["_scan"]
+    # the record left on the shared grid pairs one problem with its index
+    tag, i = shared.__dict__["_estimate"][:2]
     assert i in indices[tag]
 
 

@@ -35,6 +35,14 @@ def test_momentum_modulus_anchors():
     assert momentum_modulus(1.0, 1.5828, 1.0) == pytest.approx(0.8126, abs=1e-4)
 
 
+def test_momentum_modulus_where_m_plus_the_gap_overflows():
+    # m + |E - V| past DBL_MAX: at the continuum edge the modulus is 0,
+    # and below it sqrt(m^2 - (E - V)^2) = sqrt(19) 1e307
+    assert momentum_modulus(1e308, 1e308, 0.0) == 0.0
+    assert momentum_modulus(1e308, 9e307, 0.0) == pytest.approx(math.sqrt(19.0) * 1e307,
+                                                                rel=1e-15)
+
+
 def test_momentum_modulus_rejects_allowed_region():
     with pytest.raises(ValueError):
         momentum_modulus(1.0, 1.5828, 0.0)  # inside the well
