@@ -1,7 +1,8 @@
 """The repository tools: the answer ledger and the code-line counter.
 
-The ledger test reruns the first seed-7 cycles of the `bound`,
-`quasibound`, `analytic` and `cli` benchmark workloads and compares every answer
+The ledger test reruns the first seed-7 cycles of the `bound`, `analytic`
+and `cli` benchmark workloads and the whole seed-7 and seed-11 `quasibound`
+lists, and compares every answer
 exactly with tests/data/answers.json, naming each request that moved.
 A change that moves an answer on purpose rewrites that file with
 `python3 tools/answer_ledger.py --write` and says so in CHANGES.md.
@@ -45,13 +46,13 @@ def test_ledger_counts_identical_answers_above_the_moved_ones(monkeypatch, capsy
     monkeypatch.setattr(ledger, "answers", lambda: current)
     assert ledger.main([]) == 0
     assert capsys.readouterr().out == (
-        "93 of 93 answers identical "
-        "(analytic 16/16, bound 24/24, cli 14/14, quasibound 39/39)\n")
+        "438 of 438 answers identical (analytic 16/16, bound 24/24, cli 14/14, "
+        "quasibound 192/192, quasibound seed 11 192/192)\n")
     current["cli"][1]["codes"] = [1]
     assert ledger.main([]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "92 of 93 answers identical "
-        "(analytic 16/16, bound 24/24, cli 13/14, quasibound 39/39)",
+        "437 of 438 answers identical (analytic 16/16, bound 24/24, cli 13/14, "
+        "quasibound 192/192, quasibound seed 11 192/192)",
         *ledger.moved(reference, current)]
 
 

@@ -4,8 +4,9 @@
     python3 tools/answer_ledger.py --write   # rewrite the reference
 
 Runs the first cycles of the seed-7 request lists of the `bound`,
-`quasibound`, `analytic` and `cli` workloads (perfbench/workloads.py, read
-only), untimed, and records each request's answer: for `bound` E as a repr
+`analytic` and `cli` workloads, and the whole seed-7 and seed-11 lists of
+the `quasibound` workload (perfbench/workloads.py, read only), untimed, and
+records each request's answer: for `bound` E as a repr
 float, the node count and a sha256 of (u, v); for `quasibound` the three
 estimates and gamma; for `analytic` the three equal-mix energies, their
 node counts, the J0/I0 join values `edge_join` (the two I0 values come
@@ -38,7 +39,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "data" / "answers.json"
 SEED = 7
-CYCLES = {"bound": 4, "quasibound": 13, "analytic": 4, "cli": 2}
+# (workload, seed, cycles run, all when None); a list of another seed than
+# SEED is recorded under "<workload> seed <seed>"
+LISTS = (("bound", SEED, 4), ("quasibound", SEED, None), ("quasibound", 11, None),
+         ("analytic", SEED, 4), ("cli", SEED, 2))
 
 
 def _sha256(*parts):
@@ -96,9 +100,9 @@ def answers():
     from perfbench.workloads import WORKLOADS
 
     ledger = {}
-    for name, cycles in CYCLES.items():
+    for name, seed, cycles in LISTS:
         spec = WORKLOADS[name]
-        reqs = spec["requests"](SEED)[:cycles * spec["cycle"]]
+        reqs = spec["requests"](seed)[:None if cycles is None else cycles * spec["cycle"]]
         with tempfile.TemporaryDirectory() as workdir:
             if "prepare" in spec:
                 spec["prepare"](reqs, workdir)
@@ -109,7 +113,7 @@ def answers():
                                         workdir))
                 except (ValueError, RuntimeError) as exc:  # a refusal is an answer too
                     rows.append(dict(error=f"{type(exc).__name__}: {exc}"))
-            ledger[name] = rows
+            ledger[name if seed == SEED else f"{name} seed {seed}"] = rows
     return ledger
 
 
