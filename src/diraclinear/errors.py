@@ -44,13 +44,22 @@ def _refuse(where, what, value):
 
 def finite(where, **named):
     """Refuses each named scalar or array that holds a NaN or an inf.  A
-    Python float or int is tested without numpy."""
+    Python float or int is tested without numpy, a float in range by one
+    comparison."""
     for name, value in named.items():
+        if type(value) is float and -math.inf < value < math.inf:  # the fast path
+            continue
         if not (math.isfinite(value) if type(value) in (float, int) else np.isfinite(value).all()):
             _refuse(where, f"finite {_NAMES.get(name, name)}", value)
 
 
 def _above_zero(where, named, strict):
+    for value in named.values():  # plain floats in range return at once
+        if not (type(value) is float and (value > 0.0 if strict else value >= 0.0)
+                and value < math.inf):
+            break
+    else:
+        return
     finite(where, **named)
     for name, value in named.items():
         low = value if type(value) in (float, int) else np.min(value, initial=math.inf)

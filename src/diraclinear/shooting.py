@@ -354,21 +354,63 @@ def _wkb_level(m, lam, s, k, nodes):
         target = 0.5 * math.pi * (nodes + 0.5 * QuantumNumbers(k).l + 0.75) * lam
         a = min((3.0 * target / math.sqrt(2.0 * m)) ** (2.0 / 3.0),
                 math.sqrt(target / sum(wx2 * math.sqrt(c0 + c1 * x2) for x2, wx2 in _GL8)))
-        for _ in range(30):
-            g = dg = 0.0
-            for x2, wx2 in _GL8:
-                c = c0 + c1 * x2
-                root = math.sqrt(2.0 * m + c * a)
-                g += wx2 * root
-                dg += wx2 * c / root
-            slope = 1.5 + 0.5 * a * dg / g
-            a, last = a * (target / (a * math.sqrt(a) * g)) ** (1.0 / slope), a
-            if abs(a - last) <= 1e-12 * a:
-                break
-        e = m + a
+        e = m + _iterate(m, c0, c1, a, lambda a: target)
     except (ArithmeticError, ValueError):
         return None
     return e if math.isfinite(e) else None
+
+
+def _iterate(m, c0, c1, a, target):
+    """_wkb_level's iteration a <- a (target(a)/F(a))^(1/p) from a, until
+    a step moves a by at most 1e-12 a, or for 30 steps."""
+    for _ in range(30):
+        g = dg = 0.0
+        for x2, wx2 in _GL8:
+            c = c0 + c1 * x2
+            root = math.sqrt(2.0 * m + c * a)
+            g += wx2 * root
+            dg += wx2 * c / root
+        # p = d ln F / d ln a = 3/2 + a G'(a) / G(a)
+        a, last = a * (target(a) / (a * math.sqrt(a) * g)) ** (1.0 / (1.5 + 0.5 * a * dg / g)), a
+        if abs(a - last) <= 1e-12 * a:
+            break
+    return a
+
+
+def _box_level(m, lam, s, k):
+    """The WKB level of the ground state in the estimator's first-scan
+    box, which ends at the Dirichlet radius r_D(E) = min((r1 + r3)/2,
+    r1 + 10 (lambda (m + E))^(-1/3)) inside the barrier: the root of
+
+        integral_0^r1 sqrt(P Q) dr = (l/2 + 3/4) pi + arctan(exp(-2 K)),
+        K = integral_r1^r_D sqrt(-P Q) dr,
+
+    with P Q as in _wkb_level.  The wall lifts the level above the
+    unbounded well's, by up to pi/4 in phase when the barrier is thin.
+    With lambda r = lambda r1 + lambda L x^2, L = r_D - r1, K is
+    2 L^(3/2) sqrt(lambda) int_0^1 x^2 sqrt(P) dx, whose integrand is
+    smooth, on _GL8.  The iteration is _wkb_level's, from its level, with
+    the target recomputed from K at each step; it returns the WKB level
+    when the arithmetic fails, and None when there is none."""
+    e = _wkb_level(m, lam, s, k, 0)
+    if e is None:
+        return None
+    c0, c1 = 2.0 * s, 1.0 - 2.0 * s
+    phase = 0.5 * math.pi * (0.5 * QuantumNumbers(k).l + 0.75) * lam
+
+    def target(a):
+        width = min(0.5 * ((a + 2.0 * m) / c1 - a) / lam,  # r_D - r1
+                    10.0 / (lam * (2.0 * m + a)) ** (1.0 / 3.0))
+        p = 2.0 * m + c0 * a  # P at r1
+        barrier = 2.0 * width * math.sqrt(lam * width) * sum(
+            wx2 * math.sqrt(p - c1 * lam * width * x2) for x2, wx2 in _GL8)
+        return phase + 0.5 * lam * math.atan(math.exp(-2.0 * barrier))
+
+    try:
+        level = m + _iterate(m, c0, c1, e - m, target)
+    except (ArithmeticError, ValueError):
+        return e
+    return level if math.isfinite(level) else e
 
 
 def _scan_index(level, m, step):
@@ -461,11 +503,15 @@ def _scan(m, width, steps, offset, above, last, what, level=None, start=None):
     none is, the bracket (energy(i - 1), energy(i)) that a walk up the
     energies to their first transition would return, found by one search
     (_first_above).  The search starts at `start`, else at the index of the
-    first energy above `level` (_scan_index), such as a WKB level, which on
-    the benchmark's requests is the transition's index or one off: the
-    search then takes 2 shots, or 4 when the guess is one step high, in
-    place of a cold bisection's 7 or 8.  On a monotone count any start
-    gives the same i: a guess changes only which energies are shot.
+    first energy above `level` (_scan_index): the node scan's WKB level
+    (_wkb_level), and the estimator's first scan's box level (_box_level),
+    which the Dirichlet wall lifts 1-3 steps above the WKB level of a pure
+    vector potential.  On the benchmark's requests that index is the
+    transition's or the one below, where the search takes 2 shots: in 376
+    of the 384 seed-7 node scans and in all 384 seed-7 and seed-11 first
+    Dirichlet scans.  A guess one step high, or two or three low, takes 4,
+    and a cold bisection 7 or 8.  On a monotone count any start gives the same i: a guess changes
+    only which energies are shot.
 
     Raises ScanError, before any shot, when energy 0 rounds to m, as for a
     huge m; and when i = 0: then `what`, the level looked for, lies below
@@ -574,8 +620,9 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
        energy shot to its own Dirichlet point, brackets the lowest sign
        change of u there: the pair of adjacent scan energies across which
        the count of the shot's sign changes over u[1:] first exceeds 0.
-       Its search starts at the WKB level of the ground state
-       (_wkb_level).  No midpoint_scale changes this stage, so once its
+       Its search starts at the ground state's level in this scan's box,
+       which ends at the Dirichlet point (_box_level), and takes its two
+       shots from there.  No midpoint_scale changes this stage, so once its
        bracket is accepted grid_hint keeps one record, in place of the
        last problem's: the tag (m, lambda, s, k), the index, the bracket
        and the fixed grid of stage 2.  A later estimate of the same
@@ -692,7 +739,7 @@ def estimate_quasibound_energy(m: float, mix: PotentialMix, k: int,
         scan = {}
         i, _, energy = _scan(m, width, steps, 0.5,
                              probe(scan, lambda e: grid_at(dirichlet_radius(e))), last,
-                             "a Dirichlet level", level=_wkb_level(m, mix.lam, mix.s, k, 0))
+                             "a Dirichlet level", level=_box_level(m, mix.lam, mix.s, k))
         lo, hi = bracket(i, scan, f"in the scan window ({m}, {m + width}); "
                                   f"no quasi-bound level found")
 

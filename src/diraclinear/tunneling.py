@@ -111,14 +111,22 @@ def gamma_mixed(m: float, mix: PotentialMix, E: float) -> TunnelingReport:
     gamma = pi m^2/(2 lambda) + Q, where Q integrates
     sqrt((lambda r - E)^2 - m^2) from r2 to the lifted-continuum edge r3
     by adaptive quadrature; Q = 0 exactly for a pure vector potential
-    (r3 = r2) and grows with s, diverging as s -> 1/2.
+    (r3 = r2) and grows with s, diverging as s -> 1/2.  gamma and
+    tau_ratio are inf, with no quadrature, where pi m^2/(2 lambda) or the
+    size of Q's closed form passes DBL_MAX.
     """
     require("gamma_mixed", mix.s < 0.5, "s < 0.5: past it the barrier never ends")
     tp = turning_points(m, E, mix)
     lam = mix.lam
     first = gamma_pure_vector(m, lam)
+    # with w = lambda r - E, Q = (A(w3) - A(m))/lambda for the antiderivative
+    # A(w) = w sqrt(w^2 - m^2)/2 - m^2 ln(w + sqrt(w^2 - m^2))/2, whose first
+    # term is Q's size: past DBL_MAX quad's integrand overflows, and gamma is inf
+    w3 = (E + m) / (1.0 - 2.0 * mix.s) - E
     if mix.s == 0.0:
         q = 0.0
+    elif first == math.inf or 0.5 * (w3 / lam) * math.sqrt(w3 - m) * math.sqrt(w3 + m) == math.inf:
+        q = math.inf
     else:
         # integrand lam * sqrt((r - r2)(r - r1)) vanishes like a square
         # root at r2 only; absorb it with r = r2 + t^2

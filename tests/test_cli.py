@@ -333,6 +333,16 @@ def test_lifetime_user_energy_and_monotonicity(capsys):
     assert float(rep45["gamma"]) > float(rep0["gamma"])
 
 
+@pytest.mark.filterwarnings("error")
+def test_lifetime_past_dbl_max_reports_an_infinite_lifetime(capsys):
+    # gamma passes DBL_MAX: inf, with no quadrature warning on stderr
+    code, out, err = run_cli(capsys, "lifetime", "--m", "1e200", "--energy", "2e200",
+                             "--s", "0.25")
+    assert code == 0 and err == ""
+    report = parse_report(out)
+    assert report["gamma"] == "inf" and report["tau_over_tau0"] == "inf"
+
+
 def test_lifetime_strictly_bound_is_error(capsys):
     code, _, err = run_cli(capsys, "lifetime", "--s", "0.5")
     assert code == 1

@@ -20,6 +20,7 @@ step round(midpoint_scale*n).
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -256,6 +257,29 @@ def test_the_wkb_start_never_changes_an_estimate(m, lam, s, k, n, midpoint_scale
         return
     hint = RadialGrid(25e-6, 25.0, n)  # holds no scan index: the WKB start
     assert _outcome(estimate_quasibound_energy, m, mix, k, hint, midpoint_scale) == cold
+
+
+def _lifetime_estimates(m, mix, k, n):
+    """The three estimates of a `lifetime` report on one grid hint, or
+    the text of the first refusal."""
+    hint = RadialGrid(25e-6, 25.0, n)
+    try:
+        return [repr(estimate_quasibound_energy(m, mix, k, hint, c)) for c in (1.0, 0.9, 1.1)]
+    except (ScanError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_the_box_start_never_changes_an_estimate_over_wide_draws():
+    # the first scan starts at the box level's index (_box_level); over
+    # seeded draws from wide ranges, down to 100-step grids and out to
+    # k = -30, every estimate, or refusal, is the cold bisection's
+    rng = random.Random(38)
+    for _ in range(200):
+        m, lam = 10.0 ** rng.uniform(-1.0, 1.5), 10.0 ** rng.uniform(-1.5, 1.0)
+        mix = PotentialMix(lam, rng.uniform(0.0, 0.49))
+        k, n = rng.choice((1, -1, 2, -2, 4, -5, -30)), rng.choice((100, 200, 500))
+        cold = _starting_at(None, _lifetime_estimates, m, mix, k, n)
+        assert _lifetime_estimates(m, mix, k, n) == cold, (m, lam, mix.s, k, n)
 
 
 SHARED_SCALES = (1.0, 0.9, 1.1, 1.3)

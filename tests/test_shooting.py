@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,6 +592,46 @@ def test_scans_bisect_within_their_shot_budget(monkeypatch, n):
         assert ends.index(ends[-1]) <= 2
 
 
+def test_the_first_scan_shoots_two_energies_from_the_box_level(monkeypatch):
+    # on the benchmark's seed-7 and seed-11 quasibound lists (read only),
+    # the first scan of a central estimate, started at the box level's
+    # index, shoots only the two energies across its transition in all
+    # but at most one request; from the WKB level 133 of 384 took four
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench import workloads
+
+    shots = _record_shots(monkeypatch)
+    counts = []
+    for seed in (7, 11):
+        for req in workloads.quasibound_requests(seed):
+            shots.clear()
+            grid = RadialGrid(1e-6 * workloads.QB_GRID_RMAX, workloads.QB_GRID_RMAX, req["n"])
+            estimate_quasibound_energy(req["m"], PotentialMix(req["lam"], req["s"]), req["k"],
+                                       grid)
+            counts.append(sum(steps is None for _, _, steps in shots))  # the first scan's
+    assert len(counts) == 384
+    assert counts.count(2) >= 383 and min(counts) == 2
+
+
+@pytest.mark.parametrize("m, lam, s", [
+    (1.0, 0.2, 0.0), (0.5, 0.78, 0.0), (0.7, 0.7, 0.3), (1.0, 0.2, 0.45), (0.6, 0.9, 0.5 - 1e-6),
+])
+def test_the_box_level_lies_at_or_above_the_wkb_level(m, lam, s):
+    # the Dirichlet wall lifts the level by the phase arctan(exp(-2 K))
+    box, wkb = shooting._box_level(m, lam, s, -1), shooting._wkb_level(m, lam, s, -1, 0)
+    assert box >= wkb
+    if s == 0.0:  # the barrier is thinnest for a pure vector potential
+        assert box > wkb
+
+
+def test_the_box_level_falls_back_to_the_wkb_level():
+    # at s = 1/2 the barrier never ends, so the box's width fails: the
+    # start is the WKB level; with no WKB level there is no box level
+    assert shooting._box_level(1.0, 0.2, 0.5, -1) == shooting._wkb_level(1.0, 0.2, 0.5, -1, 0)
+    assert shooting._box_level(math.nan, 0.2, 0.25, -1) is None
+    assert shooting._box_level(1.0, math.inf, 0.25, -1) is None
+
+
 def _record_builds(monkeypatch):
     """Route the kernel's stack builds, _kernels._stack, through a recorder
     of (E_c, h, higher), one entry per build: row p = 0 alone, or all five
@@ -819,9 +860,15 @@ def test_scan_ending_on_a_node_at_energy_0_converges_at_r_mid(monkeypatch):
     assert u[0] * u[1] < 0
 
 
+# a mixed problem, whose box level and WKB level share their scan index,
+# and seed-7 quasibound request 7, pure vector, whose box level lies two
+# scan steps above the WKB level
+@pytest.mark.parametrize("m, mix", [
+    (0.7358847923680774, PotentialMix(0.7062867500442369, 0.3)),
+    (0.5012760553221973, PotentialMix(0.7818166779628467, 0.0)),
+], ids=["mixed", "vector"])
 @pytest.mark.parametrize("scale", [1.0, 0.9, 1.1])
-def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale):
-    m, mix = 0.7358847923680774, PotentialMix(0.7062867500442369, 0.3)
+def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale, m, mix):
     hint = _fresh(QB_GRID)
     guess = shooting._scan_index
     monkeypatch.setattr(shooting, "_scan_index", lambda *args: None)
@@ -839,8 +886,18 @@ def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale):
     for start in [i + off for off in range(-3, 4)] + [0, 97]:
         monkeypatch.setattr(shooting, "_scan_index", lambda *args, start=start: start)
         assert estimate(_fresh(hint)) == (cold, record), start
-    monkeypatch.setattr(shooting, "_scan_index", guess)
+    # from the box level (_box_level), whose index is the transition's or
+    # the one below, so that the search shoots two energies
+    levels = []
+
+    def from_the_level(level, *args):
+        levels.append(level)
+        return guess(level, *args)
+
+    monkeypatch.setattr(shooting, "_scan_index", from_the_level)
     assert estimate(_fresh(hint)) == (cold, record)
+    assert levels == [shooting._box_level(m, mix.lam, mix.s, -1)]
+    assert guess(levels[0], m, 10.0 * math.sqrt(mix.lam) / 96) in (i - 1, i)
     # another problem's record, left on the grid by the call before
     estimate_quasibound_energy(1.2, VECTOR, -1, hint, scale)
     assert hint.__dict__["_estimate"][0] != tag

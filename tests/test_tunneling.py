@@ -89,6 +89,31 @@ def test_gamma_mixed_second_integral_against_antiderivative():
         assert abs(q - oracle) <= 1e-8 * oracle
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, mix, E", [
+    (1e200, PotentialMix(0.2, 0.25), 2e200),  # pi m^2/(2 lambda) passes DBL_MAX
+    (1e150, PotentialMix(1.0, 0.49), 1e154),  # the second integral alone does
+], ids=["first-term", "second-integral"])
+def test_gamma_mixed_past_dbl_max_is_inf_without_quadrature(monkeypatch, m, mix, E):
+    # the closed form's size decides: quad would integrate an overflowing
+    # integrand, warn, and return NaN
+    import scipy.integrate
+
+    monkeypatch.setattr(scipy.integrate, "quad", None)
+    rep = gamma_mixed(m, mix, E)
+    assert rep.gamma == math.inf and rep.tau_ratio == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_gamma_mixed_just_below_dbl_max_keeps_its_quadrature():
+    # Q ~ 5.2e303 is finite: quad gives it, as the antiderivative does
+    rep = gamma_mixed(1e150, PotentialMix(1.0, 0.25), 1e152)
+    q = rep.gamma - gamma_pure_vector(1e150, 1.0)
+    oracle = second_integral_closed_form(1e150, 1.0, 1e152, 0.25)
+    assert math.isfinite(rep.gamma) and rep.tau_ratio == math.inf
+    assert abs(q - oracle) <= 1e-8 * oracle
+
+
 def test_gamma_mixed_monotone_in_scalar_fraction():
     gammas = [gamma_mixed(1.0, PotentialMix(0.2, s), 1.5828).gamma
               for s in np.linspace(0.0, 0.45, 10)]
