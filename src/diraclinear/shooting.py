@@ -360,9 +360,9 @@ def _wkb_level(m, lam, s, k, nodes):
     return e if math.isfinite(e) else None
 
 
-def _iterate(m, c0, c1, a, target):
+def _iterate(m, c0, c1, a, target, tol=1e-12):
     """_wkb_level's iteration a <- a (target(a)/F(a))^(1/p) from a, until
-    a step moves a by at most 1e-12 a, or for 30 steps."""
+    a step moves a by at most tol a, or for 30 steps."""
     for _ in range(30):
         g = dg = 0.0
         for x2, wx2 in _GL8:
@@ -372,7 +372,7 @@ def _iterate(m, c0, c1, a, target):
             dg += wx2 * c / root
         # p = d ln F / d ln a = 3/2 + a G'(a) / G(a)
         a, last = a * (target(a) / (a * math.sqrt(a) * g)) ** (1.0 / (1.5 + 0.5 * a * dg / g)), a
-        if abs(a - last) <= 1e-12 * a:
+        if abs(a - last) <= tol * a:
             break
     return a
 
@@ -390,8 +390,12 @@ def _box_level(m, lam, s, k):
     With lambda r = lambda r1 + lambda L x^2, L = r_D - r1, K is
     2 L^(3/2) sqrt(lambda) int_0^1 x^2 sqrt(P) dx, whose integrand is
     smooth, on _GL8.  The iteration is _wkb_level's, from its level, with
-    the target recomputed from K at each step; it returns the WKB level
-    when the arithmetic fails, and None when there is none."""
+    the target recomputed from K at each step, until a step moves E - m
+    by at most 1e-4 of it: a start needs the level only to a small
+    fraction of a scan step, and a level inside the scan window lies
+    fewer than 96 steps above m, so that is under 1% of a step.  It
+    returns the WKB level when the arithmetic fails, and None when there
+    is none."""
     e = _wkb_level(m, lam, s, k, 0)
     if e is None:
         return None
@@ -401,13 +405,13 @@ def _box_level(m, lam, s, k):
     def target(a):
         width = min(0.5 * ((a + 2.0 * m) / c1 - a) / lam,  # r_D - r1
                     10.0 / (lam * (2.0 * m + a)) ** (1.0 / 3.0))
-        p = 2.0 * m + c0 * a  # P at r1
+        p, dp = 2.0 * m + c0 * a, c1 * lam * width  # P at r1, and its fall to r_D
         barrier = 2.0 * width * math.sqrt(lam * width) * sum(
-            wx2 * math.sqrt(p - c1 * lam * width * x2) for x2, wx2 in _GL8)
+            wx2 * math.sqrt(p - dp * x2) for x2, wx2 in _GL8)
         return phase + 0.5 * lam * math.atan(math.exp(-2.0 * barrier))
 
     try:
-        level = m + _iterate(m, c0, c1, e - m, target)
+        level = m + _iterate(m, c0, c1, e - m, target, 1e-4)
     except (ArithmeticError, ValueError):
         return e
     return level if math.isfinite(level) else e
@@ -510,8 +514,8 @@ def _scan(m, width, steps, offset, above, last, what, level=None, start=None):
     transition's or the one below, where the search takes 2 shots: in 376
     of the 384 seed-7 node scans and in all 384 seed-7 and seed-11 first
     Dirichlet scans.  A guess one step high, or two or three low, takes 4,
-    and a cold bisection 7 or 8.  On a monotone count any start gives the same i: a guess changes
-    only which energies are shot.
+    and a cold bisection 7 or 8.  On a monotone count any start gives the
+    same i: a guess changes only which energies are shot.
 
     Raises ScanError, before any shot, when energy 0 rounds to m, as for a
     huge m; and when i = 0: then `what`, the level looked for, lies below

@@ -121,11 +121,12 @@ def gamma_mixed(m: float, mix: PotentialMix, E: float) -> TunnelingReport:
     first = gamma_pure_vector(m, lam)
     # with w = lambda r - E, Q = (A(w3) - A(m))/lambda for the antiderivative
     # A(w) = w sqrt(w^2 - m^2)/2 - m^2 ln(w + sqrt(w^2 - m^2))/2, whose first
-    # term is Q's size: past DBL_MAX quad's integrand overflows, and gamma is inf
-    w3 = (E + m) / (1.0 - 2.0 * mix.s) - E
+    # term, w3 sqrt((r3 - r2)(r3 - r1))/2, is Q's size: past DBL_MAX quad's
+    # integrand overflows, and gamma is inf
     if mix.s == 0.0:
         q = 0.0
-    elif first == math.inf or 0.5 * (w3 / lam) * math.sqrt(w3 - m) * math.sqrt(w3 + m) == math.inf:
+    elif first == math.inf or (0.5 * (lam * (tp.r3 - tp.r2) + m) * math.sqrt(tp.r3 - tp.r2)
+                               * math.sqrt(tp.r3 - tp.r1)) == math.inf:
         q = math.inf
     else:
         # integrand lam * sqrt((r - r2)(r - r1)) vanishes like a square

@@ -7,7 +7,9 @@ walk the scan up to its first transition, as the scans did before they
 were bisected, the estimator's reference also widening a bracket with no
 sign change at r_mid step by step where the estimator scans at r_mid; and
 they pin the scans started at the WKB level's index
-(_scan_index), or at any wild index, and the estimator's scan started
+(_scan_index), the estimator's first scan at its box level's
+(_box_level, also over seeded draws down to 100-step grids and out to
+k = -30), or at any wild index, and the estimator's scan started
 from the last scan's index, to the scans started cold, the estimator's
 also on grids too coarse for the Airy length, where the node scan
 refuses to run; and they check that the estimator's scan on a count

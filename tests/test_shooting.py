@@ -860,48 +860,46 @@ def test_scan_ending_on_a_node_at_energy_0_converges_at_r_mid(monkeypatch):
     assert u[0] * u[1] < 0
 
 
-# a mixed problem, whose box level and WKB level share their scan index,
-# and seed-7 quasibound request 7, pure vector, whose box level lies two
-# scan steps above the WKB level
-@pytest.mark.parametrize("m, mix", [
-    (0.7358847923680774, PotentialMix(0.7062867500442369, 0.3)),
-    (0.5012760553221973, PotentialMix(0.7818166779628467, 0.0)),
-], ids=["mixed", "vector"])
 @pytest.mark.parametrize("scale", [1.0, 0.9, 1.1])
-def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale, m, mix):
-    hint = _fresh(QB_GRID)
+def test_wrong_scan_hints_never_change_an_estimate(monkeypatch, scale):
+    # a mixed problem, whose box level and WKB level share their scan
+    # index, and seed-7 quasibound request 7, pure vector, whose box level
+    # lies two scan steps above the WKB level
     guess = shooting._scan_index
-    monkeypatch.setattr(shooting, "_scan_index", lambda *args: None)
-    cold = repr(estimate_quasibound_energy(m, mix, -1, hint, scale))  # a bisection
-    # the hint's record: the problem's tag, the scan's index and bracket
-    record = hint.__dict__["_estimate"][:3]
-    tag, i, _ = record
+    for m, mix in [(0.7358847923680774, PotentialMix(0.7062867500442369, 0.3)),
+                   (0.5012760553221973, PotentialMix(0.7818166779628467, 0.0))]:
+        hint = _fresh(QB_GRID)
+        monkeypatch.setattr(shooting, "_scan_index", lambda *args: None)
+        cold = repr(estimate_quasibound_energy(m, mix, -1, hint, scale))  # a bisection
+        # the hint's record: the problem's tag, the scan's index and bracket
+        record = hint.__dict__["_estimate"][:3]
+        tag, i, _ = record
 
-    def estimate(grid):
-        got = repr(estimate_quasibound_energy(m, mix, -1, grid, scale))
-        return got, grid.__dict__["_estimate"][:3]
+        def estimate(grid):
+            got = repr(estimate_quasibound_energy(m, mix, -1, grid, scale))
+            return got, grid.__dict__["_estimate"][:3]
 
-    # a scan with no record for its problem starts at the WKB start, here
-    # wild, and records the bisection's index and bracket
-    for start in [i + off for off in range(-3, 4)] + [0, 97]:
-        monkeypatch.setattr(shooting, "_scan_index", lambda *args, start=start: start)
-        assert estimate(_fresh(hint)) == (cold, record), start
-    # from the box level (_box_level), whose index is the transition's or
-    # the one below, so that the search shoots two energies
-    levels = []
+        # a scan with no record for its problem starts at the box level's
+        # index, here wild, and records the bisection's index and bracket
+        for start in [i + off for off in range(-3, 4)] + [0, 97]:
+            monkeypatch.setattr(shooting, "_scan_index", lambda *args, start=start: start)
+            assert estimate(_fresh(hint)) == (cold, record), start
+        # from the box level (_box_level), whose index is the transition's
+        # or the one below, so that the search shoots two energies
+        levels = []
 
-    def from_the_level(level, *args):
-        levels.append(level)
-        return guess(level, *args)
+        def from_the_level(level, *args):
+            levels.append(level)
+            return guess(level, *args)
 
-    monkeypatch.setattr(shooting, "_scan_index", from_the_level)
-    assert estimate(_fresh(hint)) == (cold, record)
-    assert levels == [shooting._box_level(m, mix.lam, mix.s, -1)]
-    assert guess(levels[0], m, 10.0 * math.sqrt(mix.lam) / 96) in (i - 1, i)
-    # another problem's record, left on the grid by the call before
-    estimate_quasibound_energy(1.2, VECTOR, -1, hint, scale)
-    assert hint.__dict__["_estimate"][0] != tag
-    assert estimate(hint) == (cold, record)
+        monkeypatch.setattr(shooting, "_scan_index", from_the_level)
+        assert estimate(_fresh(hint)) == (cold, record)
+        assert levels == [shooting._box_level(m, mix.lam, mix.s, -1)]
+        assert guess(levels[0], m, 10.0 * math.sqrt(mix.lam) / 96) in (i - 1, i)
+        # another problem's record, left on the grid by the call before
+        estimate_quasibound_energy(1.2, VECTOR, -1, hint, scale)
+        assert hint.__dict__["_estimate"][0] != tag
+        assert estimate(hint) == (cold, record)
 
 
 def test_threads_estimating_different_problems_match_serial():

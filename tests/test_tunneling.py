@@ -114,6 +114,13 @@ def test_gamma_mixed_just_below_dbl_max_keeps_its_quadrature():
     assert abs(q - oracle) <= 1e-8 * oracle
 
 
+def test_gamma_mixed_at_a_vanishing_scalar_fraction():
+    # r3 rounds to r2: the size of Q's closed form is 0, not a domain error
+    m, E = 0.6570624353653729, 1.9480139176637732
+    rep = gamma_mixed(m, PotentialMix(0.2, 5.043894510799565e-104), E)
+    assert rep.r3 == rep.r2 and rep.gamma == gamma_mixed(m, PotentialMix(0.2, 0.0), E).gamma
+
+
 def test_gamma_mixed_monotone_in_scalar_fraction():
     gammas = [gamma_mixed(1.0, PotentialMix(0.2, s), 1.5828).gamma
               for s in np.linspace(0.0, 0.45, 10)]
